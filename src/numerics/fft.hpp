@@ -1,13 +1,15 @@
 #pragma once
 
 /// \file fft.hpp
-/// Mixed-radix fast Fourier transform.
+/// Mixed-radix fast Fourier transform — the reference recursion.
 ///
 /// The spectral atmosphere needs length-48 transforms (R15 Gaussian grid)
-/// and the ocean polar filter needs length-128 ones, so the implementation
+/// and the ocean polar filter length-128 ones, so the implementation
 /// handles any length whose prime factors are small (2, 3, 5, 7); other
 /// factors fall back to an O(p^2) direct step, which keeps the code correct
-/// for every size used in tests.
+/// for every size used in tests. Production paths run FftPlan
+/// (fft_plan.hpp); this class is the spectral reference path and the
+/// oracle FftPlan and the polar filter are tested against.
 ///
 /// Conventions: forward() computes X_k = sum_j x_j exp(-2*pi*i*j*k/N)
 /// (unnormalized); inverse() includes the 1/N factor so

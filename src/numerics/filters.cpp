@@ -1,5 +1,6 @@
 #include "numerics/filters.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/constants.hpp"
@@ -8,12 +9,21 @@ namespace foam::numerics {
 
 using constants::deg2rad;
 
+PolarFourierFilter::Workspace::Workspace(const PolarFourierFilter& filter)
+    : spec_(static_cast<std::size_t>(filter.plan_.size())),
+      work_(filter.plan_.workspace_size()) {}
+
 PolarFourierFilter::PolarFourierFilter(const MercatorGrid& grid,
                                        double crit_lat_deg)
     : grid_(grid), crit_lat_deg_(crit_lat_deg),
-      cos_crit_(std::cos(crit_lat_deg * deg2rad)), fft_(grid.nlon()) {
+      cos_crit_(std::cos(crit_lat_deg * deg2rad)), plan_(grid.nlon()) {
   FOAM_REQUIRE(crit_lat_deg > 0.0 && crit_lat_deg < 90.0,
                "crit_lat_deg=" << crit_lat_deg);
+  const int nm = grid_.nlon() / 2 + 1;
+  factors_.resize(static_cast<std::size_t>(grid_.nlat()) * nm);
+  for (int j = 0; j < grid_.nlat(); ++j)
+    for (int m = 0; m < nm; ++m)
+      factors_[static_cast<std::size_t>(j) * nm + m] = factor(m, j);
 }
 
 double PolarFourierFilter::factor(int m, int j) const {
@@ -24,50 +34,56 @@ double PolarFourierFilter::factor(int m, int j) const {
   return std::min(1.0, m_max / m);
 }
 
-void PolarFourierFilter::apply(Field2Dd& f) const {
-  const int nlon = grid_.nlon();
-  std::vector<double> row(nlon);
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    if (grid_.cos_lat(j) >= cos_crit_) continue;
-    for (int i = 0; i < nlon; ++i) row[i] = f(i, j);
-    auto spec = fft_.forward_real(row);
-    for (int m = 1; m <= nlon / 2; ++m) spec[m] *= factor(m, j);
-    row = fft_.inverse_real(spec);
-    for (int i = 0; i < nlon; ++i) f(i, j) = row[i];
+void PolarFourierFilter::filter_row(double* row, int j, const int* mask,
+                                    Workspace& ws) const {
+  using cplx = std::complex<double>;
+  const int n = grid_.nlon();
+  FOAM_ASSERT(ws.spec_.size() == static_cast<std::size_t>(n),
+              "workspace of another filter");
+  cplx* spec = ws.spec_.data();
+  if (mask == nullptr) {
+    for (int i = 0; i < n; ++i) spec[i] = cplx(row[i], 0.0);
+  } else {
+    // Fill land with the row's ocean mean so the filter sees no artificial
+    // jumps at coastlines; land values are never written back.
+    double mean = 0.0;
+    int n_wet = 0;
+    for (int i = 0; i < n; ++i)
+      if (mask[i] != 0) {
+        mean += row[i];
+        ++n_wet;
+      }
+    if (n_wet == 0) return;
+    mean /= n_wet;
+    for (int i = 0; i < n; ++i)
+      spec[i] = cplx(mask[i] != 0 ? row[i] : mean, 0.0);
   }
+  plan_.forward(spec, ws.work_.data());
+  const double* fac =
+      factors_.data() + static_cast<std::size_t>(j) * (n / 2 + 1);
+  for (int m = 1; m <= n / 2; ++m) spec[m] *= fac[m];
+  // Real input: rebuild the upper half from the scaled lower half.
+  for (int k = n / 2 + 1; k < n; ++k) spec[k] = std::conj(spec[n - k]);
+  plan_.inverse(spec, ws.work_.data());
+  for (int i = 0; i < n; ++i)
+    if (mask == nullptr || mask[i] != 0) row[i] = spec[i].real();
+}
+
+void PolarFourierFilter::apply(Field2Dd& f) const {
+  FOAM_REQUIRE(f.nx() == grid_.nlon() && f.ny() == grid_.nlat(),
+               "field shape");
+  Workspace ws(*this);
+  for (int j = 0; j < grid_.nlat(); ++j)
+    if (is_polar_row(j)) filter_row(&f(0, j), j, nullptr, ws);
 }
 
 void PolarFourierFilter::apply(Field2Dd& f, const Field2D<int>& mask) const {
-  FOAM_REQUIRE(f.same_shape(Field2Dd(mask.nx(), mask.ny())),
-               "mask shape mismatch");
-  const int nlon = grid_.nlon();
-  std::vector<double> row(nlon);
-  std::vector<double> saved(nlon);
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    if (grid_.cos_lat(j) >= cos_crit_) continue;
-    bool any_ocean = false;
-    double ocean_mean = 0.0;
-    int n_ocean = 0;
-    for (int i = 0; i < nlon; ++i) {
-      saved[i] = f(i, j);
-      if (mask(i, j) != 0) {
-        any_ocean = true;
-        ocean_mean += saved[i];
-        ++n_ocean;
-      }
-    }
-    if (!any_ocean) continue;
-    ocean_mean /= n_ocean;
-    // Fill land with the row's ocean mean so the filter sees no artificial
-    // jumps at coastlines, then restore land values afterwards.
-    for (int i = 0; i < nlon; ++i)
-      row[i] = (mask(i, j) != 0) ? saved[i] : ocean_mean;
-    auto spec = fft_.forward_real(row);
-    for (int m = 1; m <= nlon / 2; ++m) spec[m] *= factor(m, j);
-    row = fft_.inverse_real(spec);
-    for (int i = 0; i < nlon; ++i)
-      f(i, j) = (mask(i, j) != 0) ? row[i] : saved[i];
-  }
+  FOAM_REQUIRE(f.nx() == grid_.nlon() && f.ny() == grid_.nlat() &&
+                   mask.nx() == f.nx() && mask.ny() == f.ny(),
+               "field/mask shape");
+  Workspace ws(*this);
+  for (int j = 0; j < grid_.nlat(); ++j)
+    if (is_polar_row(j)) filter_row(&f(0, j), j, &mask(0, j), ws);
 }
 
 void laplacian_masked(const MercatorGrid& grid, const Field2Dd& f,

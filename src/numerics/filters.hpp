@@ -12,10 +12,11 @@
 ///   it ("spatial mode splitting on the grid is prevented through the use of
 ///   a del^4 numerical dissipation").
 
+#include <complex>
 #include <vector>
 
 #include "base/field.hpp"
-#include "numerics/fft.hpp"
+#include "numerics/fft_plan.hpp"
 #include "numerics/grid.hpp"
 
 namespace foam::numerics {
@@ -26,17 +27,45 @@ namespace foam::numerics {
 /// so the shortest retained physical wavelength never falls below the one
 /// resolved at the critical latitude. m = 0 (the zonal mean) always passes
 /// unchanged, and the filter never amplifies.
+///
+/// Every row runs through one FftPlan's complex forward/inverse with the
+/// attenuation factors tabulated at construction, so filtering allocates
+/// nothing. The complex plan path repeats the reference Fft's butterflies
+/// in the same order, which keeps the result bitwise equal to the reference
+/// formulation Fft::forward_real -> scale -> Fft::inverse_real. (The plan's
+/// split real path agrees only to rounding, so it is not used here.)
 class PolarFourierFilter {
  public:
+  /// Caller-owned scratch for filter_row (one per thread): the row's full
+  /// spectrum and the plan's workspace, sized once.
+  class Workspace {
+   public:
+    explicit Workspace(const PolarFourierFilter& filter);
+
+   private:
+    friend class PolarFourierFilter;
+    std::vector<std::complex<double>> spec_;
+    std::vector<std::complex<double>> work_;
+  };
+
   PolarFourierFilter(const MercatorGrid& grid, double crit_lat_deg = 60.0);
 
-  /// Filter one 2-D field in place. Land cells (mask == 0) participate via
-  /// zero-filled rows only when the whole row is ocean-free; mixed rows are
-  /// filtered with land values left in place and restored after (the filter
-  /// is a numerical-stability device, exact conservation near coasts is not
-  /// required — the paper's usage).
+  /// Filter one 2-D field in place. In each polar row, land cells
+  /// (mask == 0) are filled with the row's ocean mean before filtering and
+  /// keep their values after; rows without ocean are left untouched (the
+  /// filter is a numerical-stability device, exact conservation near coasts
+  /// is not required — the paper's usage).
   void apply(Field2Dd& f, const Field2D<int>& mask) const;
   void apply(Field2Dd& f) const;
+
+  /// Filter the nlon-long zonal row \p row of latitude row \p j in place
+  /// with the rule of apply(f, mask); \p mask holds the row's nlon wet
+  /// flags, or is null for an all-ocean row. Only wet cells are written.
+  void filter_row(double* row, int j, const int* mask, Workspace& ws) const;
+
+  /// True when latitude row j lies poleward of the critical latitude (the
+  /// rows apply() filters).
+  bool is_polar_row(int j) const { return grid_.cos_lat(j) < cos_crit_; }
 
   /// Attenuation factor for wavenumber m at latitude row j (1 = untouched).
   double factor(int m, int j) const;
@@ -47,7 +76,9 @@ class PolarFourierFilter {
   const MercatorGrid& grid_;
   double crit_lat_deg_;
   double cos_crit_;
-  Fft fft_;
+  FftPlan plan_;
+  /// factor(m, j) at [j * (nlon/2 + 1) + m], m = 0..nlon/2.
+  std::vector<double> factors_;
 };
 
 /// Masked metric Laplacian on a Mercator grid: for each ocean cell,

@@ -52,6 +52,8 @@ OceanModel::OceanModel(const OceanConfig& cfg,
       mask2d_(cfg.nx, cfg.ny, 0),
       depth_(cfg.nx, cfg.ny, 0.0),
       filter_(grid, cfg.filter_lat),
+      filter_ws_(filter_),
+      filter_mask_(static_cast<std::size_t>(cfg.nx)),
       decomp_(make_ocean_decomp(cfg, comm, px)),
       up_(cfg.nx, cfg.ny, cfg.nz, 0.0),
       vp_(cfg.nx, cfg.ny, cfg.nz, 0.0),
@@ -124,6 +126,8 @@ OceanModel::OceanModel(const OceanConfig& cfg,
   } else {
     for (int i = 0; i < cfg_.nx; ++i) xext_.push_back(i);
   }
+  for (int j = j0_; j < j1_; ++j)
+    if (filter_.is_polar_row(j)) polar_rows_.push_back(j);
   // The polar filter needs whole zonal rows: build a communicator over the
   // ranks sharing this process row (collective over comm_, so every rank
   // takes this branch or none do).
@@ -1094,35 +1098,6 @@ void OceanModel::tracer_step() {
   work_points_ += 6.0 * wet_cells;
 }
 
-void OceanModel::apply_polar_filter_row(double* row, int j,
-                                        const int* rowmask) {
-  // Fill non-wet cells with the wet mean, filter zonally, restore.
-  static thread_local numerics::Fft* fft = nullptr;
-  static thread_local int fft_n = 0;
-  if (fft == nullptr || fft_n != cfg_.nx) {
-    delete fft;
-    fft = new numerics::Fft(cfg_.nx);
-    fft_n = cfg_.nx;
-  }
-  double mean = 0.0;
-  int n = 0;
-  for (int i = 0; i < cfg_.nx; ++i)
-    if (rowmask[i] != 0) {
-      mean += row[i];
-      ++n;
-    }
-  if (n == 0) return;
-  mean /= n;
-  std::vector<double> vals(cfg_.nx);
-  for (int i = 0; i < cfg_.nx; ++i)
-    vals[i] = rowmask[i] != 0 ? row[i] : mean;
-  auto spec = fft->forward_real(vals);
-  for (int m = 1; m <= cfg_.nx / 2; ++m) spec[m] *= filter_.factor(m, j);
-  vals = fft->inverse_real(spec);
-  for (int i = 0; i < cfg_.nx; ++i)
-    if (rowmask[i] != 0) row[i] = vals[i];
-}
-
 std::vector<double> OceanModel::row_gather_full(
     const std::vector<double>& mine, int nslots) const {
   // One gatherv + bcast for the whole batch: the filter is called inside
@@ -1154,11 +1129,10 @@ void OceanModel::filter_rows_distributed(
   // process row — this is the whole point of decomposing in x: the polar
   // ranks' filter load, which caps the row decomposition's scaling,
   // divides by px instead of being repeated on every rank.
-  std::vector<int> rowmask(cfg_.nx);
   for (int s = rr; s < nslots; s += P) {
-    fill_mask(s, rowmask.data());
-    apply_polar_filter_row(full.data() + static_cast<std::size_t>(s) * cfg_.nx,
-                           j_of(s), rowmask.data());
+    fill_mask(s, filter_mask_.data());
+    filter_.filter_row(full.data() + static_cast<std::size_t>(s) * cfg_.nx,
+                       j_of(s), filter_mask_.data(), filter_ws_);
   }
   // Re-share the filtered rows (one gatherv + bcast for the batch): rank
   // r's contribution is its slots r, r+P, ... in increasing slot order.
@@ -1183,25 +1157,13 @@ void OceanModel::filter_rows_distributed(
 }
 
 void OceanModel::apply_polar_filter_2d(Field2Dd& f) {
-  const double cos_crit = std::cos(cfg_.filter_lat * deg2rad);
-  std::vector<int> rows;
-  for (int j = j0_; j < j1_; ++j)
-    if (grid_.cos_lat(j) < cos_crit) rows.push_back(j);
+  const std::vector<int>& rows = polar_rows_;
   // Ranks sharing a process row share the j-range, so this early return
   // (and the collective gather below) stays aligned across the row comm.
   if (rows.empty()) return;
-  std::vector<double> row(cfg_.nx);
-  std::vector<int> rowmask(cfg_.nx);
   if (row_comm_ == nullptr) {  // full rows are local (px == 1 or serial)
-    for (const int j : rows) {
-      for (int i = 0; i < cfg_.nx; ++i) {
-        row[i] = f(i, j);
-        rowmask[i] = mask2d_(i, j);
-      }
-      apply_polar_filter_row(row.data(), j, rowmask.data());
-      for (int i = 0; i < cfg_.nx; ++i)
-        if (rowmask[i] != 0) f(i, j) = row[i];
-    }
+    for (const int j : rows)
+      filter_.filter_row(&f(0, j), j, &mask2d_(0, j), filter_ws_);
     return;
   }
   // 2-D path: gather the owned segments of every polar row across the
@@ -1229,25 +1191,16 @@ void OceanModel::apply_polar_filter_2d(Field2Dd& f) {
 }
 
 void OceanModel::apply_polar_filter_3d(Field3Dd& f) {
-  const double cos_crit = std::cos(cfg_.filter_lat * deg2rad);
-  std::vector<int> rows;
-  for (int j = j0_; j < j1_; ++j)
-    if (grid_.cos_lat(j) < cos_crit) rows.push_back(j);
+  const std::vector<int>& rows = polar_rows_;
   if (rows.empty()) return;  // no polar rows owned by this process row
-  std::vector<double> row(cfg_.nx);
-  std::vector<int> rowmask(cfg_.nx);
   if (row_comm_ == nullptr) {  // full rows are local (px == 1 or serial)
     for (int k = 0; k < cfg_.nz; ++k) {
       for (const int j : rows) {
         // Per-level wet mask: columns dry at this depth are treated as land
         // so their placeholder values never contaminate wet cells.
-        for (int i = 0; i < cfg_.nx; ++i) {
-          row[i] = f(i, j, k);
-          rowmask[i] = wet(i, j, k) ? 1 : 0;
-        }
-        apply_polar_filter_row(row.data(), j, rowmask.data());
         for (int i = 0; i < cfg_.nx; ++i)
-          if (rowmask[i] != 0) f(i, j, k) = row[i];
+          filter_mask_[i] = wet(i, j, k) ? 1 : 0;
+        filter_.filter_row(&f(0, j, k), j, filter_mask_.data(), filter_ws_);
       }
     }
     return;

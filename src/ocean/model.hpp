@@ -168,8 +168,8 @@ class OceanModel {
                                       int nslots) const;
   /// Filter \p nslots gathered full rows cooperatively across the process
   /// row: row-comm rank r filters slots r, r+P, ... in place (each slot's
-  /// grid row given by \p j_of, wet mask filled by \p fill_mask), then the
-  /// filtered rows are re-shared so every rank returns with all slots
+  /// grid row given by \p j_of, nx wet flags filled by \p fill_mask), then
+  /// the filtered rows are re-shared so every rank returns with all slots
   /// filtered. The filter is deterministic, so the result is bitwise
   /// independent of which rank filtered which slot.
   void filter_rows_distributed(
@@ -184,7 +184,6 @@ class OceanModel {
   void tracer_step();
   void vertical_mixing_coefficients();
   void convective_adjustment();
-  void apply_polar_filter_row(double* row, int j, const int* rowmask);
   void apply_polar_filter_2d(Field2Dd& f);
   void apply_polar_filter_3d(Field3Dd& f);
   void enforce_zero_depth_mean();
@@ -205,6 +204,8 @@ class OceanModel {
   Field2D<int> mask2d_;
   Field2Dd depth_;  // actual wet column depth [m]
   numerics::PolarFourierFilter filter_;
+  numerics::PolarFourierFilter::Workspace filter_ws_;
+  std::vector<int> filter_mask_;  // one row's wet flags (nx)
 
   par::Decomp2D decomp_;
   int pi_ = 0, pj_ = 0;  // this rank's coordinates on the rank grid
@@ -215,6 +216,8 @@ class OceanModel {
   /// Columns visited by extended-range loops: owned columns plus (when
   /// px > 1) the wrapped halo column on each side.
   std::vector<int> xext_;
+  /// Owned rows poleward of the filter latitude, ascending.
+  std::vector<int> polar_rows_;
   /// Communicator over the ranks sharing this process row (key = pi), used
   /// by the polar-filter row gather; null when px == 1.
   std::unique_ptr<par::Comm> row_comm_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -133,27 +134,57 @@ TEST(ParallelCoupled, BlockingExchangeRecordsCommWait) {
   });
 }
 
+// For each comm-wait segment on a rank's timeline, the number of
+// atmosphere intervals (maximal runs of atmosphere segments) that began
+// before it.
+std::vector<int> atm_intervals_before_waits(
+    const std::vector<par::Segment>& timeline) {
+  std::vector<int> out;
+  int intervals = 0;
+  bool in_atm = false;
+  for (const par::Segment& seg : timeline) {
+    const bool atm = seg.region == par::Region::kAtmosphere;
+    if (atm && !in_atm) ++intervals;
+    in_atm = atm;
+    if (seg.region == par::Region::kCommWait) out.push_back(intervals);
+  }
+  return out;
+}
+
 TEST(ParallelCoupled, OverlapExchangeRunsAndShrinksCommWait) {
   // With overlap on, the SST reply rides under the next atmosphere
-  // interval: rank 0's comm-wait must not exceed the blocking run's.
+  // interval: rank 0 waits for reply k only after interval k+1 has run
+  // (the last reply is drained after the final interval). With the
+  // blocking exchange it waits for reply k before interval k+1 starts.
+  // Asserted on the order of rank 0's timeline segments, which program
+  // order fixes, rather than on wall-clock wait seconds.
   FoamConfig cfg = FoamConfig::testing();
-  double wait_blocking = 0.0, wait_overlap = 0.0;
+  std::vector<int> blocking, overlap;
   par::run(2, [&](par::Comm& world) {
     ParallelRunOptions opts;
     opts.n_atm = 1;
     opts.overlap = false;
     auto res = run_coupled_parallel(world, opts, cfg, 0.5);
     if (world.rank() == 0)
-      wait_blocking = res.region_seconds(0, par::Region::kCommWait);
+      blocking = atm_intervals_before_waits(res.timelines[0]);
     opts.overlap = true;
     res = run_coupled_parallel(world, opts, cfg, 0.5);
     EXPECT_GT(res.speedup(), 0.0);
     EXPECT_NEAR(res.simulated_seconds, 0.5 * 86400.0, 1.0);
     if (world.rank() == 0)
-      wait_overlap = res.region_seconds(0, par::Region::kCommWait);
+      overlap = atm_intervals_before_waits(res.timelines[0]);
   });
-  EXPECT_GT(wait_blocking, 0.0);
-  EXPECT_LT(wait_overlap, wait_blocking);
+  const int n_exchanges =
+      static_cast<int>(0.5 * 86400.0 / cfg.exchange_seconds);
+  ASSERT_GE(n_exchanges, 2);
+  ASSERT_EQ(blocking.size(), static_cast<std::size_t>(n_exchanges));
+  ASSERT_EQ(overlap.size(), static_cast<std::size_t>(n_exchanges));
+  for (int k = 0; k < n_exchanges; ++k) {
+    // Reply k (0-based) answers the forcing sent after interval k+1.
+    EXPECT_EQ(blocking[k], k + 1) << "blocking reply " << k;
+    EXPECT_EQ(overlap[k], std::min(k + 2, n_exchanges))
+        << "overlap reply " << k;
+  }
 }
 
 TEST(ParallelCoupled, OverlapWorksWithManyAtmRanks) {

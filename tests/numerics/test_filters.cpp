@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <vector>
 
 #include "base/constants.hpp"
+#include "numerics/fft.hpp"
 
 namespace foam::numerics {
 namespace {
@@ -103,6 +107,96 @@ TEST(PolarFilter, MaskedApplyLeavesLandUntouched) {
   for (int i = 20; i < 40; ++i)
     EXPECT_DOUBLE_EQ(f(i, 62), orig(i, 62)) << "land i=" << i;
 }
+
+// The reference formulation of one masked polar row: wet-mean fill, the
+// reference FFT's real transforms, scale, write back the wet cells.
+std::vector<double> reference_filter_row(const PolarFourierFilter& filter,
+                                         int j, std::vector<double> row,
+                                         const std::vector<int>& mask) {
+  const int n = static_cast<int>(row.size());
+  double mean = 0.0;
+  int n_wet = 0;
+  for (int i = 0; i < n; ++i)
+    if (mask[i] != 0) {
+      mean += row[i];
+      ++n_wet;
+    }
+  if (n_wet == 0) return row;
+  mean /= n_wet;
+  std::vector<double> vals(n);
+  for (int i = 0; i < n; ++i) vals[i] = mask[i] != 0 ? row[i] : mean;
+  const Fft fft(n);
+  auto spec = fft.forward_real(vals);
+  for (int m = 1; m <= n / 2; ++m) spec[m] *= filter.factor(m, j);
+  vals = fft.inverse_real(spec);
+  for (int i = 0; i < n; ++i)
+    if (mask[i] != 0) row[i] = vals[i];
+  return row;
+}
+
+class PolarFilterOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(PolarFilterOracle, FilterRowMatchesReferenceBitwise) {
+  const int nx = GetParam();
+  MercatorGrid grid(nx, 32, 78.0);
+  PolarFourierFilter filter(grid, 60.0);
+  PolarFourierFilter::Workspace ws(filter);
+  std::mt19937 rng(static_cast<unsigned>(nx));
+  std::uniform_real_distribution<double> value(-2.0, 30.0);
+  std::bernoulli_distribution wet(0.7);
+  std::uniform_int_distribution<int> cell(0, nx - 1);
+  int polar_rows = 0;
+  for (int j = 0; j < grid.nlat(); ++j) {
+    if (!filter.is_polar_row(j)) continue;
+    ++polar_rows;
+    for (int trial = 0; trial < 5; ++trial) {
+      std::vector<double> row(nx);
+      std::vector<int> mask(nx);
+      for (int i = 0; i < nx; ++i) {
+        row[i] = value(rng);
+        mask[i] = wet(rng) ? 1 : 0;
+      }
+      if (trial == 3) {  // single wet cell
+        std::fill(mask.begin(), mask.end(), 0);
+        mask[cell(rng)] = 1;
+      }
+      if (trial == 4) std::fill(mask.begin(), mask.end(), 1);
+      const std::vector<double> expect =
+          reference_filter_row(filter, j, row, mask);
+      std::vector<double> unmasked = row;
+      filter.filter_row(row.data(), j, mask.data(), ws);
+      for (int i = 0; i < nx; ++i)
+        EXPECT_EQ(row[i], expect[i])
+            << "nx=" << nx << " j=" << j << " trial=" << trial << " i=" << i;
+      if (trial == 4) {  // a null mask is the all-ocean row
+        filter.filter_row(unmasked.data(), j, nullptr, ws);
+        for (int i = 0; i < nx; ++i)
+          EXPECT_EQ(unmasked[i], expect[i]) << "nx=" << nx << " i=" << i;
+      }
+    }
+  }
+  EXPECT_GT(polar_rows, 0);
+}
+
+TEST_P(PolarFilterOracle, AllLandRowUntouched) {
+  const int nx = GetParam();
+  MercatorGrid grid(nx, 32, 78.0);
+  PolarFourierFilter filter(grid, 60.0);
+  PolarFourierFilter::Workspace ws(filter);
+  const int j = grid.nlat() - 1;
+  ASSERT_TRUE(filter.is_polar_row(j));
+  std::vector<double> row(nx);
+  for (int i = 0; i < nx; ++i) row[i] = std::sin(1.7 * i) + 4.0;
+  const std::vector<double> orig = row;
+  const std::vector<int> land(nx, 0);
+  filter.filter_row(row.data(), j, land.data(), ws);
+  for (int i = 0; i < nx; ++i) EXPECT_EQ(row[i], orig[i]) << "i=" << i;
+}
+
+// Even lengths of the model grids plus one odd length (the odd-n spectrum
+// has no Nyquist coefficient).
+INSTANTIATE_TEST_SUITE_P(Lengths, PolarFilterOracle,
+                         ::testing::Values(36, 45, 96, 128));
 
 TEST(LaplacianMasked, ZeroForConstantField) {
   MercatorGrid grid(32, 32, 70.0);
