@@ -7,6 +7,8 @@
 // engine's folding shows up as higher effective throughput rather than a
 // smaller flop count). The batched rows transform a 15-field stack — the
 // level count of the emulated full 18-level core (nlev - ndyn) — per pass.
+// An FFT-only row times the lane-batched real FFT on its own, in ns per
+// 48-point latitude row, at batch 1 and batch 600.
 //
 // The engine must agree with the reference to <= 1e-12 relative on every
 // entry point; the bench verifies this before timing and reports the worst
@@ -211,6 +213,51 @@ void run_case(const Case& c, foam::bench::BenchJson& out,
     *r15_batched_speedup = speedup;
 }
 
+/// FFT-only rows: ns per real nlon-point row through FftPlan's rows API
+/// (forward with the engine's truncation to mmax+1 modes, and its inverse),
+/// for a batch of one row (a single, mostly padded lane group) and a batch
+/// of 600 rows (75 full lane groups, the size of a full-core call).
+void run_fft_rows(const Case& c, foam::bench::BenchJson& out) {
+  const foam::numerics::FftPlan plan(c.nlon);
+  const GaussianGrid grid(c.nlon, c.nlat);
+  const Field2Dd f = make_field(grid, 0);
+  const int nkeep = c.mmax + 1;
+  std::vector<double> scratch(plan.rows_scratch_size());
+  for (const int batch : {1, 600}) {
+    Field2Dd rows_out(c.nlon, batch);
+    std::vector<const double*> in(batch);
+    std::vector<double*> back(batch);
+    for (int r = 0; r < batch; ++r) {
+      in[r] = &f(0, r % c.nlat);
+      back[r] = &rows_out(0, r);
+    }
+    std::vector<std::complex<double>> fm(static_cast<std::size_t>(batch) *
+                                         nkeep);
+    const double ns_fwd = ns_per_call([&] {
+                            plan.forward_real_rows(in.data(), batch, nkeep,
+                                                   1.0 / c.nlon, fm.data(),
+                                                   scratch.data());
+                          }) /
+                          batch;
+    const double ns_inv = ns_per_call([&] {
+                            plan.inverse_real_rows(
+                                fm.data(), batch, nkeep,
+                                static_cast<double>(c.nlon), back.data(),
+                                scratch.data());
+                          }) /
+                          batch;
+    std::printf("%s fft rows batch %3d: forward %6.1f ns/row  inverse %6.1f "
+                "ns/row (%d-point, %d modes kept)\n",
+                c.name, batch, ns_fwd, ns_inv, c.nlon, nkeep);
+    out.add("fft_ns_per_row", ns_fwd, "ns",
+            {{"resolution", c.name}, {"direction", "forward"},
+             {"batch", batch}});
+    out.add("fft_ns_per_row", ns_inv, "ns",
+            {{"resolution", c.name}, {"direction", "inverse"},
+             {"batch", batch}});
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -221,6 +268,7 @@ int main() {
   double worst_agreement = 0.0;
   for (const Case& c : {Case{"R15", 48, 40, 15}, Case{"R31", 96, 80, 31}})
     run_case(c, out, &r15_speedup, &worst_agreement);
+  run_fft_rows(Case{"R15", 48, 40, 15}, out);
   const bool pass = r15_speedup >= 2.0 && worst_agreement <= 1e-12;
   std::printf("acceptance: batched R15 analyze+synthesize %.2fx (target "
               ">= 2x), agreement %.3g (target <= 1e-12): %s\n",

@@ -6,20 +6,41 @@
 /// The reference Fft (fft.hpp) recurses with a fresh std::vector at every
 /// level and runs real transforms through the full n-point complex path.
 /// FftPlan is the production replacement: the constructor factorizes N,
-/// builds the digit-reversal permutation and per-stage twiddle tables once,
-/// and every transform afterwards runs iteratively (bottom-up over the
-/// factor stages, ping-ponging between the data array and a caller-provided
-/// workspace) with **no allocation**. Real-to-complex / complex-to-real
-/// transforms of even N run an N/2-point complex transform plus an O(N)
-/// split post-pass — half the butterflies of the reference path.
+/// builds the digit-reversal permutation and per-stage twiddle tables once
+/// (a forward table and its conjugate for the inverse, so no butterfly
+/// tests a sign), and every transform afterwards runs iteratively
+/// (bottom-up over the factor stages, ping-ponging between two buffers)
+/// with **no allocation**.
 ///
-/// The complex transform performs the same butterfly sums in the same
-/// order as the reference recursion, so forward()/inverse() agree with
-/// Fft::forward()/inverse() bitwise; the real split path agrees to
-/// rounding (~1e-15 relative).
+/// Two kernels, one per transform:
+///
+///  * forward()/inverse() — one complex row (the ocean polar filter). Same
+///    butterfly sums in the same order as the reference recursion, so they
+///    agree with Fft::forward()/inverse() bitwise.
+///  * forward_real_rows()/inverse_real_rows() — many real rows at once (the
+///    spectral engine). Even N runs the N/2-point complex plan plus an O(N)
+///    split post-pass, half the butterflies of the reference path; odd N
+///    falls back to the full complex plan. kLanes rows are interleaved as
+///    split re/im arrays indexed [point][lane], so each butterfly is a
+///    fixed-length lane loop the compiler vectorizes at the baseline ISA.
+///    Each lane performs exactly the operations of a single-row transform
+///    (scale and truncation included), so the result of a row does not
+///    depend on the batch it rides in. A tail group of fewer than kLanes
+///    rows is padded by repeating its last row; only real rows are written.
+///
+/// Bits. Every complex product is written out as
+/// (ar*br - ai*bi, ar*bi + ai*br): the same two products and sum GCC emits
+/// for std::complex operator*, minus its C99 Annex G NaN check and
+/// __muldc3 fallback. Finite results are therefore bitwise equal to the
+/// std::complex formulation. The library is built with -ffp-contract=off,
+/// and on FMA targets the complex-row kernel is kept out of GCC's
+/// vectorizer (whose addsub pattern fuses a product pair regardless), so
+/// an FMA-capable -march cannot fuse these products either. A non-finite
+/// input now gives NaN where Annex G would have recovered an infinity; it
+/// still gives a non-finite output.
 ///
 /// Thread safety: a plan is immutable after construction and may be shared
-/// freely; the workspace belongs to the caller (one per thread).
+/// freely; workspaces and scratch belong to the caller (one per thread).
 ///
 /// Conventions match Fft: forward is the unnormalized DFT
 /// X_k = sum_j x_j exp(-2 pi i j k / N); inverse includes the 1/N factor.
@@ -32,39 +53,54 @@ namespace foam::numerics {
 
 class FftPlan {
  public:
+  /// Rows interleaved per pass of the *_real_rows transforms.
+  static constexpr int kLanes = 8;
+
   explicit FftPlan(int n);
 
   int size() const { return n_; }
 
-  /// Complex workspace elements any transform of this plan may need.
-  /// (2n covers the odd-length real fallback; the hot paths use <= n.)
-  std::size_t workspace_size() const { return 2 * static_cast<std::size_t>(n_); }
+  /// Complex workspace elements forward()/inverse() need.
+  std::size_t workspace_size() const { return static_cast<std::size_t>(n_); }
 
   /// Unnormalized in-place forward DFT. \p work: >= workspace_size() elems.
   void forward(std::complex<double>* data, std::complex<double>* work) const;
   /// Normalized (1/N) in-place inverse DFT.
   void inverse(std::complex<double>* data, std::complex<double>* work) const;
 
-  /// Real-to-complex forward: writes the n/2+1 non-redundant coefficients
-  /// of the forward DFT of x[0..n) into spec.
-  void forward_real(const double* x, std::complex<double>* spec,
-                    std::complex<double>* work) const;
+  /// Doubles of scratch the *_real_rows transforms need.
+  std::size_t rows_scratch_size() const;
 
-  /// Complex-to-real inverse of forward_real: reads n/2+1 coefficients
-  /// (conjugate symmetry implied), reconstructs x[0..n). Includes the 1/N
-  /// normalization so inverse_real(forward_real(x)) == x.
-  void inverse_real(const std::complex<double>* spec, double* x,
-                    std::complex<double>* work) const;
+  /// Real-to-complex forward of \p nrows rows of n reals each: row r's
+  /// first \p nkeep (<= n/2+1) DFT coefficients, times \p scale, go to
+  /// out[r*nkeep .. r*nkeep + nkeep).
+  void forward_real_rows(const double* const* rows, int nrows, int nkeep,
+                         double scale, std::complex<double>* out,
+                         double* scratch) const;
+
+  /// Complex-to-real inverse of forward_real_rows: row r's coefficients are
+  /// spec[r*nkeep + k] * \p scale for k < nkeep and zero above (conjugate
+  /// symmetry implied); the n reals, with the 1/N normalization, go to
+  /// rows[r]. inverse_real_rows(forward_real_rows(x), scale 1) == x.
+  void inverse_real_rows(const std::complex<double>* spec, int nrows,
+                         int nkeep, double scale, double* const* rows,
+                         double* scratch) const;
 
  private:
   FftPlan(int n, bool build_real_path);
   void build();
+  /// Complex-row kernel: digit-reversal gather into \p work, then the
+  /// stages with twiddle table \p tw (stage_tw_ or stage_tw_inv_).
   void run(std::complex<double>* data, std::complex<double>* work,
-           int sign) const;
+           const std::complex<double>* tw) const;
+  /// Lane kernel over leaf-ordered [point][lane] input in (are, aim),
+  /// ping-ponging with (bre, bim). Returns true when the result lands in b.
+  bool run_lanes(double* are, double* aim, double* bre, double* bim,
+                 const std::complex<double>* tw) const;
 
   /// One bottom-up combine stage: radix \p p merging sub-blocks of size
   /// \p m into blocks of size \p count = p*m; twiddles at \p tw_offset
-  /// (p*count forward values, layout tw[r*count + k]).
+  /// (p*count values, layout tw[r*count + k]).
   struct Stage {
     int p;
     int m;
@@ -76,9 +112,9 @@ class FftPlan {
   std::vector<int> factors_;
   std::vector<int> perm_;  // digit-reversal gather: leaf i reads perm_[i]
   std::vector<Stage> stages_;
-  std::vector<std::complex<double>> stage_tw_;  // forward-sign twiddles
-  // Split post-pass twiddles exp(-pi i k / (n/2)) ... actually
-  // exp(-2 pi i k / n) for k = 0..n/2 (even n only).
+  std::vector<std::complex<double>> stage_tw_;      // exp(-2 pi i ...)
+  std::vector<std::complex<double>> stage_tw_inv_;  // conj(stage_tw_)
+  // Split post-pass twiddles w_k = exp(-2 pi i k / n), k = 0..n/2 (even n).
   std::vector<std::complex<double>> real_tw_;
   std::unique_ptr<FftPlan> half_;  // n/2 complex plan for the real path
 };

@@ -33,7 +33,8 @@ namespace foam::numerics {
 /// nothing. The complex plan path repeats the reference Fft's butterflies
 /// in the same order, which keeps the result bitwise equal to the reference
 /// formulation Fft::forward_real -> scale -> Fft::inverse_real. (The plan's
-/// split real path agrees only to rounding, so it is not used here.)
+/// real rows API runs the half-length split path, which agrees with that
+/// formulation only to rounding, so it is not used here.)
 class PolarFourierFilter {
  public:
   /// Caller-owned scratch for filter_row (one per thread): the row's full

@@ -138,29 +138,24 @@ void SpectralTransform::inv_fourier_row(const std::vector<cplx>& fm,
 // ---------------------------------------------------------------------------
 // Plan-based row transforms
 
-void SpectralTransform::fourier_row_plan(const Field2Dd& f, int j, cplx* fm,
-                                         SpectralWorkspace& ws) const {
-  const int nlon = grid_.nlon();
-  ws.fft.resize(plan_.workspace_size());
-  ws.row.resize(nlon);
-  ws.spec.resize(nlon / 2 + 1);
-  for (int i = 0; i < nlon; ++i) ws.row[i] = f(i, j);
-  plan_.forward_real(ws.row.data(), ws.spec.data(), ws.fft.data());
-  const double inv_n = 1.0 / nlon;
-  for (int m = 0; m <= mmax_; ++m) fm[m] = ws.spec[m] * inv_n;
+void SpectralTransform::fourier_rows(SpectralWorkspace& ws) const {
+  const int nm = mmax_ + 1;
+  const int nrows = static_cast<int>(ws.src_rows.size());
+  ws.fm.resize(static_cast<std::size_t>(nrows) * nm);
+  ws.lanes.resize(plan_.rows_scratch_size());
+  plan_.forward_real_rows(ws.src_rows.data(), nrows, nm,
+                          1.0 / grid_.nlon(), ws.fm.data(), ws.lanes.data());
 }
 
-void SpectralTransform::inv_fourier_row_plan(const cplx* fm, Field2Dd& f,
-                                             int j,
-                                             SpectralWorkspace& ws) const {
-  const int nlon = grid_.nlon();
-  ws.fft.resize(plan_.workspace_size());
-  ws.row.resize(nlon);
-  ws.spec.assign(nlon / 2 + 1, cplx(0.0, 0.0));
-  for (int m = 0; m <= mmax_; ++m)
-    ws.spec[m] = fm[m] * static_cast<double>(nlon);
-  plan_.inverse_real(ws.spec.data(), ws.row.data(), ws.fft.data());
-  for (int i = 0; i < nlon; ++i) f(i, j) = ws.row[i];
+void SpectralTransform::inv_fourier_rows(SpectralWorkspace& ws) const {
+  const int nm = mmax_ + 1;
+  const int nrows = static_cast<int>(ws.dst_rows.size());
+  FOAM_ASSERT(ws.fm.size() >= static_cast<std::size_t>(nrows) * nm,
+              "Fourier rows for " << nrows << " grid rows");
+  ws.lanes.resize(plan_.rows_scratch_size());
+  plan_.inverse_real_rows(ws.fm.data(), nrows, nm,
+                          static_cast<double>(grid_.nlon()),
+                          ws.dst_rows.data(), ws.lanes.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -172,6 +167,10 @@ void SpectralTransform::inv_fourier_row_plan(const cplx* fm, Field2Dd& f,
 // Legendre work: even-k coefficients see only the even fold, odd-k only the
 // odd fold. The inner loops stream the LegendreTable's contiguous (m, k)
 // panels for the southern row of each pair.
+//
+// Every kernel moves all Fourier rows of its batch through one FFT rows
+// call, in the order its Legendre loops consume them: per mirror pair, each
+// field's rows; then per single row, each field's rows.
 
 void SpectralTransform::engine_analyze(const LatPairing& lp,
                                        const std::vector<const Field2Dd*>& fs,
@@ -179,21 +178,29 @@ void SpectralTransform::engine_analyze(const LatPairing& lp,
                                        SpectralWorkspace& ws) const {
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(fs.size());
-  ws.fm_a.resize(nm);
-  ws.fm_b.resize(nm);
+  ws.src_rows.clear();
+  for (const auto& pr : lp.pairs)
+    for (int f = 0; f < nf; ++f) {
+      ws.src_rows.push_back(&(*fs[f])(0, pr[0]));
+      ws.src_rows.push_back(&(*fs[f])(0, pr[1]));
+    }
+  for (const int j : lp.singles)
+    for (int f = 0; f < nf; ++f) ws.src_rows.push_back(&(*fs[f])(0, j));
+  fourier_rows(ws);
+  const cplx* fm = ws.fm.data();
   ws.fold_pe.resize(static_cast<std::size_t>(nf) * nm);
   ws.fold_po.resize(static_cast<std::size_t>(nf) * nm);
   for (const auto& pr : lp.pairs) {
-    const int js = pr[0], jn = pr[1];
+    const int js = pr[0];
     const double w = 0.5 * grid_.gauss_weight(js);
-    for (int f = 0; f < nf; ++f) {
-      fourier_row_plan(*fs[f], js, ws.fm_a.data(), ws);
-      fourier_row_plan(*fs[f], jn, ws.fm_b.data(), ws);
+    for (int f = 0; f < nf; ++f, fm += 2 * nm) {
+      const cplx* fm_s = fm;
+      const cplx* fm_n = fm + nm;
       cplx* fe = ws.fold_pe.data() + static_cast<std::size_t>(f) * nm;
       cplx* fo = ws.fold_po.data() + static_cast<std::size_t>(f) * nm;
       for (int m = 0; m < nm; ++m) {
-        fe[m] = w * (ws.fm_a[m] + ws.fm_b[m]);
-        fo[m] = w * (ws.fm_a[m] - ws.fm_b[m]);
+        fe[m] = w * (fm_s[m] + fm_n[m]);
+        fo[m] = w * (fm_s[m] - fm_n[m]);
       }
     }
     const double* P = table_.p_row(js);
@@ -217,13 +224,12 @@ void SpectralTransform::engine_analyze(const LatPairing& lp,
   for (const int j : lp.singles) {
     const double w = 0.5 * grid_.gauss_weight(j);
     const double* P = table_.p_row(j);
-    for (int f = 0; f < nf; ++f) {
-      fourier_row_plan(*fs[f], j, ws.fm_a.data(), ws);
+    for (int f = 0; f < nf; ++f, fm += nm) {
       cplx* s = out[f].data();
       for (int m = 0; m < nm; ++m) {
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         cplx* sm = s + static_cast<std::size_t>(m) * kmax_;
-        const cplx wf = w * ws.fm_a[m];
+        const cplx wf = w * fm[m];
         for (int k = 0; k < kmax_; ++k) sm[k] += wf * pm[k];
       }
     }
@@ -235,12 +241,14 @@ void SpectralTransform::engine_synthesize(
     const std::vector<Field2Dd*>& outs, SpectralWorkspace& ws) const {
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(ss.size());
-  ws.fm_a.resize(nm);
-  ws.fm_b.resize(nm);
+  ws.fm.resize(static_cast<std::size_t>(nf) *
+               (2 * lp.pairs.size() + lp.singles.size()) * nm);
+  ws.dst_rows.clear();
+  cplx* fm = ws.fm.data();
   for (const auto& pr : lp.pairs) {
     const int js = pr[0], jn = pr[1];
     const double* P = table_.p_row(js);
-    for (int f = 0; f < nf; ++f) {
+    for (int f = 0; f < nf; ++f, fm += 2 * nm) {
       const cplx* s = ss[f]->data();
       for (int m = 0; m < nm; ++m) {
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
@@ -252,27 +260,28 @@ void SpectralTransform::engine_synthesize(
           acc_o += sm[k + 1] * pm[k + 1];
         }
         if (k < kmax_) acc_e += sm[k] * pm[k];
-        ws.fm_a[m] = acc_e + acc_o;  // southern row: P as tabulated
-        ws.fm_b[m] = acc_e - acc_o;  // northern mirror: (-1)^k parity
+        fm[m] = acc_e + acc_o;       // southern row: P as tabulated
+        fm[nm + m] = acc_e - acc_o;  // northern mirror: (-1)^k parity
       }
-      inv_fourier_row_plan(ws.fm_a.data(), *outs[f], js, ws);
-      inv_fourier_row_plan(ws.fm_b.data(), *outs[f], jn, ws);
+      ws.dst_rows.push_back(&(*outs[f])(0, js));
+      ws.dst_rows.push_back(&(*outs[f])(0, jn));
     }
   }
   for (const int j : lp.singles) {
     const double* P = table_.p_row(j);
-    for (int f = 0; f < nf; ++f) {
+    for (int f = 0; f < nf; ++f, fm += nm) {
       const cplx* s = ss[f]->data();
       for (int m = 0; m < nm; ++m) {
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         const cplx* sm = s + static_cast<std::size_t>(m) * kmax_;
         cplx acc(0.0, 0.0);
         for (int k = 0; k < kmax_; ++k) acc += sm[k] * pm[k];
-        ws.fm_a[m] = acc;
+        fm[m] = acc;
       }
-      inv_fourier_row_plan(ws.fm_a.data(), *outs[f], j, ws);
+      ws.dst_rows.push_back(&(*outs[f])(0, j));
     }
   }
+  inv_fourier_rows(ws);
 }
 
 void SpectralTransform::engine_analyze_vec(
@@ -281,24 +290,35 @@ void SpectralTransform::engine_analyze_vec(
     SpectralWorkspace& ws) const {
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(As.size());
-  ws.fm_a.resize(nm);
-  ws.fm_b.resize(nm);
-  ws.fm_c.resize(nm);
-  ws.fm_d.resize(nm);
+  ws.src_rows.clear();
+  for (const auto& pr : lp.pairs)
+    for (int f = 0; f < nf; ++f)
+      for (const Field2Dd* g : {As[f], Bs[f]}) {
+        ws.src_rows.push_back(&(*g)(0, pr[0]));
+        ws.src_rows.push_back(&(*g)(0, pr[1]));
+      }
+  for (const int j : lp.singles)
+    for (int f = 0; f < nf; ++f) {
+      ws.src_rows.push_back(&(*As[f])(0, j));
+      ws.src_rows.push_back(&(*Bs[f])(0, j));
+    }
+  fourier_rows(ws);
+  const cplx* fm = ws.fm.data();
   ws.fold_pe.resize(static_cast<std::size_t>(nf) * nm);
   ws.fold_po.resize(static_cast<std::size_t>(nf) * nm);
   ws.fold_he.resize(static_cast<std::size_t>(nf) * nm);
   ws.fold_ho.resize(static_cast<std::size_t>(nf) * nm);
   for (const auto& pr : lp.pairs) {
-    const int js = pr[0], jn = pr[1];
+    const int js = pr[0];
     const double mu = grid_.mu(js);
     const double wj = 0.5 * grid_.gauss_weight(js) /
                       (earth_radius * (1.0 - mu * mu));
-    for (int f = 0; f < nf; ++f) {
-      fourier_row_plan(*As[f], js, ws.fm_a.data(), ws);
-      fourier_row_plan(*As[f], jn, ws.fm_b.data(), ws);
-      fourier_row_plan(*Bs[f], js, ws.fm_c.data(), ws);
-      fourier_row_plan(*Bs[f], jn, ws.fm_d.data(), ws);
+    for (int f = 0; f < nf; ++f, fm += 4 * nm) {
+      // A southern, A northern, B southern, B northern.
+      const cplx* fm_a = fm;
+      const cplx* fm_b = fm + nm;
+      const cplx* fm_c = fm + 2 * nm;
+      const cplx* fm_d = fm + 3 * nm;
       cplx* pe = ws.fold_pe.data() + static_cast<std::size_t>(f) * nm;
       cplx* po = ws.fold_po.data() + static_cast<std::size_t>(f) * nm;
       cplx* he = ws.fold_he.data() + static_cast<std::size_t>(f) * nm;
@@ -308,16 +328,16 @@ void SpectralTransform::engine_analyze_vec(
         if (!curl) {
           // div: s += (i m A_m) wj P - (B_m wj) H. With H's (-1)^{k+1}
           // parity the even-k H term sees the *odd* fold and vice versa.
-          const cplx iaS = im * ws.fm_a[m] * wj, iaN = im * ws.fm_b[m] * wj;
-          const cplx bS = ws.fm_c[m] * wj, bN = ws.fm_d[m] * wj;
+          const cplx iaS = im * fm_a[m] * wj, iaN = im * fm_b[m] * wj;
+          const cplx bS = fm_c[m] * wj, bN = fm_d[m] * wj;
           pe[m] = iaS + iaN;
           po[m] = iaS - iaN;
           he[m] = -(bS - bN);
           ho[m] = -(bS + bN);
         } else {
           // curl: s += (i m B_m) wj P + (A_m wj) H.
-          const cplx ibS = im * ws.fm_c[m] * wj, ibN = im * ws.fm_d[m] * wj;
-          const cplx aS = ws.fm_a[m] * wj, aN = ws.fm_b[m] * wj;
+          const cplx ibS = im * fm_c[m] * wj, ibN = im * fm_d[m] * wj;
+          const cplx aS = fm_a[m] * wj, aN = fm_b[m] * wj;
           pe[m] = ibS + ibN;
           po[m] = ibS - ibN;
           he[m] = aS - aN;
@@ -353,19 +373,19 @@ void SpectralTransform::engine_analyze_vec(
         0.5 * grid_.gauss_weight(j) / (earth_radius * (1.0 - mu * mu));
     const double* P = table_.p_row(j);
     const double* H = table_.h_row(j);
-    for (int f = 0; f < nf; ++f) {
-      fourier_row_plan(*As[f], j, ws.fm_a.data(), ws);
-      fourier_row_plan(*Bs[f], j, ws.fm_c.data(), ws);
+    for (int f = 0; f < nf; ++f, fm += 2 * nm) {
+      const cplx* fm_a = fm;       // A
+      const cplx* fm_c = fm + nm;  // B
       cplx* s = out[f].data();
       for (int m = 0; m < nm; ++m) {
         const cplx im(0.0, static_cast<double>(m));
         cplx cp, ch;
         if (!curl) {
-          cp = im * ws.fm_a[m] * wj;
-          ch = -ws.fm_c[m] * wj;
+          cp = im * fm_a[m] * wj;
+          ch = -fm_c[m] * wj;
         } else {
-          cp = im * ws.fm_c[m] * wj;
-          ch = ws.fm_a[m] * wj;
+          cp = im * fm_c[m] * wj;
+          ch = fm_a[m] * wj;
         }
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         const double* hm = H + static_cast<std::size_t>(m) * kmax_;
@@ -385,17 +405,22 @@ void SpectralTransform::engine_uv(const LatPairing& lp,
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(psis.size());
   const double inv_a = 1.0 / earth_radius;
-  ws.fm_a.resize(nm);  // u southern
-  ws.fm_b.resize(nm);  // u northern
-  ws.fm_c.resize(nm);  // v southern
-  ws.fm_d.resize(nm);  // v northern
+  ws.fm.resize(static_cast<std::size_t>(nf) *
+               (4 * lp.pairs.size() + 2 * lp.singles.size()) * nm);
+  ws.dst_rows.clear();
+  cplx* fm = ws.fm.data();
   for (const auto& pr : lp.pairs) {
     const int js = pr[0], jn = pr[1];
     const double* P = table_.p_row(js);
     const double* H = table_.h_row(js);
-    for (int f = 0; f < nf; ++f) {
+    for (int f = 0; f < nf; ++f, fm += 4 * nm) {
       const cplx* psi = psis[f]->data();
       const cplx* chi = chis[f]->data();
+      // U southern, U northern, V southern, V northern.
+      cplx* fm_a = fm;
+      cplx* fm_b = fm + nm;
+      cplx* fm_c = fm + 2 * nm;
+      cplx* fm_d = fm + 3 * nm;
       for (int m = 0; m < nm; ++m) {
         const cplx im(0.0, static_cast<double>(m));
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
@@ -431,21 +456,21 @@ void SpectralTransform::engine_uv(const LatPairing& lp,
         Ao *= im;
         Ce *= im;
         Co *= im;
-        ws.fm_a[m] = inv_a * (Ae + Ao - Be - Bo);
-        ws.fm_b[m] = inv_a * (Ae - Ao + Be - Bo);
-        ws.fm_c[m] = inv_a * (Ce + Co + De + Do);
-        ws.fm_d[m] = inv_a * (Ce - Co - De + Do);
+        fm_a[m] = inv_a * (Ae + Ao - Be - Bo);
+        fm_b[m] = inv_a * (Ae - Ao + Be - Bo);
+        fm_c[m] = inv_a * (Ce + Co + De + Do);
+        fm_d[m] = inv_a * (Ce - Co - De + Do);
       }
-      inv_fourier_row_plan(ws.fm_a.data(), *Us[f], js, ws);
-      inv_fourier_row_plan(ws.fm_b.data(), *Us[f], jn, ws);
-      inv_fourier_row_plan(ws.fm_c.data(), *Vs[f], js, ws);
-      inv_fourier_row_plan(ws.fm_d.data(), *Vs[f], jn, ws);
+      ws.dst_rows.push_back(&(*Us[f])(0, js));
+      ws.dst_rows.push_back(&(*Us[f])(0, jn));
+      ws.dst_rows.push_back(&(*Vs[f])(0, js));
+      ws.dst_rows.push_back(&(*Vs[f])(0, jn));
     }
   }
   for (const int j : lp.singles) {
     const double* P = table_.p_row(j);
     const double* H = table_.h_row(j);
-    for (int f = 0; f < nf; ++f) {
+    for (int f = 0; f < nf; ++f, fm += 2 * nm) {
       const cplx* psi = psis[f]->data();
       const cplx* chi = chis[f]->data();
       for (int m = 0; m < nm; ++m) {
@@ -459,13 +484,14 @@ void SpectralTransform::engine_uv(const LatPairing& lp,
           u += im * csm[k] * pm[k] - psm[k] * hm[k];
           v += im * psm[k] * pm[k] + csm[k] * hm[k];
         }
-        ws.fm_a[m] = u * inv_a;
-        ws.fm_c[m] = v * inv_a;
+        fm[m] = u * inv_a;
+        fm[nm + m] = v * inv_a;
       }
-      inv_fourier_row_plan(ws.fm_a.data(), *Us[f], j, ws);
-      inv_fourier_row_plan(ws.fm_c.data(), *Vs[f], j, ws);
+      ws.dst_rows.push_back(&(*Us[f])(0, j));
+      ws.dst_rows.push_back(&(*Vs[f])(0, j));
     }
   }
+  inv_fourier_rows(ws);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@
 ///  * kReference — the correctness-first scalar loops (per-row recursive
 ///    FFT, full (m,k,j) Legendre triple loops). Kept as the A/B baseline.
 ///  * kEngine (default) — the plan-based engine: allocation-free iterative
-///    real FFT (FftPlan), equatorial-symmetry folding of the Legendre sums
+///    real FFT (FftPlan) over every Fourier row of a call at once, in SIMD
+///    lanes (FftPlan::forward_real_rows), equatorial-symmetry folding of
+///    the Legendre sums
 ///    (Pbar_n^m(-mu) = (-1)^{n+m} Pbar_n^m(mu), so north/south latitude
 ///    pairs fold into even/odd-parity contributions and the Legendre flops
 ///    halve), and contiguous panel kernels over the LegendreTable rows.
@@ -105,10 +107,11 @@ class SpectralField {
 /// Implementation selector for the transform entry points (A/B toggle).
 enum class SpectralMode { kReference, kEngine };
 
-/// Reusable scratch for the plan-based engine: FFT workspace, Fourier-row
-/// and parity-fold buffers. All storage grows on first use and is reused
-/// afterwards, making repeated engine transforms allocation-free. One
-/// workspace per thread — workspaces must not be shared concurrently.
+/// Reusable scratch for the plan-based engine: the batch's row pointers and
+/// Fourier rows, the FFT lane scratch and the parity-fold buffers. All
+/// storage grows on first use and is reused afterwards, making repeated
+/// engine transforms allocation-free. One workspace per thread —
+/// workspaces must not be shared concurrently.
 class SpectralWorkspace {
  public:
   SpectralWorkspace() = default;
@@ -117,13 +120,12 @@ class SpectralWorkspace {
   friend class SpectralTransform;
   friend class ParSpectralTransform;
   friend class TransposeSpectralTransform;
-  std::vector<std::complex<double>> fft;    // FftPlan ping-pong workspace
-  std::vector<double> row;                  // one real latitude row
-  std::vector<std::complex<double>> spec;   // n/2+1 rFFT coefficients
-  std::vector<std::complex<double>> fm_a, fm_b, fm_c, fm_d;  // Fourier modes
+  std::vector<const double*> src_rows;      // grid rows of a forward batch
+  std::vector<double*> dst_rows;            // grid rows of an inverse batch
+  std::vector<std::complex<double>> fm;     // Fourier rows [row][m]
+  std::vector<double> lanes;                // FftPlan lane scratch
   std::vector<std::complex<double>> fold_pe, fold_po;  // P-term folds [f][m]
   std::vector<std::complex<double>> fold_he, fold_ho;  // H-term folds [f][m]
-  std::vector<std::complex<double>> acc;    // per-m Legendre accumulators
   std::vector<double> reduce;               // fused-allreduce packing
 };
 
@@ -223,11 +225,13 @@ class SpectralTransform {
   void inv_fourier_row(const std::vector<std::complex<double>>& fm,
                        Field2Dd& f, int j) const;
 
-  /// Plan-based row transforms (allocation-free given a warm workspace).
-  void fourier_row_plan(const Field2Dd& f, int j, std::complex<double>* fm,
-                        SpectralWorkspace& ws) const;
-  void inv_fourier_row_plan(const std::complex<double>* fm, Field2Dd& f,
-                            int j, SpectralWorkspace& ws) const;
+  /// Plan-based row transforms of a whole batch in one lane-batched FFT
+  /// call (allocation-free given a warm workspace). fourier_rows analyzes
+  /// ws.src_rows into ws.fm, mmax+1 modes per row with the 1/nlon
+  /// normalization folded in; inv_fourier_rows places each ws.fm row into
+  /// the matching ws.dst_rows grid row.
+  void fourier_rows(SpectralWorkspace& ws) const;
+  void inv_fourier_rows(SpectralWorkspace& ws) const;
 
   /// Engine kernels over an arbitrary row grouping (serial uses the full
   /// grid's pairing; the parallel variants pass their owned rows).

@@ -98,9 +98,9 @@ void TransposeSpectralTransform::exchange_blocks(
 }
 
 std::vector<std::vector<cplx>> TransposeSpectralTransform::forward_transpose(
-    par::Comm& comm,
-    const std::vector<std::vector<cplx>>& fm_rows) const {
-  FOAM_REQUIRE(fm_rows.size() == my_lats_.size(), "row count");
+    par::Comm& comm, std::span<const cplx> fm_rows) const {
+  const int nm = serial_.mmax() + 1;
+  FOAM_REQUIRE(fm_rows.size() == my_lats_.size() * nm, "Fourier row size");
   const int nlat = serial_.grid().nlat();
   // Equal-size padded blocks: per destination rank, my rows x its m's.
   const std::size_t block =
@@ -114,8 +114,9 @@ std::vector<std::vector<cplx>> TransposeSpectralTransform::forward_transpose(
           for (int m = m_lo_of_[dst]; m < m_hi_of_[dst]; ++m) {
             const std::size_t slot =
                 (row * max_ms_per_rank_ + (m - m_lo_of_[dst])) * 2;
-            out[slot] = fm_rows[row][m].real();
-            out[slot + 1] = fm_rows[row][m].imag();
+            const cplx v = fm_rows[row * nm + m];
+            out[slot] = v.real();
+            out[slot + 1] = v.imag();
           }
         }
       },
@@ -137,19 +138,22 @@ SpectralField TransposeSpectralTransform::analyze(par::Comm& comm,
                                                   const Field2Dd& f) const {
   const bool engine = serial_.mode() == SpectralMode::kEngine;
   const int nm = serial_.mmax() + 1;
-  // Latitude-local FFTs.
-  std::vector<std::vector<cplx>> fm_rows(my_lats_.size());
-  for (std::size_t row = 0; row < my_lats_.size(); ++row) {
-    if (engine) {
-      fm_rows[row].resize(nm);
-      serial_.fourier_row_plan(f, my_lats_[row], fm_rows[row].data(), ws_);
-    } else {
-      serial_.fourier_row(f, my_lats_[row], fm_rows[row]);
+  // Latitude-local FFTs into ws_.fm, [row][m] over my_lats.
+  if (engine) {
+    ws_.src_rows.clear();
+    for (const int j : my_lats_) ws_.src_rows.push_back(&f(0, j));
+    serial_.fourier_rows(ws_);
+  } else {
+    ws_.fm.resize(my_lats_.size() * nm);
+    std::vector<cplx> fm;
+    for (std::size_t row = 0; row < my_lats_.size(); ++row) {
+      serial_.fourier_row(f, my_lats_[row], fm);
+      std::copy(fm.begin(), fm.end(), ws_.fm.begin() + row * nm);
     }
   }
 
   // Transpose to the m decomposition, then local full Legendre sums.
-  const auto columns = forward_transpose(comm, fm_rows);
+  const auto columns = forward_transpose(comm, ws_.fm);
   const int nlat = serial_.grid().nlat();
   const int kmax = serial_.kmax();
   std::vector<double> mine(static_cast<std::size_t>(max_ms_per_rank_) *
@@ -271,8 +275,8 @@ void TransposeSpectralTransform::synthesize(par::Comm& comm,
   // each arriving block fills its m-slice of the full Fourier rows.
   const std::size_t block =
       static_cast<std::size_t>(max_lats_per_rank_) * max_ms_per_rank_ * 2;
-  std::vector<std::vector<cplx>> fm(my_lats_.size(),
-                                    std::vector<cplx>(nm, cplx(0.0, 0.0)));
+  std::vector<cplx>& fm = ws_.fm;  // [row][m] over my_lats
+  fm.assign(my_lats_.size() * nm, cplx(0.0, 0.0));
   exchange_blocks(
       comm, kTagInverse, block,
       [&](int dst, double* out) {
@@ -292,17 +296,20 @@ void TransposeSpectralTransform::synthesize(par::Comm& comm,
           for (int m = m_lo_of_[src]; m < m_hi_of_[src]; ++m) {
             const std::size_t slot =
                 (row * max_ms_per_rank_ + (m - m_lo_of_[src])) * 2;
-            fm[row][m] = cplx(in[slot], in[slot + 1]);
+            fm[row * nm + m] = cplx(in[slot], in[slot + 1]);
           }
         }
       });
   // Latitude-local inverse FFTs into the rank's rows of f.
-  for (std::size_t row = 0; row < my_lats_.size(); ++row) {
-    if (engine) {
-      serial_.inv_fourier_row_plan(fm[row].data(), f, my_lats_[row], ws_);
-    } else {
-      serial_.inv_fourier_row(fm[row], f, my_lats_[row]);
-    }
+  if (engine) {
+    ws_.dst_rows.clear();
+    for (const int j : my_lats_) ws_.dst_rows.push_back(&f(0, j));
+    serial_.inv_fourier_rows(ws_);
+  } else {
+    for (std::size_t row = 0; row < my_lats_.size(); ++row)
+      serial_.inv_fourier_row(
+          std::vector<cplx>(fm.begin() + row * nm, fm.begin() + (row + 1) * nm),
+          f, my_lats_[row]);
   }
 }
 

@@ -28,6 +28,7 @@
 ///    completion order (Comm::waitany) while the rest are still in flight.
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "numerics/spectral.hpp"
@@ -66,11 +67,10 @@ class TransposeSpectralTransform {
   /// The forward transpose alone (exposed for tests and the communication
   /// bench): input Fourier rows for the rank's latitudes, output this
   /// rank's m-columns over all latitudes.
-  /// fm_rows is indexed [row][m] over my_lats; the result is indexed
-  /// [m - m_lo][j] over all nlat latitudes.
+  /// fm_rows holds mmax+1 modes per row, flat [row * (mmax+1) + m] over
+  /// my_lats; the result is indexed [m - m_lo][j] over all nlat latitudes.
   std::vector<std::vector<std::complex<double>>> forward_transpose(
-      par::Comm& comm,
-      const std::vector<std::vector<std::complex<double>>>& fm_rows) const;
+      par::Comm& comm, std::span<const std::complex<double>> fm_rows) const;
 
  private:
   /// Exchange equal-size padded blocks with every rank (self included):

@@ -439,7 +439,8 @@ void OceanModel::pressure_forces() {
 
 void OceanModel::implicit_vertical(Field3Dd& f, const Field3Dd& coeff,
                                    double dt) {
-  std::vector<double> la(cfg_.nz), lb(cfg_.nz), lc(cfg_.nz), ld(cfg_.nz);
+  std::vector<double> la(cfg_.nz), lb(cfg_.nz), lc(cfg_.nz), ld(cfg_.nz),
+      cp(cfg_.nz);
   for (int j = j0_; j < j1_; ++j) {
     for (int i = i0_; i < i1_; ++i) {
       const int lev = levels_(i, j);
@@ -464,7 +465,7 @@ void OceanModel::implicit_vertical(Field3Dd& f, const Field3Dd& coeff,
         }
         ld[k] = f(i, j, k);
       }
-      numerics::solve_tridiag(la, lb, lc, ld);
+      numerics::solve_tridiag(la, lb, lc, ld, cp);
       for (int k = 0; k < lev; ++k) f(i, j, k) = ld[k];
     }
   }

@@ -1,13 +1,17 @@
 // Tests for the plan-based FFT (FftPlan) and the engine/reference agreement
 // of the spectral transform's batched entry points.
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/constants.hpp"
+#include "base/error.hpp"
 #include "numerics/fft.hpp"
 #include "numerics/fft_plan.hpp"
 #include "numerics/spectral.hpp"
@@ -25,6 +29,9 @@ std::vector<cplx> random_complex(int n, unsigned seed) {
   for (auto& z : v) z = cplx(dist(rng), dist(rng));
   return v;
 }
+
+/// Bit pattern of a double: bitwise comparisons also tell signed zeros apart.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 std::vector<double> random_real(int n, unsigned seed) {
   std::mt19937 rng(seed);
@@ -48,28 +55,53 @@ TEST(FftPlan, MatchesReferenceAcrossSizes) {
     std::vector<cplx> work(plan.workspace_size());
     ref.forward(a);
     plan.forward(b.data(), work.data());
-    for (int i = 0; i < n; ++i) {
-      // The iterative plan replicates the recursion's butterflies, so the
-      // complex path is bitwise identical to the reference.
-      EXPECT_EQ(a[i].real(), b[i].real()) << "n=" << n << " i=" << i;
-      EXPECT_EQ(a[i].imag(), b[i].imag()) << "n=" << n << " i=" << i;
-    }
+    // The iterative plan replicates the recursion's butterflies, so the
+    // complex path is bitwise identical to the reference (signed zeros
+    // included).
+    auto expect_bitwise = [&](const char* dir) {
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(bits(a[i].real()), bits(b[i].real()))
+            << dir << " n=" << n << " i=" << i;
+        EXPECT_EQ(bits(a[i].imag()), bits(b[i].imag()))
+            << dir << " n=" << n << " i=" << i;
+      }
+    };
+    expect_bitwise("forward");
     ref.inverse(a);
     plan.inverse(b.data(), work.data());
-    for (int i = 0; i < n; ++i)
-      EXPECT_EQ(a[i], b[i]) << "n=" << n << " i=" << i;
+    expect_bitwise("inverse");
   }
 }
+
+namespace {
+
+/// One row through the rows API.
+std::vector<cplx> rows_forward(const fn::FftPlan& plan, const double* x,
+                               int nkeep, double scale) {
+  std::vector<cplx> out(nkeep);
+  std::vector<double> scratch(plan.rows_scratch_size());
+  plan.forward_real_rows(&x, 1, nkeep, scale, out.data(), scratch.data());
+  return out;
+}
+
+std::vector<double> rows_inverse(const fn::FftPlan& plan, const cplx* spec,
+                                 int nkeep, double scale) {
+  std::vector<double> x(plan.size());
+  double* row = x.data();
+  std::vector<double> scratch(plan.rows_scratch_size());
+  plan.inverse_real_rows(spec, 1, nkeep, scale, &row, scratch.data());
+  return x;
+}
+
+}  // namespace
 
 TEST(FftPlan, RealRoundTripEvenAndOdd) {
   for (const int n : {2, 4, 6, 7, 9, 15, 48, 63, 96}) {
     const fn::FftPlan plan(n);
     const std::vector<double> x = random_real(n, 99u + n);
-    std::vector<cplx> spec(n / 2 + 1);
-    std::vector<cplx> work(plan.workspace_size());
-    plan.forward_real(x.data(), spec.data(), work.data());
-    std::vector<double> back(n);
-    plan.inverse_real(spec.data(), back.data(), work.data());
+    const std::vector<cplx> spec = rows_forward(plan, x.data(), n / 2 + 1, 1.0);
+    const std::vector<double> back =
+        rows_inverse(plan, spec.data(), n / 2 + 1, 1.0);
     for (int i = 0; i < n; ++i)
       EXPECT_NEAR(back[i], x[i], 1e-13) << "n=" << n << " i=" << i;
   }
@@ -81,9 +113,7 @@ TEST(FftPlan, RealMatchesReference) {
     const fn::FftPlan plan(n);
     const std::vector<double> x = random_real(n, 7u * n + 3u);
     const std::vector<cplx> sref = ref.forward_real(x);
-    std::vector<cplx> s(n / 2 + 1);
-    std::vector<cplx> work(plan.workspace_size());
-    plan.forward_real(x.data(), s.data(), work.data());
+    const std::vector<cplx> s = rows_forward(plan, x.data(), n / 2 + 1, 1.0);
     double scale = 0.0;
     for (const cplx& z : sref) scale = std::max(scale, std::abs(z));
     for (int k = 0; k <= n / 2; ++k)
@@ -96,9 +126,7 @@ TEST(FftPlan, Parseval) {
   const int n = 48;
   const fn::FftPlan plan(n);
   const std::vector<double> x = random_real(n, 42u);
-  std::vector<cplx> spec(n / 2 + 1);
-  std::vector<cplx> work(plan.workspace_size());
-  plan.forward_real(x.data(), spec.data(), work.data());
+  const std::vector<cplx> spec = rows_forward(plan, x.data(), n / 2 + 1, 1.0);
   double grid_power = 0.0;
   for (const double v : x) grid_power += v * v;
   // sum |X_k|^2 over the full spectrum = N * sum x_j^2; the one-sided
@@ -106,6 +134,145 @@ TEST(FftPlan, Parseval) {
   double spec_power = std::norm(spec[0]) + std::norm(spec[n / 2]);
   for (int k = 1; k < n / 2; ++k) spec_power += 2.0 * std::norm(spec[k]);
   EXPECT_NEAR(spec_power, n * grid_power, 1e-10 * n * grid_power);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise oracle for the rows API: the per-row real transforms as they were
+// first written, with std::complex arithmetic — pack the row, run the
+// reference Fft of length n/2 (bitwise equal to the plan's complex path),
+// then split / un-split. Odd lengths take the full-length complex fallback.
+
+namespace {
+
+cplx real_twiddle(int k, int n) {
+  const double ang = -foam::constants::two_pi * k / n;
+  return cplx(std::cos(ang), std::sin(ang));
+}
+
+std::vector<cplx> oracle_forward_real(const std::vector<double>& x,
+                                      int nkeep, double scale) {
+  const int n = static_cast<int>(x.size());
+  std::vector<cplx> spec;
+  if (n % 2 != 0) {
+    spec = fn::Fft(n).forward_real(x);
+  } else {
+    const int n2 = n / 2;
+    std::vector<cplx> z(n2);
+    for (int j = 0; j < n2; ++j) z[j] = cplx(x[2 * j], x[2 * j + 1]);
+    fn::Fft(n2).forward(z);
+    spec.resize(n2 + 1);
+    for (int k = 0; k <= n2; ++k) {
+      const cplx zk = (k == n2) ? z[0] : z[k];
+      const cplx zc = std::conj(k == 0 ? z[0] : z[n2 - k]);
+      const cplx even = 0.5 * (zk + zc);
+      const cplx odd = cplx(0.0, -0.5) * (zk - zc);
+      spec[k] = even + real_twiddle(k, n) * odd;
+    }
+  }
+  spec.resize(nkeep);
+  for (cplx& v : spec) v = v * scale;
+  return spec;
+}
+
+std::vector<double> oracle_inverse_real(const cplx* fm, int nkeep, int n,
+                                        double scale) {
+  std::vector<cplx> spec(n / 2 + 1, cplx(0.0, 0.0));
+  for (int k = 0; k < nkeep; ++k) spec[k] = fm[k] * scale;
+  if (n % 2 != 0) return fn::Fft(n).inverse_real(spec);
+  const int n2 = n / 2;
+  std::vector<cplx> z(n2);
+  for (int k = 0; k < n2; ++k) {
+    const cplx xk = spec[k];
+    const cplx xc = std::conj(spec[n2 - k]);
+    const cplx fe = 0.5 * (xk + xc);
+    const cplx fo = std::conj(real_twiddle(k, n)) * (0.5 * (xk - xc));
+    z[k] = fe + cplx(0.0, 1.0) * fo;
+  }
+  fn::Fft(n2).inverse(z);
+  std::vector<double> x(n);
+  for (int j = 0; j < n2; ++j) {
+    x[2 * j] = z[j].real();
+    x[2 * j + 1] = z[j].imag();
+  }
+  return x;
+}
+
+}  // namespace
+
+TEST(FftPlan, RealRowsMatchOracleBitwise) {
+  // The model's grid lengths (24/36/48 carry a radix-3 stage, 128 is pure
+  // radix-2), an odd length on the full-complex fallback, and batch sizes
+  // around the lane width so tail groups are covered.
+  for (const int n : {24, 36, 48, 128, 45}) {
+    const fn::FftPlan plan(n);
+    std::vector<double> scratch(plan.rows_scratch_size());
+    for (const int nkeep : {n / 2 + 1, n / 3}) {
+      for (const int nrows : {1, 7, 8, 9, 17}) {
+        std::vector<std::vector<double>> xs;
+        std::vector<const double*> in;
+        for (int r = 0; r < nrows; ++r)
+          xs.push_back(random_real(n, 1000u * n + 10u * nrows + r));
+        for (const auto& x : xs) in.push_back(x.data());
+        const double fscale = 1.0 / n;
+        std::vector<cplx> fm(static_cast<std::size_t>(nrows) * nkeep);
+        plan.forward_real_rows(in.data(), nrows, nkeep, fscale, fm.data(),
+                               scratch.data());
+        // Inverse of the coefficients just produced, as the engine does.
+        std::vector<std::vector<double>> ys(nrows, std::vector<double>(n));
+        std::vector<double*> out;
+        for (auto& y : ys) out.push_back(y.data());
+        plan.inverse_real_rows(fm.data(), nrows, nkeep,
+                               static_cast<double>(n), out.data(),
+                               scratch.data());
+        for (int r = 0; r < nrows; ++r) {
+          const std::vector<cplx> want =
+              oracle_forward_real(xs[r], nkeep, fscale);
+          for (int k = 0; k < nkeep; ++k) {
+            const cplx got = fm[static_cast<std::size_t>(r) * nkeep + k];
+            EXPECT_EQ(bits(got.real()), bits(want[k].real()))
+                << "n=" << n << " nrows=" << nrows << " r=" << r
+                << " k=" << k;
+            EXPECT_EQ(bits(got.imag()), bits(want[k].imag()))
+                << "n=" << n << " nrows=" << nrows << " r=" << r
+                << " k=" << k;
+          }
+          const std::vector<double> back = oracle_inverse_real(
+              fm.data() + static_cast<std::size_t>(r) * nkeep, nkeep, n,
+              static_cast<double>(n));
+          for (int i = 0; i < n; ++i)
+            EXPECT_EQ(bits(ys[r][i]), bits(back[i]))
+                << "n=" << n << " nrows=" << nrows << " r=" << r
+                << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(FftPlan, RealRowsWriteOnlyRealRows) {
+  // A tail group pads its lanes with a repeated row; nothing past nrows
+  // may be written.
+  const int n = 48, nkeep = 16, nrows = 3;
+  const fn::FftPlan plan(n);
+  std::vector<double> scratch(plan.rows_scratch_size());
+  const std::vector<double> x = random_real(n, 5u);
+  std::vector<const double*> in(nrows, x.data());
+  std::vector<cplx> fm((nrows + 1) * nkeep, cplx(-7.0, -7.0));
+  plan.forward_real_rows(in.data(), nrows, nkeep, 1.0, fm.data(),
+                         scratch.data());
+  for (int k = 0; k < nkeep; ++k)
+    EXPECT_EQ(fm[nrows * nkeep + k], cplx(-7.0, -7.0));
+  // One more output row than nrows: it must keep its sentinel.
+  std::vector<std::vector<double>> ys(nrows + 1, std::vector<double>(n, -7.0));
+  std::vector<double*> out;
+  for (auto& y : ys) out.push_back(y.data());
+  plan.inverse_real_rows(fm.data(), nrows, nkeep, 1.0, out.data(),
+                         scratch.data());
+  EXPECT_EQ(ys[nrows], std::vector<double>(n, -7.0));
+  EXPECT_NE(ys[0], std::vector<double>(n, -7.0));
+  EXPECT_THROW(plan.forward_real_rows(in.data(), nrows, n / 2 + 2, 1.0,
+                                      fm.data(), scratch.data()),
+               foam::Error);
 }
 
 TEST(FftPlan, PrimeDirectFallback) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -132,6 +133,27 @@ std::vector<double> reference_filter_row(const PolarFourierFilter& filter,
   for (int i = 0; i < n; ++i)
     if (mask[i] != 0) row[i] = vals[i];
   return row;
+}
+
+TEST(PolarFilter, NonFiniteInputStaysNonFinite) {
+  // The explicit complex products drop Annex G's infinity recovery; a NaN
+  // or infinity in a polar row must still leave a non-finite row behind.
+  MercatorGrid grid(64, 64, 78.0);
+  PolarFourierFilter filter(grid, 60.0);
+  PolarFourierFilter::Workspace ws(filter);
+  const int j = grid.nlat() - 1;
+  ASSERT_TRUE(filter.is_polar_row(j));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> row(64);
+    for (int i = 0; i < 64; ++i) row[i] = std::sin(0.9 * i) + 2.0;
+    row[11] = bad;
+    filter.filter_row(row.data(), j, nullptr, ws);
+    EXPECT_TRUE(std::any_of(row.begin(), row.end(),
+                            [](double v) { return !std::isfinite(v); }))
+        << bad;
+  }
 }
 
 class PolarFilterOracle : public ::testing::TestWithParam<int> {};

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 
 #include "base/constants.hpp"
@@ -176,6 +179,132 @@ TEST(Spectral, RejectsTooCoarseGrids) {
   EXPECT_THROW(SpectralTransform(tiny, 15), Error);  // nlon < 3*15+1
 }
 
+// ---------------------------------------------------------------------------
+// Batch vs single-field calls, bit for bit: every Fourier row goes through
+// the FFT rows API alone or with the rest of its batch, and a row's result
+// must not depend on which lanes it shared.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_spec_bitwise(const SpectralField& a, const SpectralField& b,
+                         const char* what) {
+  ASSERT_TRUE(a.same_shape(b)) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(bits(a.data()[i].real()), bits(b.data()[i].real()))
+        << what << " i=" << i;
+    EXPECT_EQ(bits(a.data()[i].imag()), bits(b.data()[i].imag()))
+        << what << " i=" << i;
+  }
+}
+
+void expect_rows_bitwise(const Field2Dd& a, const Field2Dd& b,
+                         const std::vector<int>& rows, const char* what) {
+  for (const int j : rows)
+    for (int i = 0; i < a.nx(); ++i)
+      EXPECT_EQ(bits(a(i, j)), bits(b(i, j))) << what << " i=" << i
+                                              << " j=" << j;
+}
+
+/// F smooth-plus-noise grid fields and F spectral fields for one grid.
+struct BatchInputs {
+  BatchInputs(const GaussianGrid& grid, int nf, unsigned seed) {
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    for (int f = 0; f < 2 * nf; ++f) {
+      Field2Dd g(grid.nlon(), grid.nlat());
+      for (int j = 0; j < grid.nlat(); ++j)
+        for (int i = 0; i < grid.nlon(); ++i)
+          g(i, j) = std::sin(0.3 * (f + 1) * i) * grid.mu(j) + dist(rng);
+      grids.push_back(std::move(g));
+      specs.push_back(random_spectral(15, 16, seed + 31u * f));
+    }
+    for (int f = 0; f < nf; ++f) {
+      A.push_back(&grids[f]);
+      B.push_back(&grids[nf + f]);
+      psi.push_back(&specs[f]);
+      chi.push_back(&specs[nf + f]);
+    }
+  }
+  std::vector<Field2Dd> grids;
+  std::vector<SpectralField> specs;
+  std::vector<const Field2Dd*> A, B;
+  std::vector<const SpectralField*> psi, chi;
+};
+
+std::vector<Field2Dd> blank_grids(const GaussianGrid& grid, int nf) {
+  return std::vector<Field2Dd>(nf, Field2Dd(grid.nlon(), grid.nlat(), 0.0));
+}
+
+std::vector<Field2Dd*> ptrs(std::vector<Field2Dd>& gs) {
+  std::vector<Field2Dd*> out;
+  for (auto& g : gs) out.push_back(&g);
+  return out;
+}
+
+TEST(Spectral, BatchEqualsSingleCallsBitwise) {
+  // Even nlat (all rows paired) and odd nlat (an unpaired equator row); 5
+  // fields is not a multiple of the FFT lane width.
+  for (const int nlat : {40, 41}) {
+    const GaussianGrid grid(48, nlat);
+    const SpectralTransform st(grid, 15);
+    SpectralWorkspace ws;
+    const int nf = 5;
+    const BatchInputs in(grid, nf, 300u + nlat);
+    std::vector<int> all(nlat);
+    for (int j = 0; j < nlat; ++j) all[j] = j;
+
+    const auto an = st.analyze_batch(in.A, ws);
+    const auto dv = st.analyze_div_batch(in.A, in.B, ws);
+    const auto cu = st.analyze_curl_batch(in.A, in.B, ws);
+    auto syn = blank_grids(grid, nf);
+    st.synthesize_batch(in.psi, ptrs(syn), ws);
+    auto us = blank_grids(grid, nf), vs = blank_grids(grid, nf);
+    st.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(us), ptrs(vs), ws);
+    for (int f = 0; f < nf; ++f) {
+      expect_spec_bitwise(an[f], st.analyze(*in.A[f], ws), "analyze");
+      expect_spec_bitwise(dv[f], st.analyze_div(*in.A[f], *in.B[f]), "div");
+      expect_spec_bitwise(cu[f], st.analyze_curl(*in.A[f], *in.B[f]),
+                          "curl");
+      expect_rows_bitwise(syn[f], st.synthesize(*in.psi[f], ws), all,
+                          "synthesize");
+      Field2Dd u, v;
+      st.uv_from_psi_chi(*in.psi[f], *in.chi[f], u, v);
+      expect_rows_bitwise(us[f], u, all, "u");
+      expect_rows_bitwise(vs[f], v, all, "v");
+    }
+  }
+}
+
+TEST(Spectral, NonFiniteGridPointGivesNonFiniteCoefficients) {
+  // Explicit complex products drop C99 Annex G's infinity recovery; a NaN
+  // or infinity in the grid must still surface as a non-finite spectrum
+  // (the model's non-finite sentinel relies on it).
+  R15 r;
+  auto non_finite = [](const SpectralField& s) {
+    for (std::size_t i = 0; i < s.size(); ++i)
+      if (!std::isfinite(s.data()[i].real()) ||
+          !std::isfinite(s.data()[i].imag()))
+        return true;
+    return false;
+  };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Field2Dd g(48, 40, 1.5);
+    g(17, 9) = bad;
+    const Field2Dd ok(48, 40, 0.5);
+    EXPECT_TRUE(non_finite(r.st.analyze(g))) << bad;
+    EXPECT_TRUE(non_finite(r.st.analyze_div(g, ok))) << bad;
+    EXPECT_TRUE(non_finite(r.st.analyze_curl(ok, g))) << bad;
+    // The bad row shares its FFT lanes with finite rows, which stay finite.
+    SpectralWorkspace ws;
+    const auto batch = r.st.analyze_batch({&ok, &g, &ok}, ws);
+    EXPECT_FALSE(non_finite(batch[0])) << bad;
+    EXPECT_TRUE(non_finite(batch[1])) << bad;
+    EXPECT_FALSE(non_finite(batch[2])) << bad;
+  }
+}
+
 class ParSpectralRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParSpectralRanks, MatchesSerialTransform) {
@@ -221,6 +350,38 @@ TEST_P(ParSpectralRanks, ParallelCurlMatchesSerial) {
     for (int m = 0; m <= 15; ++m)
       for (int k = 0; k < 16; ++k)
         EXPECT_NEAR(std::abs(curl.at(m, k) - ref.at(m, k)), 0.0, 1e-11);
+  });
+}
+
+TEST_P(ParSpectralRanks, BatchEqualsSingleCallsBitwise) {
+  const int nranks = GetParam();
+  R15 r;
+  const int nf = 3;
+  const BatchInputs in(r.grid, nf, 700u);
+  par::run(nranks, [&](par::Comm& comm) {
+    const auto owned = par::paired_latitudes(40, comm.size());
+    const std::vector<int>& mine = owned[comm.rank()];
+    ParSpectralTransform pst(r.st, mine);
+    const auto an = pst.analyze_batch(comm, in.A);
+    const auto dv = pst.analyze_div_batch(comm, in.A, in.B);
+    const auto cu = pst.analyze_curl_batch(comm, in.A, in.B);
+    auto syn = blank_grids(r.grid, nf);
+    pst.synthesize_batch(in.psi, ptrs(syn));
+    auto us = blank_grids(r.grid, nf), vs = blank_grids(r.grid, nf);
+    pst.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(us), ptrs(vs));
+    for (int f = 0; f < nf; ++f) {
+      expect_spec_bitwise(an[f], pst.analyze(comm, *in.A[f]), "analyze");
+      expect_spec_bitwise(dv[f], pst.analyze_div(comm, *in.A[f], *in.B[f]),
+                          "div");
+      expect_spec_bitwise(cu[f], pst.analyze_curl(comm, *in.A[f], *in.B[f]),
+                          "curl");
+      Field2Dd g(48, 40, 0.0), u(48, 40, 0.0), v(48, 40, 0.0);
+      pst.synthesize(*in.psi[f], g);
+      expect_rows_bitwise(syn[f], g, mine, "synthesize");
+      pst.uv_from_psi_chi(*in.psi[f], *in.chi[f], u, v);
+      expect_rows_bitwise(us[f], u, mine, "u");
+      expect_rows_bitwise(vs[f], v, mine, "v");
+    }
   });
 }
 

@@ -14,7 +14,8 @@ TEST(Tridiag, SolvesIdentity) {
   std::vector<double> b = {1, 1, 1};
   std::vector<double> c = {0, 0, 0};
   std::vector<double> d = {4, 5, 6};
-  solve_tridiag(a, b, c, d);
+  std::vector<double> cp;
+  solve_tridiag(a, b, c, d, cp);
   EXPECT_DOUBLE_EQ(d[0], 4);
   EXPECT_DOUBLE_EQ(d[1], 5);
   EXPECT_DOUBLE_EQ(d[2], 6);
@@ -28,7 +29,8 @@ TEST(Tridiag, SolvesKnownSystem) {
   std::vector<double> b = {2, 2, 2};
   std::vector<double> c = {1, 1, 0};
   std::vector<double> d = {4, 8, 8};
-  solve_tridiag(a, b, c, d);
+  std::vector<double> cp;
+  solve_tridiag(a, b, c, d, cp);
   EXPECT_NEAR(d[0], 1.0, 1e-14);
   EXPECT_NEAR(d[1], 2.0, 1e-14);
   EXPECT_NEAR(d[2], 3.0, 1e-14);
@@ -37,6 +39,7 @@ TEST(Tridiag, SolvesKnownSystem) {
 TEST(Tridiag, RandomDiagonallyDominantResidual) {
   std::mt19937 rng(17);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<double> cp;  // one scratch reused across sizes
   for (int trial = 0; trial < 20; ++trial) {
     const int n = 1 + static_cast<int>(rng() % 30);
     std::vector<double> a(n), b(n), c(n), d(n), x;
@@ -47,7 +50,7 @@ TEST(Tridiag, RandomDiagonallyDominantResidual) {
       d[i] = dist(rng);
     }
     x = d;
-    solve_tridiag(a, b, c, x);
+    solve_tridiag(a, b, c, x, cp);
     for (int i = 0; i < n; ++i) {
       double r = b[i] * x[i] - d[i];
       if (i > 0) r += a[i] * x[i - 1];
@@ -74,7 +77,8 @@ TEST(Tridiag, ImplicitDiffusionIsConservativeAndStable) {
   }
   double sum_before = 0.0;
   for (const double v : d) sum_before += v;
-  solve_tridiag(a, b, c, d);
+  std::vector<double> cp;
+  solve_tridiag(a, b, c, d, cp);
   double sum_after = 0.0, maxv = 0.0;
   for (const double v : d) {
     sum_after += v;
@@ -90,7 +94,8 @@ TEST(Tridiag, SizeMismatchThrows) {
   std::vector<double> b = {1, 1, 1};
   std::vector<double> c = {0, 0, 0};
   std::vector<double> d = {1, 1, 1};
-  EXPECT_THROW(solve_tridiag(a, b, c, d), Error);
+  std::vector<double> cp;
+  EXPECT_THROW(solve_tridiag(a, b, c, d, cp), Error);
 }
 
 }  // namespace
