@@ -220,101 +220,71 @@ int main(int argc, char** argv) {
               "path + zero-copy handoffs exercised everywhere. PASS\n");
 
   // Checkpoint overhead A/B: the 8+8 placement with and without a daily
-  // checkpoint, under both phase schedulers. The barrier delta is the full
-  // cost of crash-safety — serializing every rank's state, the fsync'd
-  // shard writes, the completion barrier and the manifest — amortized over
-  // the simulated span. The graph rows show the tentpole payoff: the shard
-  // I/O is a detached task overlapped with the next day's compute, so only
-  // the in-memory serialization stays on the rank's critical path.
-  // Gates are on the dedicated-core critical path (thread-CPU based, like
-  // the scaling gates above) — wall time on a shared host is multiplexed
-  // across 16+ threads and too noisy to gate.
+  // checkpoint. The delta is the full cost of crash-safety — serializing
+  // every rank's state, the fsync'd shard writes, the completion barrier
+  // and the manifest — amortized over the simulated span. Reported, not
+  // gated: on a shared host the difference sits inside run-to-run noise.
   std::printf("\n--- checkpoint overhead (8 atm + 2x4 ocean, overlap) ---\n");
   {
     struct CkptMeasured {
       double wall = 0.0;
       double scaled = 0.0;  // dedicated-core critical-path speedup
     };
-    CkptMeasured cm[2][2];  // [scheduler][daily checkpoint]
+    CkptMeasured cm[2];  // [daily checkpoint]
     // Best-of-N per combination: even thread-CPU clocks pick up several
-    // percent of scatter when 16 rank threads multiplex a small host, and
-    // the gates below compare single placements rather than a monotone
-    // chain. The best repeat is the least-contended estimate.
+    // percent of scatter when 16 rank threads multiplex a small host. The
+    // best repeat is the least-contended estimate.
     const int repeats = quick ? 2 : 3;
-    for (const SchedulerKind sk :
-         {SchedulerKind::kBarrier, SchedulerKind::kGraph}) {
-      for (const bool ckpt : {false, true}) {
-        const std::string prefix = std::string("/tmp/bench_ckpt_scaling_") +
-                                   scheduler_name(sk);
-        CkptMeasured& out = cm[sk == SchedulerKind::kGraph][ckpt];
-        for (int rep = 0; rep < repeats; ++rep) {
-          par::run(16, [&](par::Comm& comm) {
-            ParallelRunOptions opts;
-            opts.layout = RankLayout::grid(8, 2, 4);
-            opts.overlap = true;
-            opts.scheduler = sk;
-            if (ckpt) {
-              opts.checkpoint.path_prefix = prefix;
-              opts.checkpoint.every_days = 1.0;
-            }
-            const auto res = run_coupled_parallel(comm, opts, cfg, days);
-            if (comm.rank() != 0) return;
-            double atm_cpu = 0.0, ocean_cpu = 0.0;
-            for (int r = 0; r < 8; ++r)
-              atm_cpu = std::max(
-                  atm_cpu, metric_of(res, r, "driver.atm_cpu_seconds"));
-            for (int r = 8; r < comm.size(); ++r)
-              ocean_cpu = std::max(
-                  ocean_cpu, metric_of(res, r, "driver.ocean_cpu_seconds"));
-            const double critical = std::max(atm_cpu, ocean_cpu);  // overlap
-            const double scaled =
-                critical > 0.0 ? res.simulated_seconds / critical : 0.0;
-            if (rep == 0 || res.wall_seconds < out.wall)
-              out.wall = res.wall_seconds;
-            if (scaled > out.scaled) out.scaled = scaled;
-          });
-        }
+    for (const bool ckpt : {false, true}) {
+      CkptMeasured& out = cm[ckpt];
+      for (int rep = 0; rep < repeats; ++rep) {
+        par::run(16, [&](par::Comm& comm) {
+          ParallelRunOptions opts;
+          opts.layout = RankLayout::grid(8, 2, 4);
+          opts.overlap = true;
+          if (ckpt) {
+            opts.checkpoint.path_prefix = "/tmp/bench_ckpt_scaling";
+            opts.checkpoint.every_days = 1.0;
+          }
+          const auto res = run_coupled_parallel(comm, opts, cfg, days);
+          if (comm.rank() != 0) return;
+          double atm_cpu = 0.0, ocean_cpu = 0.0;
+          for (int r = 0; r < 8; ++r)
+            atm_cpu =
+                std::max(atm_cpu, metric_of(res, r, "driver.atm_cpu_seconds"));
+          for (int r = 8; r < comm.size(); ++r)
+            ocean_cpu = std::max(
+                ocean_cpu, metric_of(res, r, "driver.ocean_cpu_seconds"));
+          const double critical = std::max(atm_cpu, ocean_cpu);  // overlap
+          const double scaled =
+              critical > 0.0 ? res.simulated_seconds / critical : 0.0;
+          if (rep == 0 || res.wall_seconds < out.wall)
+            out.wall = res.wall_seconds;
+          if (scaled > out.scaled) out.scaled = scaled;
+        });
       }
-      const CkptMeasured& plain = cm[sk == SchedulerKind::kGraph][0];
-      const CkptMeasured& withc = cm[sk == SchedulerKind::kGraph][1];
-      const double overhead = plain.wall > 0.0
-                                  ? 100.0 * (withc.wall - plain.wall) /
-                                        plain.wall
-                                  : 0.0;
-      const bench::BenchParams jcfg = {{"atm_ranks", 8},
-                                       {"ocean_ranks", 8},
-                                       {"ocean_px", 2},
-                                       {"ocean_py", 4},
-                                       {"rank_layout", "8+2x4"},
-                                       {"exchange", "overlap"},
-                                       {"scheduler", scheduler_name(sk)}};
-      json.add("wall_seconds_no_ckpt", plain.wall, "s", jcfg);
-      json.add("wall_seconds_daily_ckpt", withc.wall, "s", jcfg);
-      json.add("ckpt_overhead_pct", overhead, "%", jcfg);
-      json.add("scaled_speedup_no_ckpt", plain.scaled, "x", jcfg);
-      json.add("scaled_speedup_daily_ckpt", withc.scaled, "x", jcfg);
-      std::printf("%-8s no checkpoint: %7.2fs (%6.0fx)   daily checkpoint: "
-                  "%7.2fs (%6.0fx)   wall overhead: %+.1f%%\n",
-                  scheduler_name(sk), plain.wall, plain.scaled, withc.wall,
-                  withc.scaled, overhead);
     }
-    // 4. With daily checkpointing on, the graph scheduler's critical-path
-    //    speedup must be at least the barrier driver's (5% slack over the
-    //    best-of-N estimates): overlapping the shard I/O cannot lose to
-    //    writing it synchronously.
-    FOAM_REQUIRE(cm[1][1].scaled >= cm[0][1].scaled * 0.95,
-                 "graph scheduler slower than barrier with daily "
-                 "checkpoints at 8+2x4: " << cm[1][1].scaled << "x vs "
-                     << cm[0][1].scaled << "x");
-    // 5. Checkpointing under the graph scheduler must stay cheap on the
-    //    critical path: at most ~5% below the no-checkpoint run (the
-    //    in-memory serialization is all that remains on the rank thread).
-    FOAM_REQUIRE(cm[1][1].scaled >= cm[1][0].scaled * 0.95,
-                 "daily checkpointing costs more than ~5% of the graph "
-                 "scheduler's critical path at 8+2x4: " << cm[1][1].scaled
-                     << "x with vs " << cm[1][0].scaled << "x without");
-    std::printf("gates: graph >= barrier with daily checkpoints; graph "
-                "checkpoint cost under ~5%% of the critical path. PASS\n");
+    const CkptMeasured& plain = cm[0];
+    const CkptMeasured& withc = cm[1];
+    const double overhead =
+        plain.wall > 0.0 ? 100.0 * (withc.wall - plain.wall) / plain.wall
+                         : 0.0;
+    // The committed baseline rows are keyed on "scheduler": "barrier".
+    const bench::BenchParams jcfg = {{"atm_ranks", 8},
+                                     {"ocean_ranks", 8},
+                                     {"ocean_px", 2},
+                                     {"ocean_py", 4},
+                                     {"rank_layout", "8+2x4"},
+                                     {"exchange", "overlap"},
+                                     {"scheduler", "barrier"}};
+    json.add("wall_seconds_no_ckpt", plain.wall, "s", jcfg);
+    json.add("wall_seconds_daily_ckpt", withc.wall, "s", jcfg);
+    json.add("ckpt_overhead_pct", overhead, "%", jcfg);
+    json.add("scaled_speedup_no_ckpt", plain.scaled, "x", jcfg);
+    json.add("scaled_speedup_daily_ckpt", withc.scaled, "x", jcfg);
+    std::printf("no checkpoint: %7.2fs (%6.0fx)   daily checkpoint: "
+                "%7.2fs (%6.0fx)   wall overhead: %+.1f%%\n",
+                plain.wall, plain.scaled, withc.wall, withc.scaled, overhead);
   }
 
   std::printf("\npaper shape: near-linear scaling while ranks are added to\n"

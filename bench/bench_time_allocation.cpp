@@ -75,7 +75,7 @@ double run_placement(int n_atm, int n_ocean, double days, bool overlap,
       audit ? "audit" : "off", obs_label);
   par::run(world, [&](par::Comm& comm) {
     ParallelRunOptions opts;
-    opts.n_atm = n_atm;
+    opts.layout = RankLayout::rows(n_atm, n_ocean);
     opts.overlap = overlap;
     opts.telemetry.level = level;
     opts.verify.mode = audit ? par::VerifyMode::kAudit : par::VerifyMode::kOff;

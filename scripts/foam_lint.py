@@ -21,6 +21,11 @@ Rules
    construct there would void the wait-free push/pop contract the model
    checker verifies and the watchdog's stall attribution assumes.
 
+3. no-blocking-mailbox: ``src/par/comm.{hpp,cpp}`` carry every message
+   over the SPSC channels, and blocked waits poll. No
+   ``condition_variable`` may appear in their code (comments excluded), so
+   the retired mutex/condition-variable mailbox cannot come back.
+
 Exit status: 0 clean, 1 findings (one ``file:line: message`` per line).
 """
 
@@ -44,6 +49,8 @@ BLOCKING = re.compile(
 MO_SCAN_ROOTS = ["src"]
 MO_EXEMPT_PREFIXES = ["src/mc/"]
 HOT_PATHS = ["src/par/spsc.hpp"]
+CONDVAR = re.compile(r"\bcondition_variable(?:_any)?\b")
+NO_CONDVAR_PATHS = ["src/par/comm.hpp", "src/par/comm.cpp"]
 
 
 def strip_line_comment(line: str) -> str:
@@ -79,6 +86,17 @@ def lint_hot_path(path: Path, rel: str, findings: list[str]) -> None:
             )
 
 
+def lint_no_condvar(path: Path, rel: str, findings: list[str]) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        m = CONDVAR.search(strip_line_comment(line))
+        if m:
+            findings.append(
+                f"{rel}:{i + 1}: '{m.group(0)}' in the messaging runtime "
+                "(waits poll the SPSC channels; no blocking mailbox)"
+            )
+
+
 def main() -> int:
     findings: list[str] = []
 
@@ -97,6 +115,13 @@ def main() -> int:
             lint_hot_path(path, hot, findings)
         else:
             findings.append(f"{hot}: hot-path file missing (lint config stale?)")
+
+    for rel in NO_CONDVAR_PATHS:
+        path = REPO / rel
+        if path.exists():
+            lint_no_condvar(path, rel, findings)
+        else:
+            findings.append(f"{rel}: file missing (lint config stale?)")
 
     for f in findings:
         print(f)

@@ -42,16 +42,7 @@ HistoryWriter::HistoryWriter(const std::string& path)
                "short write of history magic");
 }
 
-HistoryWriter::HistoryWriter(MemorySink)
-    : memory_mode_(true), open_(true), path_("<memory>") {
-  const auto* p = reinterpret_cast<const unsigned char*>(kMagic);
-  buffer_.assign(p, p + sizeof(kMagic));
-}
-
 HistoryWriter::~HistoryWriter() {
-  // Memory-sink: an un-taken buffer is simply discarded (nothing was
-  // promised to disk yet).
-  if (memory_mode_) return;
   std::string err;
   if (!close_impl(&err) && !err.empty())
     FOAM_LOG_ERROR << "history file '" << path_
@@ -59,26 +50,9 @@ HistoryWriter::~HistoryWriter() {
 }
 
 void HistoryWriter::close() {
-  FOAM_REQUIRE(!memory_mode_,
-               "close() is for file-mode writers; finish a memory-sink "
-               "writer with take_bytes()");
   std::string err;
   FOAM_REQUIRE(close_impl(&err), "closing history file '" << path_
                                                           << "': " << err);
-}
-
-std::vector<unsigned char> HistoryWriter::take_bytes() {
-  FOAM_REQUIRE(memory_mode_, "take_bytes() needs a MemorySink writer");
-  FOAM_REQUIRE(open_, "history writer already closed");
-  open_ = false;
-  const auto append = [&](const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    buffer_.insert(buffer_.end(), p, p + bytes);
-  };
-  append(&kFooterMarker, sizeof(kFooterMarker));
-  append(&n_records_, sizeof(n_records_));
-  append(&hash_, sizeof(hash_));
-  return std::move(buffer_);
 }
 
 bool HistoryWriter::close_impl(std::string* error) {
@@ -119,14 +93,9 @@ bool HistoryWriter::close_impl(std::string* error) {
 }
 
 void HistoryWriter::put(const void* data, std::size_t bytes) {
-  if (memory_mode_) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    buffer_.insert(buffer_.end(), p, p + bytes);
-  } else {
-    FILE* f = static_cast<FILE*>(file_);
-    FOAM_REQUIRE(bytes == 0 || std::fwrite(data, 1, bytes, f) == bytes,
-                 "short write to history file '" << path_ << "'");
-  }
+  FILE* f = static_cast<FILE*>(file_);
+  FOAM_REQUIRE(bytes == 0 || std::fwrite(data, 1, bytes, f) == bytes,
+               "short write to history file '" << path_ << "'");
   hash_ = fnv1a(hash_, data, bytes);
   bytes_written_ += bytes;
 }
@@ -170,36 +139,6 @@ void HistoryWriter::write_scalar(const std::string& name, double value) {
 void HistoryWriter::write_series(const std::string& name,
                                  const std::vector<double>& v) {
   write_record(name, {static_cast<int>(v.size())}, v.data(), v.size());
-}
-
-void write_history_file_bytes(const std::string& path,
-                              const std::vector<unsigned char>& bytes) {
-  const std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  FOAM_REQUIRE(f != nullptr, "cannot open history file '" << tmp << "'");
-  const bool wrote =
-      bytes.empty() || std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-                           bytes.size();
-  // Same durability contract as HistoryWriter::close(): flush, push to the
-  // device, check fclose, and only then rename — a deferred ENOSPC must
-  // surface here, never as a file that reports success.
-  if (!wrote || std::fflush(f) != 0 || ::fsync(::fileno(f)) != 0) {
-    const std::string why =
-        wrote ? std::strerror(errno) : "short write of history bytes";
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    FOAM_REQUIRE(false, "writing history file '" << path << "': " << why);
-  }
-  if (std::fclose(f) != 0) {
-    const std::string why = std::strerror(errno);
-    std::remove(tmp.c_str());
-    FOAM_REQUIRE(false, "closing history file '" << path << "': " << why);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string why = std::strerror(errno);
-    std::remove(tmp.c_str());
-    FOAM_REQUIRE(false, "renaming history file '" << path << "': " << why);
-  }
 }
 
 HistoryReader::HistoryReader(const std::string& path) {

@@ -1,8 +1,6 @@
 #include "foam/coupled.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <optional>
 #include <sstream>
 
 #include "base/constants.hpp"
@@ -10,7 +8,6 @@
 #include "base/logging.hpp"
 #include "data/earth.hpp"
 #include "foam/checkpoint.hpp"
-#include "sched/task_graph.hpp"
 
 namespace foam {
 
@@ -246,33 +243,13 @@ std::vector<std::vector<double>> allgather_streams(
 
 }  // namespace
 
-const char* scheduler_name(SchedulerKind k) {
-  return k == SchedulerKind::kBarrier ? "barrier" : "graph";
-}
-
-SchedulerKind scheduler_from_env() {
-  const char* env = std::getenv("FOAM_SCHEDULER");
-  if (env == nullptr || *env == '\0') return SchedulerKind::kBarrier;
-  const std::string v(env);
-  if (v == "barrier") return SchedulerKind::kBarrier;
-  if (v == "graph") return SchedulerKind::kGraph;
-  FOAM_REQUIRE(false, "FOAM_SCHEDULER='"
-                          << v << "': expected 'barrier' or 'graph'");
-  return SchedulerKind::kBarrier;  // unreachable
-}
-
 ParallelRunResult run_coupled_parallel(par::Comm& world,
                                        const ParallelRunOptions& opts,
                                        const FoamConfig& cfg, double days) {
   cfg.validate();
-  // Resolve the rank layout: explicit 2-D layout if given, otherwise the
-  // legacy "first n_atm ranks are atmosphere, the rest one ocean row block
-  // each" convention. Validation catches the classic footgun of n_atm
-  // covering the whole world (0 ocean ranks) with a pointed message.
-  const RankLayout layout =
-      opts.layout.has_value()
-          ? *opts.layout
-          : RankLayout::rows(opts.n_atm, world.size() - opts.n_atm);
+  // Validation catches the classic footgun of an atmosphere covering the
+  // whole world (0 ocean ranks) with a pointed message.
+  const RankLayout& layout = opts.layout;
   layout.validate(world.size(), cfg.ocean);
   const int n_atm = layout.atm_ranks;
   const int n_ocean = layout.ocean_ranks();
@@ -363,38 +340,48 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
   }
   const std::int64_t start_ex = start_day * exchanges_per_day;
 
-  // --- phase scheduler ---------------------------------------------------
-  // kBarrier: the historic bulk-synchronous statement sequence. kGraph:
-  // the same phases as a sched::TaskGraph per exchange — main tasks retire
-  // in program order on the rank thread (bitwise identity by
-  // construction), and checkpoint shard I/O runs as a detached task on the
-  // executor's worker, overlapping the next day's compute.
-  const bool graph_mode = opts.scheduler == SchedulerKind::kGraph;
-  sched::Executor exec;
-  // Graph mode pipelines checkpoint publication one day deep: the day
-  // whose shard bytes are with the background writer but whose manifest /
-  // latest pointer is not yet published. Evolves identically on every rank
-  // (it is pure control flow), so the barrier inside the publish lines up.
-  std::int64_t pending_ckpt_day = -1;
+  // Heartbeat every exchange; publish the trace snapshot once per day
+  // (before the resilience hook, so an injected stall or kill there is
+  // observed against a fresh beat).
+  const auto heartbeat = [&](std::int64_t ex) {
+    if (!obs) return;
+    obs->beat(static_cast<double>(ex + 1) /
+              static_cast<double>(exchanges_per_day));
+    if ((ex + 1) % exchanges_per_day == 0) obs->publish_self();
+  };
 
-  // All-shards-durable barrier, then the manifest and the atomic
-  // latest-pointer update on world rank 0. Shared by both schedulers — the
-  // only difference is *when* it runs relative to the shard writes.
-  const auto publish_ckpt = [&](std::int64_t day) {
+  // Day-boundary resilience hook, same order on every rank: the fault
+  // drill first (a rank killed at day D leaves the previous checkpoint as
+  // the latest restart point), then the checkpoint — per-rank crash-safe
+  // shards, a barrier proving the set is complete, and only then the
+  // manifest and the atomic latest-pointer update on world rank 0.
+  const auto day_resilience = [&](std::int64_t ex, const auto& write_shard) {
+    if ((ex + 1) % exchanges_per_day != 0) return;
+    const std::int64_t day = (ex + 1) / exchanges_per_day;
+    par::maybe_inject_fault(world, fault, static_cast<double>(day));
+    if (ckpt_every == 0 || day % ckpt_every != 0) return;
+    {
+      FOAM_TRACE_SCOPE("ckpt.write");
+      HistoryWriter out(ckpt_shard_path(ckpt.path_prefix, day, world.rank()));
+      out.write_scalar("ckpt.day", static_cast<double>(day));
+      write_config_fingerprint(out, cfg);
+      write_layout_record(out, layout);
+      write_shard(out);
+      out.close();
+      tel.metrics().counter("ckpt.writes").add();
+      tel.metrics().counter("ckpt.bytes").add(out.bytes_written());
+    }
     world.barrier();
     if (world.rank() == 0) {
       FOAM_TRACE_SCOPE("ckpt.manifest");
       HistoryWriter m(ckpt_manifest_path(ckpt.path_prefix, day));
       write_config_fingerprint(m, cfg);
       m.write_scalar("ckpt.day", static_cast<double>(day));
-      m.write_scalar("ckpt.world_size",
-                     static_cast<double>(world.size()));
+      m.write_scalar("ckpt.world_size", static_cast<double>(world.size()));
       m.write_scalar("ckpt.n_atm", static_cast<double>(n_atm));
       m.write_scalar("ckpt.n_ocean", static_cast<double>(n_ocean));
-      m.write_scalar("ckpt.ocean_px",
-                     static_cast<double>(layout.ocean_px));
-      m.write_scalar("ckpt.ocean_py",
-                     static_cast<double>(layout.ocean_py));
+      m.write_scalar("ckpt.ocean_px", static_cast<double>(layout.ocean_px));
+      m.write_scalar("ckpt.ocean_py", static_cast<double>(layout.ocean_py));
       m.write_scalar("ckpt.overlap", opts.overlap ? 1.0 : 0.0);
       m.close();
       ckpt_write_latest(ckpt.path_prefix, day);
@@ -402,76 +389,6 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
       rec.instant("ckpt.complete");
     }
   };
-
-  // Graph mode: finish the previous boundary's checkpoint — wait out
-  // whatever shard I/O did not overlap (usually none: it had a whole
-  // simulated day), then publish. A background write failure (ENOSPC)
-  // rethrows here, at the checkpoint's publication point, on every rank.
-  const auto publish_pending_ckpt = [&]() {
-    if (pending_ckpt_day < 0) return;
-    const std::int64_t day = pending_ckpt_day;
-    pending_ckpt_day = -1;
-    {
-      FOAM_TRACE_SCOPE("ckpt.publish_wait");
-      exec.drain_detached();
-    }
-    publish_ckpt(day);
-  };
-
-  // Day-boundary resilience hook, same order on every rank: the fault
-  // drill first (a rank killed at day D leaves the previous checkpoint as
-  // the latest restart point), then the checkpoint — per-rank crash-safe
-  // shards, a barrier proving the set is complete, and only then the
-  // manifest and the atomic latest-pointer update on world rank 0. Graph
-  // mode keeps exactly these observables but moves the shard's disk work
-  // off the critical path: the snapshot is serialized here (same values,
-  // same record sequence, hence the same bytes), the durable write runs
-  // detached and the publication happens at the *next* boundary — before
-  // that boundary's fault drill, so a kill at day D still leaves the
-  // previous cadence point as the latest restart point.
-  const auto day_resilience =
-      [&](std::int64_t ex,
-          const std::function<void(HistoryWriter&)>& write_shard) {
-        if ((ex + 1) % exchanges_per_day != 0) return;
-        const std::int64_t day = (ex + 1) / exchanges_per_day;
-        publish_pending_ckpt();
-        par::maybe_inject_fault(world, fault, static_cast<double>(day));
-        if (ckpt_every == 0 || day % ckpt_every != 0) return;
-        if (!graph_mode) {
-          {
-            FOAM_TRACE_SCOPE("ckpt.write");
-            HistoryWriter out(
-                ckpt_shard_path(ckpt.path_prefix, day, world.rank()));
-            out.write_scalar("ckpt.day", static_cast<double>(day));
-            write_config_fingerprint(out, cfg);
-            write_layout_record(out, layout);
-            write_shard(out);
-            out.close();
-            tel.metrics().counter("ckpt.writes").add();
-            tel.metrics().counter("ckpt.bytes").add(out.bytes_written());
-          }
-          publish_ckpt(day);
-          return;
-        }
-        {
-          FOAM_TRACE_SCOPE("ckpt.write");
-          HistoryWriter out{HistoryWriter::MemorySink{}};
-          out.write_scalar("ckpt.day", static_cast<double>(day));
-          write_config_fingerprint(out, cfg);
-          write_layout_record(out, layout);
-          write_shard(out);
-          tel.metrics().counter("ckpt.writes").add();
-          tel.metrics().counter("ckpt.bytes").add(out.bytes_written());
-          exec.submit_detached(
-              "ckpt.write.io",
-              [bytes = out.take_bytes(),
-               path = ckpt_shard_path(ckpt.path_prefix, day,
-                                      world.rank())]() {
-                write_history_file_bytes(path, bytes);
-              });
-        }
-        pending_ckpt_day = day;
-      };
 
   par::Stopwatch wall;
   rec.reset();
@@ -577,72 +494,58 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
     ModelTime now(start_ex * exchange_steps *
                   static_cast<std::int64_t>(cfg.atm.dt));
     double atm_cpu = 0.0;
+    // One exchange per iteration, in program order: atmosphere interval,
+    // flux reduction, SST-reply wait, land step, forcing exchange, surface
+    // broadcast, then the day-boundary hooks.
     for (std::int64_t ex = start_ex; ex < n_exchanges; ++ex) {
-      // The per-exchange phases, written once and driven either as the
-      // historic statement sequence (kBarrier) or as a dependency graph
-      // (kGraph). `mean` is the flux_reduce -> land/forcing data edge.
-      std::optional<atm::FluxFields> mean;
-
-      const auto atm_interval = [&] {
-        const double cpu0 = par::thread_cpu_now();
-        for (std::int64_t s = 0; s < exchange_steps; ++s) {
-          rec.begin_region(par::Region::kAtmosphere);
-          atm.step(now);
-          now.advance(static_cast<std::int64_t>(cfg.atm.dt));
-          rec.end_region();
-        }
-        atm_cpu += par::thread_cpu_now() - cpu0;
-      };
+      const double cpu0 = par::thread_cpu_now();
+      for (std::int64_t s = 0; s < exchange_steps; ++s) {
+        rec.begin_region(par::Region::kAtmosphere);
+        atm.step(now);
+        now.advance(static_cast<std::int64_t>(cfg.atm.dt));
+        rec.end_region();
+      }
+      atm_cpu += par::thread_cpu_now() - cpu0;
 
       // Gather this interval's accumulated fluxes to atm rank 0.
-      const auto flux_reduce = [&] {
-        rec.begin_region(par::Region::kCoupler);
-        const int steps = std::max(1, atm.accumulated_steps());
-        mean = atm.accumulated_fluxes();
-        {
-          FOAM_TRACE_SCOPE("exchange.flux_reduce");
-          const double inv = 1.0 / steps;
-          for (Field2Dd* f :
-               {&mean->sw_sfc, &mean->lw_down, &mean->sensible,
-                &mean->latent, &mean->evaporation, &mean->rain,
-                &mean->snow, &mean->taux, &mean->tauy}) {
-            *f *= inv;
-            // Reduce the row-decomposed accumulations to rank 0 (each rank
-            // contributed only its rows; others are zero).
-            std::vector<double> out(f->size());
-            sub->reduce(std::span<const double>(f->data(), f->size()),
-                        std::span<double>(out), par::ReduceOp::kSum, 0);
-            if (sub->rank() == 0)
-              std::copy(out.begin(), out.end(), f->data());
-          }
+      rec.begin_region(par::Region::kCoupler);
+      const int steps = std::max(1, atm.accumulated_steps());
+      atm::FluxFields mean = atm.accumulated_fluxes();
+      {
+        FOAM_TRACE_SCOPE("exchange.flux_reduce");
+        const double inv = 1.0 / steps;
+        for (Field2Dd* f : {&mean.sw_sfc, &mean.lw_down, &mean.sensible,
+                            &mean.latent, &mean.evaporation, &mean.rain,
+                            &mean.snow, &mean.taux, &mean.tauy}) {
+          *f *= inv;
+          // Reduce the row-decomposed accumulations to rank 0 (each rank
+          // contributed only its rows; others are zero).
+          std::vector<double> out(f->size());
+          sub->reduce(std::span<const double>(f->data(), f->size()),
+                      std::span<double>(out), par::ReduceOp::kSum, 0);
+          if (sub->rank() == 0) std::copy(out.begin(), out.end(), f->data());
         }
-        rec.end_region();
-      };
+      }
+      rec.end_region();
 
-      // The forcing uses the newest SST the ocean has delivered: with
-      // overlap on, that is the reply launched at the previous exchange,
-      // completed here — by now usually already arrived, so the wait is
-      // short (the whole point of the overlap).
-      const auto sst_reply_wait = [&] {
-        if (world.rank() == 0) wait_reply();
-      };
+      if (world.rank() == 0) {
+        // The forcing uses the newest SST the ocean has delivered: with
+        // overlap on, that is the reply launched at the previous exchange,
+        // completed here — by now usually already arrived, so the wait is
+        // short (the whole point of the overlap).
+        wait_reply();
 
-      // Land / river / ice substrate under the freshly reduced fluxes.
-      const auto land_step = [&] {
-        if (world.rank() != 0) return;
+        // Land / river / ice substrate under the freshly reduced fluxes.
         rec.begin_region(par::Region::kCoupler);
-        coupler->step_land(*mean, cfg.exchange_seconds);
+        coupler->step_land(mean, cfg.exchange_seconds);
         rec.end_region();
-      };
 
-      // Forcing legs: compute, ship to the ocean lead, then either post
-      // the nonblocking SST-reply receive (overlap) or sit out the whole
-      // ocean call (blocking).
-      const auto forcing_exchange = [&] {
-        if (world.rank() != 0) return;
+        // Forcing legs: compute, ship to the ocean lead, then either post
+        // the nonblocking SST-reply receive (overlap) or sit out the whole
+        // ocean call (blocking).
         rec.begin_region(par::Region::kCoupler);
         const auto forcing = coupler->make_ocean_forcing(
-            *mean, sst_o, frazil_o, cfg.exchange_seconds);
+            mean, sst_o, frazil_o, cfg.exchange_seconds);
         {
           // Ship forcing to the ocean lead rank (buffered sends).
           FOAM_TRACE_SCOPE("exchange.forcing_send");
@@ -664,69 +567,31 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
           recv_field(world, n_atm, frazil_o);
           rec.end_region();
         }
-      };
-
-      const auto surface_bcast = [&] {
-        rec.begin_region(world.rank() == 0 ? par::Region::kCoupler
-                                           : par::Region::kIdle);
-        {
-          FOAM_TRACE_SCOPE("exchange.surface_bcast");
-          atm::SurfaceFields sfc(cfg.atm.nlon, cfg.atm.nlat);
-          if (world.rank() == 0) sfc = coupler->make_atm_surface(sst_o);
-          // Broadcast the new surface over the atmosphere ranks (non-root
-          // ranks are effectively waiting here).
-          for (Field2Dd* f :
-               {&sfc.tsurf, &sfc.albedo, &sfc.roughness, &sfc.wetness})
-            sub->bcast_bytes(f->data(), f->size() * sizeof(double), 0);
-          sub->bcast_bytes(sfc.is_ocean.data(),
-                           sfc.is_ocean.size() * sizeof(int), 0);
-          sub->bcast_bytes(sfc.is_ice.data(),
-                           sfc.is_ice.size() * sizeof(int), 0);
-          atm.set_surface(sfc);
-          atm.reset_flux_accumulation();
-        }
-        rec.end_region();
-      };
-
-      // Heartbeat every exchange; publish the trace snapshot once per day
-      // (before the resilience hook, so an injected stall or kill there is
-      // observed against a fresh beat).
-      const auto heartbeat = [&] {
-        if (!obs) return;
-        obs->beat(static_cast<double>(ex + 1) /
-                  static_cast<double>(exchanges_per_day));
-        if ((ex + 1) % exchanges_per_day == 0) obs->publish_self();
-      };
-
-      if (!graph_mode) {
-        atm_interval();
-        flux_reduce();
-        sst_reply_wait();
-        land_step();
-        forcing_exchange();
-        surface_bcast();
-        day_boundary_audit(ex);
-        heartbeat();
-        day_resilience(ex, write_shard);
-      } else {
-        sched::TaskGraph g;
-        const auto t_atm = g.add("atm.interval", {}, atm_interval);
-        const auto t_red =
-            g.add("exchange.flux_reduce", {t_atm}, flux_reduce);
-        const auto t_rep =
-            g.add("exchange.sst_reply_wait", {t_atm}, sst_reply_wait);
-        const auto t_land = g.add("coupler.land_step", {t_red}, land_step);
-        const auto t_fx = g.add("exchange.forcing", {t_rep, t_land},
-                                forcing_exchange);
-        const auto t_bc =
-            g.add("exchange.surface_bcast", {t_fx}, surface_bcast);
-        const auto t_audit =
-            g.add("day.audit", {t_bc}, [&] { day_boundary_audit(ex); });
-        const auto t_beat = g.add("obs.beat", {t_audit}, heartbeat);
-        g.add("day.resilience", {t_beat},
-              [&] { day_resilience(ex, write_shard); });
-        exec.run(g);
       }
+
+      rec.begin_region(world.rank() == 0 ? par::Region::kCoupler
+                                         : par::Region::kIdle);
+      {
+        FOAM_TRACE_SCOPE("exchange.surface_bcast");
+        atm::SurfaceFields sfc(cfg.atm.nlon, cfg.atm.nlat);
+        if (world.rank() == 0) sfc = coupler->make_atm_surface(sst_o);
+        // Broadcast the new surface over the atmosphere ranks (non-root
+        // ranks are effectively waiting here).
+        for (Field2Dd* f :
+             {&sfc.tsurf, &sfc.albedo, &sfc.roughness, &sfc.wetness})
+          sub->bcast_bytes(f->data(), f->size() * sizeof(double), 0);
+        sub->bcast_bytes(sfc.is_ocean.data(),
+                         sfc.is_ocean.size() * sizeof(int), 0);
+        sub->bcast_bytes(sfc.is_ice.data(), sfc.is_ice.size() * sizeof(int),
+                         0);
+        atm.set_surface(sfc);
+        atm.reset_flux_accumulation();
+      }
+      rec.end_region();
+
+      day_boundary_audit(ex);
+      heartbeat(ex);
+      day_resilience(ex, write_shard);
     }
     // Drain the reply still in flight after the last interval so the
     // ocean's sends are all consumed before the timeline gather.
@@ -763,109 +628,56 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
     forcing.ice = &icef;
     double ocean_cpu = 0.0;
     for (std::int64_t ex = start_ex; ex < n_exchanges; ++ex) {
-      const auto forcing_recv = [&] {
-        rec.begin_region(par::Region::kCommWait);
-        if (sub->rank() == 0 && world.rank() == n_atm) {
-          FOAM_TRACE_SCOPE("exchange.forcing_recv");
-          recv_field(world, 0, taux);
-          recv_field(world, 0, tauy);
-          recv_field(world, 0, qnet);
-          recv_field(world, 0, fw);
-          recv_field(world, 0, icef);
-        }
-        rec.end_region();
-      };
+      // Forcing from atm rank 0 to the ocean lead.
+      rec.begin_region(par::Region::kCommWait);
+      if (sub->rank() == 0 && world.rank() == n_atm) {
+        FOAM_TRACE_SCOPE("exchange.forcing_recv");
+        recv_field(world, 0, taux);
+        recv_field(world, 0, tauy);
+        recv_field(world, 0, qnet);
+        recv_field(world, 0, fw);
+        recv_field(world, 0, icef);
+      }
+      rec.end_region();
 
       // Share forcing across ocean ranks.
-      const auto forcing_share = [&] {
-        rec.begin_region(par::Region::kIdle);
-        for (Field2Dd* f : {&taux, &tauy, &qnet, &fw, &icef})
-          sub->bcast_bytes(f->data(), f->size() * sizeof(double), 0);
-        rec.end_region();
-      };
+      rec.begin_region(par::Region::kIdle);
+      for (Field2Dd* f : {&taux, &tauy, &qnet, &fw, &icef})
+        sub->bcast_bytes(f->data(), f->size() * sizeof(double), 0);
+      rec.end_region();
 
       // Ocean step (momentum/tracer subcycles + halo exchanges inside).
-      const auto ocean_step = [&] {
-        rec.begin_region(par::Region::kOcean);
-        const double cpu0 = par::thread_cpu_now();
-        ocn.set_forcing(forcing);
-        ocn.run_days(cfg.exchange_seconds * cfg.ocean_accel / 86400.0);
-        ocean_cpu += par::thread_cpu_now() - cpu0;
-        rec.end_region();
-      };
+      rec.begin_region(par::Region::kOcean);
+      double cpu0 = par::thread_cpu_now();
+      ocn.set_forcing(forcing);
+      ocn.run_days(cfg.exchange_seconds * cfg.ocean_accel / 86400.0);
+      ocean_cpu += par::thread_cpu_now() - cpu0;
+      rec.end_region();
 
       // Gather SST/frazil to the ocean lead and ship the reply to atm
       // rank 0 by ownership handoff.
-      const auto sst_reply = [&] {
-        rec.begin_region(par::Region::kOcean);
-        const double cpu0 = par::thread_cpu_now();
-        Field2Dd sst = ocn.gather(ocn.sst());
-        Field2Dd frazil = ocn.gather(ocn.drain_frazil());
-        if (world.rank() == n_atm) {
-          // The gathered grids leave by ownership handoff (no copy either
-          // side) — but final_sst, the layout-independence observable,
-          // must be kept from the last exchange before its buffer goes.
-          if (ex + 1 == n_exchanges) final_sst = sst;
-          world.isend_move(0, kTagForcing, std::move(sst.vec()));
-          world.isend_move(0, kTagForcing, std::move(frazil.vec()));
-        } else if (ex + 1 == n_exchanges) {
-          final_sst = std::move(sst);
-        }
-        ocean_cpu += par::thread_cpu_now() - cpu0;
-        rec.end_region();
-      };
-
-      const auto heartbeat = [&] {
-        if (!obs) return;
-        obs->beat(static_cast<double>(ex + 1) /
-                  static_cast<double>(exchanges_per_day));
-        if ((ex + 1) % exchanges_per_day == 0) obs->publish_self();
-      };
-
-      if (!graph_mode) {
-        forcing_recv();
-        forcing_share();
-        ocean_step();
-        sst_reply();
-        day_boundary_audit(ex);
-        heartbeat();
-        day_resilience(ex, write_shard);
-      } else {
-        sched::TaskGraph g;
-        const auto t_recv = g.add("exchange.forcing_recv", {}, forcing_recv);
-        const auto t_share =
-            g.add("exchange.forcing_share", {t_recv}, forcing_share);
-        const auto t_step = g.add("ocean.step", {t_share}, ocean_step);
-        const auto t_rep = g.add("exchange.sst_reply", {t_step}, sst_reply);
-        const auto t_audit =
-            g.add("day.audit", {t_rep}, [&] { day_boundary_audit(ex); });
-        const auto t_beat = g.add("obs.beat", {t_audit}, heartbeat);
-        g.add("day.resilience", {t_beat},
-              [&] { day_resilience(ex, write_shard); });
-        exec.run(g);
+      rec.begin_region(par::Region::kOcean);
+      cpu0 = par::thread_cpu_now();
+      Field2Dd sst = ocn.gather(ocn.sst());
+      Field2Dd frazil = ocn.gather(ocn.drain_frazil());
+      if (world.rank() == n_atm) {
+        // The gathered grids leave by ownership handoff (no copy either
+        // side) — but final_sst, the layout-independence observable, must
+        // be kept from the last exchange before its buffer goes.
+        if (ex + 1 == n_exchanges) final_sst = sst;
+        world.isend_move(0, kTagForcing, std::move(sst.vec()));
+        world.isend_move(0, kTagForcing, std::move(frazil.vec()));
+      } else if (ex + 1 == n_exchanges) {
+        final_sst = std::move(sst);
       }
+      ocean_cpu += par::thread_cpu_now() - cpu0;
+      rec.end_region();
+
+      day_boundary_audit(ex);
+      heartbeat(ex);
+      day_resilience(ex, write_shard);
     }
     tel.metrics().gauge("driver.ocean_cpu_seconds").set(ocean_cpu);
-  }
-
-  // Graph mode: the last day's checkpoint is still pipelined — drain its
-  // background shard write and publish before anything declares the run
-  // finished. Then surface the executor's counters as metrics: retired /
-  // stolen task counts and how much checkpoint I/O actually overlapped.
-  publish_pending_ckpt();
-  if (graph_mode) {
-    const sched::ExecutorStats& ss = exec.stats();
-    tel.metrics().counter("sched.tasks_retired")
-        .add(ss.retired_main + ss.retired_async);
-    if (ss.stolen_by_worker + ss.stolen_back > 0)
-      tel.metrics().counter("sched.tasks_stolen")
-          .add(ss.stolen_by_worker + ss.stolen_back);
-    if (ss.detached_submitted > 0) {
-      tel.metrics().counter("sched.ckpt_io_tasks").add(ss.detached_submitted);
-      tel.metrics().gauge("sched.ckpt_io_seconds").set(ss.detached_seconds);
-      tel.metrics().gauge("sched.ckpt_io_wait_seconds")
-          .set(ss.detached_wait_seconds);
-    }
   }
 
   // This rank's loop is done: final snapshot publish + watchdog opt-out

@@ -24,9 +24,7 @@
 ///    6-hour SST lag for the ocean call disappearing from the critical
 ///    path.
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include <string>
@@ -227,37 +225,13 @@ struct RankLayout {
   bool operator==(const RankLayout&) const = default;
 };
 
-/// How run_coupled_parallel schedules the per-exchange phases.
-///
-///  * kBarrier — the historic bulk-synchronous day loop: phases run as a
-///    fixed statement sequence and checkpoint shard I/O sits on the
-///    critical path. Kept one release as the A/B reference for the graph
-///    scheduler, then it goes away.
-///  * kGraph — the phases become a sched::TaskGraph (src/sched/) executed
-///    by the per-rank work-stealing Executor: main tasks retire in
-///    dependency order on the rank thread (bitwise-identical to kBarrier
-///    by construction), while checkpoint shard I/O runs as a detached
-///    async task overlapping the next day's compute, with the manifest /
-///    latest-pointer publication pipelined one day behind.
-enum class SchedulerKind { kBarrier, kGraph };
-
-/// Scheduler selected by FOAM_SCHEDULER ("barrier" | "graph"); kBarrier
-/// when unset. Unknown values throw so a typo cannot silently change the
-/// driver under test.
-SchedulerKind scheduler_from_env();
-const char* scheduler_name(SchedulerKind k);
-
 /// Options for run_coupled_parallel; every rank of the world communicator
 /// must pass the same values.
 struct ParallelRunOptions {
-  /// Explicit rank layout (atmosphere ranks + 2-D ocean rank grid). When
-  /// unset the driver derives RankLayout::rows(n_atm, world - n_atm) from
-  /// the legacy n_atm field below.
-  std::optional<RankLayout> layout;
-  /// Legacy spelling: the first n_atm ranks host the atmosphere + coupler,
-  /// the remaining ranks the ocean as one row block each (paper §5: e.g.
-  /// 17 nodes = 16 atmosphere + 1 ocean). Ignored when layout is set.
-  int n_atm = 1;
+  /// Rank layout: atmosphere ranks + 2-D ocean rank grid (paper §5: e.g.
+  /// 17 nodes = RankLayout::rows(16, 1), 16 atmosphere + 1 ocean). Must
+  /// cover the world communicator exactly.
+  RankLayout layout;
   /// Overlap the flux exchange with atmosphere computation (see the file
   /// comment): nonblocking forcing send + SST-reply receive, reply applied
   /// one exchange interval late. Off = blocking exchange, the reply is
@@ -286,11 +260,6 @@ struct ParallelRunOptions {
   /// are set.
   telemetry::ObservabilityOptions observe =
       telemetry::ObservabilityOptions::from_env();
-  /// Phase scheduler (see SchedulerKind): the bulk-synchronous barrier
-  /// loop, or the task-graph executor with overlapped checkpoint I/O.
-  /// Bitwise-identical results either way; defaults to FOAM_SCHEDULER or
-  /// kBarrier.
-  SchedulerKind scheduler = scheduler_from_env();
 };
 
 /// Run the coupled model SPMD on \p world. Must be called by every rank of

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <thread>
@@ -24,29 +23,11 @@ constexpr int kSplitTag = kMaxUserTag + 2;  // communicator split bookkeeping
 /// Set when any rank throws; blocked receives abort instead of deadlocking.
 std::atomic<bool> g_abort{false};
 
-/// Explicit transport choice (set_comm_transport); -1 = defer to env/default.
-std::atomic<int> g_transport{-1};
-
 /// Thrown by ranks released because *another* rank failed. run() prefers
 /// rethrowing the root-cause exception over these sympathetic aborts.
 struct AbortError : Error {
   using Error::Error;
 };
-
-CommTransport transport_for_run() {
-  // mo: standalone config flag, set before run() spawns ranks (the spawn
-  // itself orders it); no data is published through it.
-  const int explicit_choice = g_transport.load(std::memory_order_relaxed);
-  if (explicit_choice >= 0)
-    return static_cast<CommTransport>(explicit_choice);
-  if (const char* env = std::getenv("FOAM_PAR_TRANSPORT")) {
-    if (std::strcmp(env, "mutex") == 0) return CommTransport::kMutex;
-    FOAM_REQUIRE(env[0] == '\0' || std::strcmp(env, "spsc") == 0,
-                 "FOAM_PAR_TRANSPORT must be 'spsc' or 'mutex', got '"
-                     << env << "'");
-  }
-  return CommTransport::kSpsc;
-}
 
 /// One PAUSE-class instruction: tells the core this is a spin-wait (saves
 /// power, yields pipeline slots to the sibling hyperthread).
@@ -136,10 +117,10 @@ int local_of(const std::vector<int>& members, int g) {
   return -1;
 }
 
-/// Move everything the peers have published into this rank's arrival queue
-/// (spsc transport). Called only by the owning rank's thread; after it
-/// returns, every message sent (with release ordering) before the caller's
-/// last synchronization point is visible in the queue.
+/// Move everything the peers have published into this rank's arrival queue.
+/// Called only by the owning rank's thread; after it returns, every message
+/// sent (with release ordering) before the caller's last synchronization
+/// point is visible in the queue.
 void drain_inbox(detail::Context* ctx, int me_global) {
   auto& arrivals = ctx->inboxes[me_global].arrivals;
   for (int src = 0; src < ctx->nranks; ++src) {
@@ -188,10 +169,8 @@ void deliver(detail::RequestState& rs, detail::Message& msg,
 /// The matching engine: walk pending receives in posting order; each takes
 /// the earliest queued message of its match class (MPI matching semantics —
 /// FIFO within a class, posting order across overlapping wildcard classes).
-/// \p queue is the owning rank's arrival queue: the mutex transport calls
-/// this under the mailbox lock, the spsc transport needs none (the queue is
-/// owner-thread-only once drained). The pending list is owner-thread-only
-/// on both.
+/// \p queue is the owning rank's arrival queue; it and the pending list are
+/// owner-thread-only, so no lock is needed.
 void progress(std::deque<detail::Message>& queue,
               std::vector<std::shared_ptr<detail::RequestState>>& pend,
               verify::Verifier* v, int me_global) {
@@ -244,17 +223,6 @@ verify::WaitSpec spec_of(const detail::RequestState& rs) {
 
 }  // namespace
 
-const char* comm_transport_name(CommTransport t) {
-  return t == CommTransport::kSpsc ? "spsc" : "mutex";
-}
-
-void set_comm_transport(CommTransport t) {
-  // mo: see transport_for_run — configuration, not publication.
-  g_transport.store(static_cast<int>(t), std::memory_order_relaxed);
-}
-
-CommTransport comm_transport() { return transport_for_run(); }
-
 namespace detail {
 
 void note_payload_copy(std::size_t bytes) {
@@ -295,17 +263,10 @@ Comm::~Comm() {
   try {
     const int me = members_[rank_];
     auto& pend = ctx_->pending[me];
-    if (ctx_->transport == CommTransport::kSpsc) {
-      drain_inbox(ctx_, me);
-      auto& arrivals = ctx_->inboxes[me].arrivals;
-      progress(arrivals, pend, v, me);
-      v->audit(me, "communicator teardown", comm_id_, arrivals, pend);
-    } else {
-      detail::Mailbox& box = ctx_->boxes[me];
-      std::lock_guard<std::mutex> lock(box.mutex);
-      progress(box.queue, pend, v, me);
-      v->audit(me, "communicator teardown", comm_id_, box.queue, pend);
-    }
+    drain_inbox(ctx_, me);
+    auto& arrivals = ctx_->inboxes[me].arrivals;
+    progress(arrivals, pend, v, me);
+    v->audit(me, "communicator teardown", comm_id_, arrivals, pend);
   } catch (const std::exception& e) {
     if (telemetry::Telemetry* tel = telemetry::current())
       tel->metrics().counter("comm.teardown_errors").add();
@@ -325,24 +286,15 @@ std::size_t Comm::verify_quiescent() {
   barrier();
   // Sends are buffered (published to the destination at post), so after the
   // barrier every message any rank will ever have sent before this point is
-  // already in its destination's channels or mailbox: whatever progress()
-  // cannot match after a drain is a genuine leftover.
+  // already in its destination's channels: whatever progress() cannot match
+  // after a drain is a genuine leftover.
   const int me = members_[rank_];
   auto& pend = ctx_->pending[me];
-  std::size_t fresh = 0;
-  if (ctx_->transport == CommTransport::kSpsc) {
-    drain_inbox(ctx_, me);
-    auto& arrivals = ctx_->inboxes[me].arrivals;
-    progress(arrivals, pend, active_verifier(ctx_), me);
-    fresh = v.audit(me, "verify_quiescent", /*comm_id_filter=*/-1, arrivals,
-                    pend);
-  } else {
-    detail::Mailbox& box = ctx_->boxes[me];
-    std::lock_guard<std::mutex> lock(box.mutex);
-    progress(box.queue, pend, active_verifier(ctx_), me);
-    fresh = v.audit(me, "verify_quiescent", /*comm_id_filter=*/-1, box.queue,
-                    pend);
-  }
+  drain_inbox(ctx_, me);
+  auto& arrivals = ctx_->inboxes[me].arrivals;
+  progress(arrivals, pend, active_verifier(ctx_), me);
+  const std::size_t fresh = v.audit(me, "verify_quiescent",
+                                    /*comm_id_filter=*/-1, arrivals, pend);
   const auto total = allreduce_scalar<long long>(
       static_cast<long long>(fresh), ReduceOp::kSum);
   if (total > 0 && v.mode() == VerifyMode::kStrict)
@@ -358,7 +310,7 @@ void Comm::stall(double max_seconds, const char* what) {
   // Empty spec list: the deadlock detector treats this rank as blocked in a
   // wait nothing can release, so it anchors a definitely-deadlocked set as
   // soon as the stall outlives the detector's timeout. Messages meanwhile
-  // pile up unread in this rank's channels/mailbox — exactly a wedged node.
+  // pile up unread in this rank's channels — exactly a wedged node.
   WaitGuard guard(v, me, what, {});
   const auto t0 = std::chrono::steady_clock::now();
   for (;;) {
@@ -407,22 +359,11 @@ void Comm::post_message(int dst, int tag, detail::Message&& msg) {
     v->on_send(members_[rank_], msg);
   }
   const int dst_global = members_[dst];
-  std::size_t depth = 0;
-  if (ctx_->transport == CommTransport::kSpsc) {
-    detail::Channel& ch = ctx_->channel(members_[rank_], dst_global);
-    ch.push(std::move(msg));
-    depth = ch.depth_estimate();
-  } else {
-    detail::Mailbox& box = ctx_->boxes[dst_global];
-    {
-      std::lock_guard<std::mutex> lock(box.mutex);
-      box.queue.push_back(std::move(msg));
-      depth = box.queue.size();
-    }
-    box.cv.notify_all();
-  }
+  detail::Channel& ch = ctx_->channel(members_[rank_], dst_global);
+  ch.push(std::move(msg));
   if (telemetry::Telemetry* tel = telemetry::current())
-    tel->comm().on_send(dst_global, tag > kMaxUserTag, bytes, depth);
+    tel->comm().on_send(dst_global, tag > kMaxUserTag, bytes,
+                        ch.depth_estimate());
 }
 
 void Comm::send_internal(int dst, int tag, const void* data,
@@ -485,28 +426,15 @@ void Comm::wait_state(detail::RequestState& rs, const char* what) {
   WaitGuard guard(v, me, what, v != nullptr
                                    ? std::vector<verify::WaitSpec>{spec_of(rs)}
                                    : std::vector<verify::WaitSpec>{});
-  if (ctx_->transport == CommTransport::kSpsc) {
-    auto& arrivals = ctx_->inboxes[me].arrivals;
-    SpinWaiter spin;
-    for (;;) {
-      check_abort(ctx_);
-      drain_inbox(ctx_, me);
-      if (tel != nullptr) tel->comm().on_mailbox_depth(arrivals.size());
-      progress(arrivals, pend, active_verifier(ctx_), me);
-      if (rs.done) break;
-      spin.step(v, me);
-    }
-  } else {
-    detail::Mailbox& box = ctx_->boxes[me];
-    std::unique_lock<std::mutex> lock(box.mutex);
-    for (;;) {
-      check_abort(ctx_);
-      if (tel != nullptr) tel->comm().on_mailbox_depth(box.queue.size());
-      progress(box.queue, pend, active_verifier(ctx_), me);
-      if (rs.done) break;
-      if (v != nullptr) v->poll_deadlock(me);
-      box.cv.wait_for(lock, std::chrono::milliseconds(50));
-    }
+  auto& arrivals = ctx_->inboxes[me].arrivals;
+  SpinWaiter spin;
+  for (;;) {
+    check_abort(ctx_);
+    drain_inbox(ctx_, me);
+    if (tel != nullptr) tel->comm().on_mailbox_depth(arrivals.size());
+    progress(arrivals, pend, active_verifier(ctx_), me);
+    if (rs.done) break;
+    spin.step(v, me);
   }
   if (tel != nullptr) {
     tel->comm().wait_seconds.record(
@@ -606,17 +534,10 @@ bool Comm::test(Request& r, RecvStatus* st) {
   if (!r.state_) return true;
   if (!r.state_->done) {
     const int me = members_[rank_];
-    auto& pend = ctx_->pending[me];
-    if (ctx_->transport == CommTransport::kSpsc) {
-      check_abort(ctx_);
-      drain_inbox(ctx_, me);
-      progress(ctx_->inboxes[me].arrivals, pend, active_verifier(ctx_), me);
-    } else {
-      detail::Mailbox& box = ctx_->boxes[me];
-      std::lock_guard<std::mutex> lock(box.mutex);
-      check_abort(ctx_);
-      progress(box.queue, pend, active_verifier(ctx_), me);
-    }
+    check_abort(ctx_);
+    drain_inbox(ctx_, me);
+    progress(ctx_->inboxes[me].arrivals, ctx_->pending[me],
+             active_verifier(ctx_), me);
   }
   if (!r.state_->done) return false;
   if (st) *st = r.state_->status;
@@ -665,29 +586,16 @@ int Comm::waitany(std::span<Request> rs, RecvStatus* st) {
     }
     return -1;
   };
-  if (ctx_->transport == CommTransport::kSpsc) {
-    auto& arrivals = ctx_->inboxes[me].arrivals;
-    SpinWaiter spin;
-    for (;;) {
-      check_abort(ctx_);
-      drain_inbox(ctx_, me);
-      if (tel != nullptr) tel->comm().on_mailbox_depth(arrivals.size());
-      progress(arrivals, pend, active_verifier(ctx_), me);
-      const int i = scan();
-      if (i >= 0) return i;
-      spin.step(v, me);
-    }
-  }
-  detail::Mailbox& box = ctx_->boxes[me];
-  std::unique_lock<std::mutex> lock(box.mutex);
+  auto& arrivals = ctx_->inboxes[me].arrivals;
+  SpinWaiter spin;
   for (;;) {
     check_abort(ctx_);
-    if (tel != nullptr) tel->comm().on_mailbox_depth(box.queue.size());
-    progress(box.queue, pend, active_verifier(ctx_), me);
+    drain_inbox(ctx_, me);
+    if (tel != nullptr) tel->comm().on_mailbox_depth(arrivals.size());
+    progress(arrivals, pend, active_verifier(ctx_), me);
     const int i = scan();
     if (i >= 0) return i;
-    if (v != nullptr) v->poll_deadlock(me);
-    box.cv.wait_for(lock, std::chrono::milliseconds(50));
+    spin.step(v, me);
   }
 }
 
@@ -936,7 +844,7 @@ void run(int nranks, const std::function<void(Comm&)>& fn) {
   // mo: single-threaded here (ranks not yet spawned; thread creation
   // orders this reset before any rank's polls).
   g_abort.store(false, std::memory_order_relaxed);
-  detail::Context ctx(nranks, transport_for_run());
+  detail::Context ctx(nranks);
   // Every run honors FOAM_PAR_VERIFY out of the box; drivers may override
   // through Comm::set_verify.
   ctx.verifier.configure(CommVerifyOptions::from_env());
@@ -973,11 +881,9 @@ void run(int nranks, const std::function<void(Comm&)>& fn) {
                                    std::to_string(r));
         }
         // mo: standalone latch; the unwinding it triggers carries no data
-        // through it (see check_abort).
+        // through it (see check_abort). Blocked waits poll it, so no
+        // wake-up is needed.
         g_abort.store(true, std::memory_order_relaxed);
-        // Mutex transport blocks in cv waits; wake everyone. (The spsc
-        // transport needs nothing: its waits poll g_abort.)
-        for (auto& box : ctx.boxes) box.cv.notify_all();
       }
     });
   }

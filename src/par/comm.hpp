@@ -10,17 +10,14 @@
 /// the interface, exactly as it would see MPI: no component shares mutable
 /// state with another except through Comm.
 ///
-/// Two interchangeable transports carry the messages (CommTransport):
-///  * kSpsc (default) — one lock-free SPSC channel per directed rank pair:
-///    a bounded cache-line-padded ring whose slots inline payloads up to
-///    Payload::kInlineBytes (no heap allocation on the small-message fast
-///    path), spilling to an unbounded lock-free overflow queue when a burst
-///    outruns the ring, with per-channel sequence numbers merging the two
-///    lanes back into exact FIFO. Blocked receives spin briefly, then
-///    yield, then sleep in short slices — no mutex or condition variable
-///    anywhere on the message path.
-///  * kMutex — the historic per-rank mutex/condition-variable mailbox,
-///    kept as the A/B baseline for one release (FOAM_PAR_TRANSPORT=mutex).
+/// Messages travel over one lock-free SPSC channel per directed rank pair:
+/// a bounded cache-line-padded ring whose slots inline payloads up to
+/// Payload::kInlineBytes (no heap allocation on the small-message fast
+/// path), spilling to an unbounded lock-free overflow queue when a burst
+/// outruns the ring, with per-channel sequence numbers merging the two
+/// lanes back into exact FIFO. Blocked receives spin briefly, then yield,
+/// then sleep in short slices — no mutex or condition variable anywhere on
+/// the message path.
 ///
 /// Because ranks share one address space, large transfers can skip the
 /// copy-in/copy-out entirely: isend_move hands the sender's vector to the
@@ -32,7 +29,7 @@
 /// belongs to the receiver, which frees it naturally. Mismatched receives
 /// (recv_bytes, different element type) fall back to one copy-out.
 ///
-/// Semantics (identical on both transports):
+/// Semantics:
 ///  * send() / isend() are buffered (always complete locally, like
 ///    MPI_Bsend): the payload is published to the destination's channel at
 ///    post time, so the source buffer may be reused immediately and a send
@@ -58,7 +55,6 @@
 /// User tags must be in [0, kMaxUserTag]; the runtime reserves higher tags
 /// for collectives.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -82,19 +78,6 @@ inline constexpr int kMaxUserTag = (1 << 28) - 1;
 
 /// Reduction operators for reduce/allreduce.
 enum class ReduceOp { kSum, kMin, kMax };
-
-/// Which point-to-point substrate a parallel run uses (see file comment).
-enum class CommTransport : int { kSpsc = 0, kMutex = 1 };
-
-const char* comm_transport_name(CommTransport t);
-
-/// Process-global transport for subsequent par::run launches. Precedence:
-/// the last explicit set_comm_transport wins, else FOAM_PAR_TRANSPORT
-/// (spsc|mutex), else kSpsc.
-void set_comm_transport(CommTransport t);
-
-/// The transport the next par::run will use under the precedence above.
-CommTransport comm_transport();
 
 /// Status of a completed receive.
 struct RecvStatus {
@@ -222,7 +205,7 @@ struct Message {
   int src_global = 0;
   int tag = 0;
   Payload payload;
-  /// Per-channel FIFO sequence (spsc transport: merges ring + spill lanes).
+  /// Per-channel FIFO sequence (merges ring + spill lanes).
   std::uint64_t channel_seq = 0;
   // --- verify piggyback (filled only when the verifier is enabled) ---
   /// Sender's vector clock at send time (wildcard-race detection).
@@ -239,25 +222,18 @@ struct Message {
 /// the unbounded spill lane, so senders never block (buffered semantics).
 inline constexpr std::size_t kChannelRingSlots = 64;
 
-/// One directed rank pair's lock-free lane (spsc transport): the generic
-/// ring + spill + sequence-merge shape from spsc.hpp instantiated for the
-/// runtime's Message. The same template is instantiated with the model-
-/// checker policy in tests/mc, so the exact merge logic running here is
-/// the one verified exhaustively over interleavings.
+/// One directed rank pair's lock-free lane: the generic ring + spill +
+/// sequence-merge shape from spsc.hpp instantiated for the runtime's
+/// Message. The same template is instantiated with the model-checker policy
+/// in tests/mc, so the exact merge logic running here is the one verified
+/// exhaustively over interleavings.
 using Channel = SpscChannel<Message, kChannelRingSlots>;
 
-/// Per-rank arrival state (spsc transport). Owner-thread-only: messages are
-/// drained from the rank's inbound channels into this queue, where the
-/// matching engine consumes them — no lock anywhere.
+/// Per-rank arrival state. Owner-thread-only: messages are drained from the
+/// rank's inbound channels into this queue, where the matching engine
+/// consumes them — no lock anywhere.
 struct Inbox {
   std::deque<Message> arrivals;
-};
-
-/// Per-rank shared mailbox (mutex transport — the A/B baseline).
-struct Mailbox {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Message> queue;
 };
 
 /// State behind a Request handle. Owned (via shared_ptr) by the handle and,
@@ -285,16 +261,13 @@ struct RequestState {
 };
 
 struct Context {
-  Context(int nranks, CommTransport t)
-      : transport(t), nranks(nranks), pending(nranks), verifier(nranks) {
-    if (t == CommTransport::kSpsc) {
-      channels = std::vector<Channel>(
-          static_cast<std::size_t>(nranks) * static_cast<std::size_t>(nranks));
-      inboxes = std::vector<Inbox>(static_cast<std::size_t>(nranks));
-    } else {
-      boxes = std::vector<Mailbox>(static_cast<std::size_t>(nranks));
-    }
-  }
+  explicit Context(int nranks)
+      : nranks(nranks),
+        channels(static_cast<std::size_t>(nranks) *
+                 static_cast<std::size_t>(nranks)),
+        inboxes(static_cast<std::size_t>(nranks)),
+        pending(nranks),
+        verifier(nranks) {}
 
   Channel& channel(int src_global, int dst_global) {
     return channels[static_cast<std::size_t>(dst_global) *
@@ -302,13 +275,10 @@ struct Context {
                     static_cast<std::size_t>(src_global)];
   }
 
-  const CommTransport transport;
   const int nranks;
-  /// Directed channels, dst-major so one rank's inbound lanes are adjacent
-  /// (spsc transport only).
+  /// Directed channels, dst-major so one rank's inbound lanes are adjacent.
   std::vector<Channel> channels;
-  std::vector<Inbox> inboxes;  ///< per-rank arrivals (spsc transport only)
-  std::vector<Mailbox> boxes;  ///< per-rank mailboxes (mutex transport only)
+  std::vector<Inbox> inboxes;  ///< per-rank arrivals
   /// Pending nonblocking receives per global rank, in posting order.
   /// Touched only by the owning rank's thread.
   std::vector<std::vector<std::shared_ptr<RequestState>>> pending;
@@ -403,9 +373,6 @@ class Comm {
 
   int rank() const { return rank_; }
   int size() const { return static_cast<int>(members_.size()); }
-
-  /// The transport this run was launched with.
-  CommTransport transport() const { return ctx_->transport; }
 
   // --- semantics verification -------------------------------------------
 
@@ -578,18 +545,6 @@ class Comm {
     return out;
   }
 
-  /// Raw-pointer legacy spellings of the double reductions.
-  void reduce(const double* in, double* out, std::size_t count, ReduceOp op,
-              int root) {
-    reduce(std::span<const double>(in, count), std::span<double>(out, count),
-           op, root);
-  }
-  void allreduce(const double* in, double* out, std::size_t count,
-                 ReduceOp op) {
-    allreduce(std::span<const double>(in, count),
-              std::span<double>(out, count), op);
-  }
-
   /// Gather equal-size blocks to root: root receives size()*count values.
   void gather(const double* in, std::size_t count, double* out, int root);
   /// Scatter equal-size blocks from root: rank r receives block r of
@@ -630,10 +585,10 @@ class Comm {
   void send_internal(int dst, int tag, const void* data, std::size_t bytes);
   detail::Message recv_internal(int src, int tag);
 
-  /// Stamp, verify-annotate and publish \p msg to \p dst's channel or
-  /// mailbox. The one funnel every send takes, on either transport.
+  /// Stamp, verify-annotate and publish \p msg to \p dst's channel. The
+  /// one funnel every send takes.
   void post_message(int dst, int tag, detail::Message&& msg);
-  /// isend_move back half (transport + telemetry, out of the template).
+  /// isend_move back half (posting + telemetry, out of the template).
   Request isend_adopted(int dst, int tag, detail::Message&& msg);
 
   /// Receive one collective-round message from \p src and require its

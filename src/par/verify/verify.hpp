@@ -196,7 +196,7 @@ class Verifier {
   /// A wildcard receive matched \p matched while \p other (also queued,
   /// also eligible) differs in source or tag. Records a race finding if
   /// the two sends are concurrent under the vector clocks. Returns true
-  /// if a finding was recorded. Called with the mailbox lock held.
+  /// if a finding was recorded. Called on the receiving rank's thread.
   bool check_wildcard_pair(int me_global, const detail::RequestState& rs,
                            const detail::Message& matched,
                            const detail::Message& other);

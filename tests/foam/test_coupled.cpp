@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "telemetry/chrome_trace.hpp"
@@ -91,7 +90,7 @@ TEST(ParallelCoupled, RunsAndProducesTimelines) {
   FoamConfig cfg = FoamConfig::testing();
   par::run(3, [&](par::Comm& world) {  // 2 atm + 1 ocean
     ParallelRunOptions opts;
-    opts.n_atm = 2;
+    opts.layout = RankLayout::rows(2, 1);
     const auto res = run_coupled_parallel(world, opts, cfg, 0.5);
     EXPECT_GT(res.speedup(), 0.0);
     EXPECT_NEAR(res.simulated_seconds, 0.5 * 86400.0, 1.0);
@@ -115,7 +114,7 @@ TEST(ParallelCoupled, SixteenPlusOnePlacementWorks) {
   FoamConfig cfg = FoamConfig::testing();
   par::run(5, [&](par::Comm& world) {
     ParallelRunOptions opts;
-    opts.n_atm = 4;
+    opts.layout = RankLayout::rows(4, 1);
     const auto res = run_coupled_parallel(world, opts, cfg, 0.25);
     EXPECT_GT(res.speedup(), 0.0);
   });
@@ -127,7 +126,7 @@ TEST(ParallelCoupled, BlockingExchangeRecordsCommWait) {
   FoamConfig cfg = FoamConfig::testing();
   par::run(2, [&](par::Comm& world) {
     ParallelRunOptions opts;
-    opts.n_atm = 1;
+    opts.layout = RankLayout::rows(1, 1);
     opts.overlap = false;
     const auto res = run_coupled_parallel(world, opts, cfg, 0.5);
     EXPECT_GT(res.region_seconds(0, par::Region::kCommWait), 0.0);
@@ -162,7 +161,7 @@ TEST(ParallelCoupled, OverlapExchangeRunsAndShrinksCommWait) {
   std::vector<int> blocking, overlap;
   par::run(2, [&](par::Comm& world) {
     ParallelRunOptions opts;
-    opts.n_atm = 1;
+    opts.layout = RankLayout::rows(1, 1);
     opts.overlap = false;
     auto res = run_coupled_parallel(world, opts, cfg, 0.5);
     if (world.rank() == 0)
@@ -191,7 +190,7 @@ TEST(ParallelCoupled, OverlapWorksWithManyAtmRanks) {
   FoamConfig cfg = FoamConfig::testing();
   par::run(4, [&](par::Comm& world) {  // 3 atm + 1 ocean
     ParallelRunOptions opts;
-    opts.n_atm = 3;
+    opts.layout = RankLayout::rows(3, 1);
     opts.overlap = true;
     const auto res = run_coupled_parallel(world, opts, cfg, 0.25);
     EXPECT_GT(res.speedup(), 0.0);
@@ -204,7 +203,7 @@ TEST(ParallelCoupled, CaptureTimelinesOffSkipsGather) {
   FoamConfig cfg = FoamConfig::testing();
   par::run(2, [&](par::Comm& world) {
     ParallelRunOptions opts;
-    opts.n_atm = 1;
+    opts.layout = RankLayout::rows(1, 1);
     opts.capture_timelines = false;
     const auto res = run_coupled_parallel(world, opts, cfg, 0.25);
     EXPECT_GT(res.speedup(), 0.0);
@@ -217,7 +216,7 @@ TEST(ParallelCoupled, FullTracingGathersNestedSpansAndMetrics) {
   FoamConfig cfg = FoamConfig::testing();
   par::run(3, [&](par::Comm& world) {  // 2 atm + 1 ocean
     ParallelRunOptions opts;
-    opts.n_atm = 2;
+    opts.layout = RankLayout::rows(2, 1);
     opts.telemetry.level = telemetry::TraceLevel::kFull;
     const auto res = run_coupled_parallel(world, opts, cfg, 0.25);
     ASSERT_EQ(res.traces.size(), 3u);
@@ -257,7 +256,7 @@ TEST(ParallelCoupled, TelemetryOffSkipsTraceAndMetricsGather) {
   FoamConfig cfg = FoamConfig::testing();
   par::run(2, [&](par::Comm& world) {
     ParallelRunOptions opts;
-    opts.n_atm = 1;
+    opts.layout = RankLayout::rows(1, 1);
     opts.telemetry.level = telemetry::TraceLevel::kOff;
     const auto res = run_coupled_parallel(world, opts, cfg, 0.25);
     EXPECT_TRUE(res.traces.empty());
@@ -265,20 +264,6 @@ TEST(ParallelCoupled, TelemetryOffSkipsTraceAndMetricsGather) {
     // The flat timelines still work: they are the pre-telemetry contract.
     ASSERT_EQ(res.timelines.size(), 2u);
     EXPECT_GT(res.region_seconds(0, par::Region::kAtmosphere), 0.0);
-  });
-}
-
-TEST(ParallelCoupled, LegacyNAtmFieldStillPlacesRanks) {
-  // The positional run_coupled_parallel(world, n_atm, ...) overload is
-  // gone (deprecated in PR 6, deleted one release later); the n_atm field
-  // remains the row-layout shorthand inside ParallelRunOptions.
-  FoamConfig cfg = FoamConfig::testing();
-  par::run(2, [&](par::Comm& world) {
-    ParallelRunOptions opts;
-    opts.n_atm = 1;
-    const auto res = run_coupled_parallel(world, opts, cfg, 0.25);
-    EXPECT_GT(res.speedup(), 0.0);
-    ASSERT_EQ(res.timelines.size(), 2u);
   });
 }
 
@@ -313,7 +298,7 @@ TEST(FoamConfigValidate, DriversRejectBadConfigs) {
   EXPECT_THROW(CoupledFoam model(cfg), Error);
   par::run(2, [&](par::Comm& world) {
     ParallelRunOptions opts;
-    opts.n_atm = 1;
+    opts.layout = RankLayout::rows(1, 1);
     EXPECT_THROW(run_coupled_parallel(world, opts, cfg, 0.25), Error);
   });
 }
@@ -546,7 +531,7 @@ TEST(ParallelCoupled, MultiRankOceanPlacement) {
   FoamConfig cfg = FoamConfig::testing();
   par::run(4, [&](par::Comm& world) {  // 2 atm + 2 ocean
     ParallelRunOptions opts;
-    opts.n_atm = 2;
+    opts.layout = RankLayout::rows(2, 2);
     const auto res = run_coupled_parallel(world, opts, cfg, 0.25);
     EXPECT_GT(res.speedup(), 0.0);
     // Both ocean ranks must have recorded ocean work.
@@ -586,13 +571,14 @@ TEST(RankLayout, ValidateCatchesBadLayouts) {
 }
 
 TEST(RankLayout, DriverRejectsAllAtmWorldWithPointedDiagnostic) {
-  // The old positional API silently accepted n_atm == world.size() and
-  // left the ocean with zero ranks; the layout validation must name the
-  // problem instead of deadlocking or worse.
+  // A layout whose atmosphere covers the whole world leaves the ocean
+  // with zero ranks; the layout validation must name the problem instead
+  // of deadlocking or worse.
   FoamConfig cfg = FoamConfig::testing();
   par::run(2, [&](par::Comm& world) {
     ParallelRunOptions opts;
-    opts.n_atm = 2;  // both ranks atmosphere, nothing left for the ocean
+    // Both ranks atmosphere, nothing left for the ocean.
+    opts.layout = RankLayout::rows(2, 0);
     try {
       run_coupled_parallel(world, opts, cfg, 0.25);
       FAIL() << "driver accepted a world with no ocean ranks";
@@ -602,35 +588,6 @@ TEST(RankLayout, DriverRejectsAllAtmWorldWithPointedDiagnostic) {
           << e.what();
     }
   });
-}
-
-TEST(ParallelCoupled, TransportsProduceBitwiseIdenticalDay) {
-  // The messaging transport must be invisible to the science: a coupled
-  // day on the lock-free SPSC runtime and on the legacy mutex mailboxes
-  // lands on the same SST bit for bit, in both exchange modes.
-  FoamConfig cfg = FoamConfig::testing();
-  for (const bool overlap : {false, true}) {
-    Field2Dd sst[2];
-    for (const par::CommTransport t :
-         {par::CommTransport::kSpsc, par::CommTransport::kMutex}) {
-      par::set_comm_transport(t);
-      par::run(3, [&](par::Comm& world) {
-        ParallelRunOptions opts;
-        opts.layout = RankLayout::rows(2, 1);
-        opts.overlap = overlap;
-        opts.capture_timelines = false;
-        const auto res = run_coupled_parallel(world, opts, cfg, 1.0);
-        if (world.rank() == 2) sst[static_cast<int>(t)] = res.final_sst;
-      });
-    }
-    par::set_comm_transport(par::CommTransport::kSpsc);
-    ASSERT_GT(sst[0].size(), 0u);
-    ASSERT_EQ(sst[0].size(), sst[1].size());
-    for (std::size_t n = 0; n < sst[0].size(); ++n)
-      ASSERT_EQ(sst[0].data()[n], sst[1].data()[n])
-          << (overlap ? "overlap" : "blocking")
-          << " SST diverged across transports at cell " << n;
-  }
 }
 
 TEST(ParallelCoupled, MultiRankOceanDayMatchesSingleOceanBitwise) {
@@ -679,86 +636,6 @@ TEST(ParallelCoupled, MultiRankOceanDayMatchesSingleOceanBitwise) {
             << layout.describe() << (overlap ? " overlap" : " blocking")
             << " SST diverged at cell " << n;
     }
-  }
-}
-
-/// Tentpole A/B: the task-graph scheduler must be invisible to the
-/// science. One coupled day on the 2+2x2 layout lands on the same SST bit
-/// for bit as the barrier driver — in both exchange modes, on both
-/// transports, with the MPI-semantics auditor clean under both schedulers.
-TEST(ParallelCoupled, GraphSchedulerBitwiseMatchesBarrier) {
-  FoamConfig cfg = FoamConfig::testing();
-  const RankLayout layout = RankLayout::grid(2, 2, 2);
-  for (const bool overlap : {false, true}) {
-    for (const par::CommTransport t :
-         {par::CommTransport::kSpsc, par::CommTransport::kMutex}) {
-      par::set_comm_transport(t);
-      Field2Dd sst[2];
-      std::int64_t findings[2] = {-1, -1};
-      int which = 0;
-      for (const SchedulerKind sk :
-           {SchedulerKind::kBarrier, SchedulerKind::kGraph}) {
-        par::run(layout.world_size(), [&](par::Comm& world) {
-          ParallelRunOptions opts;
-          opts.layout = layout;
-          opts.overlap = overlap;
-          opts.capture_timelines = false;
-          opts.verify = {};
-          opts.verify.mode = par::VerifyMode::kAudit;
-          opts.fault = {};
-          opts.scheduler = sk;
-          const auto res = run_coupled_parallel(world, opts, cfg, 1.0);
-          if (world.rank() == 0) findings[which] = res.verify_findings;
-          if (world.rank() == layout.atm_ranks) sst[which] = res.final_sst;
-        });
-        ++which;
-      }
-      par::set_comm_transport(par::CommTransport::kSpsc);
-      EXPECT_EQ(findings[0], 0);
-      EXPECT_EQ(findings[1], 0);
-      ASSERT_GT(sst[0].size(), 0u);
-      ASSERT_EQ(sst[0].size(), sst[1].size());
-      for (std::size_t n = 0; n < sst[0].size(); ++n)
-        ASSERT_EQ(sst[0].data()[n], sst[1].data()[n])
-            << (overlap ? "overlap" : "blocking") << " SST diverged "
-            << "between schedulers at cell " << n << " (transport "
-            << static_cast<int>(t) << ")";
-    }
-  }
-}
-
-/// Paper-shaped A/B at 8+2x4 for the acceptance gate: graph vs barrier on
-/// the balanced placement, both exchange modes. 16-rank runs, so gated
-/// with the other acceptance drills.
-TEST(ParallelCoupledAcceptance, GraphSchedulerEightPlusEightBitwise) {
-  if (std::getenv("FOAM_RESTART_ACCEPTANCE") == nullptr)
-    GTEST_SKIP() << "set FOAM_RESTART_ACCEPTANCE=1 to run the 8+8 A/B";
-  FoamConfig cfg = FoamConfig::testing();
-  const RankLayout layout = RankLayout::grid(8, 2, 4);
-  for (const bool overlap : {false, true}) {
-    Field2Dd sst[2];
-    int which = 0;
-    for (const SchedulerKind sk :
-         {SchedulerKind::kBarrier, SchedulerKind::kGraph}) {
-      par::run(layout.world_size(), [&](par::Comm& world) {
-        ParallelRunOptions opts;
-        opts.layout = layout;
-        opts.overlap = overlap;
-        opts.capture_timelines = false;
-        opts.verify = {};
-        opts.fault = {};
-        opts.scheduler = sk;
-        const auto res = run_coupled_parallel(world, opts, cfg, 1.0);
-        if (world.rank() == layout.atm_ranks) sst[which] = res.final_sst;
-      });
-      ++which;
-    }
-    ASSERT_GT(sst[0].size(), 0u);
-    ASSERT_EQ(sst[0].size(), sst[1].size());
-    for (std::size_t n = 0; n < sst[0].size(); ++n)
-      ASSERT_EQ(sst[0].data()[n], sst[1].data()[n])
-          << (overlap ? "overlap" : "blocking")
-          << " 8+8 SST diverged between schedulers at cell " << n;
   }
 }
 

@@ -53,7 +53,7 @@ std::string fresh_dir(const std::string& name) {
 /// observability layer explicit per drill.
 ParallelRunOptions mk_opts(const telemetry::ObservabilityOptions& observe) {
   ParallelRunOptions o;
-  o.n_atm = 2;
+  o.layout = RankLayout::rows(2, 1);
   o.capture_timelines = false;
   o.verify = {};
   o.fault = {};

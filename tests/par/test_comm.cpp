@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <span>
 #include <vector>
 
 namespace foam::par {
@@ -144,7 +145,8 @@ TEST(Comm, AllreduceVector) {
   run(3, [](Comm& comm) {
     std::vector<double> in = {1.0 * comm.rank(), 10.0};
     std::vector<double> out(2);
-    comm.allreduce(in.data(), out.data(), 2, ReduceOp::kSum);
+    comm.allreduce(std::span<const double>(in), std::span<double>(out),
+                   ReduceOp::kSum);
     EXPECT_DOUBLE_EQ(out[0], 3.0);
     EXPECT_DOUBLE_EQ(out[1], 30.0);
   });

@@ -318,61 +318,56 @@ TEST(CommNonblocking, WaitanyIsRoundRobinFairUnderChurn) {
   // slot 0 over and over while high-index requests starved until their
   // senders were the only ones left. With the round-robin cursor, a span
   // whose slots are all continuously ready must complete in strict
-  // rotation — on both transports.
+  // rotation.
   constexpr int kPerSender = 24;  // messages pre-published per sender
   constexpr int kTake = 30;       // completions consumed by the receiver
-  for (const CommTransport t :
-       {CommTransport::kSpsc, CommTransport::kMutex}) {
-    set_comm_transport(t);
-    run(4, [](Comm& comm) {
-      const int nsenders = comm.size() - 1;
-      if (comm.rank() != 0) {
-        // Publish the full stream up front (sends are buffered), so every
-        // slot on the receiver is ready at every waitany call.
-        for (int k = 0; k < kPerSender; ++k)
-          comm.isend(0, 3, comm.rank() * 100 + k);
-        comm.barrier();
-        return;
-      }
-      comm.barrier();  // all messages are in our channels now
-      std::vector<int> vals(nsenders, -1);
-      std::vector<Request> rs(nsenders);
-      for (int s = 0; s < nsenders; ++s)
-        rs[s] = comm.irecv(s + 1, 3, vals[s]);
-      std::vector<int> completions(nsenders, 0);
-      int expect = 0;
-      for (int k = 0; k < kTake; ++k) {
-        RecvStatus st;
-        const int idx = comm.waitany(rs, &st);
-        ASSERT_GE(idx, 0);
-        // Every slot is ready (its sender's stream is pre-published), so
-        // fairness demands strict rotation.
-        EXPECT_EQ(idx, expect) << "completion " << k;
-        expect = (idx + 1) % nsenders;
-        EXPECT_EQ(st.source, idx + 1);
-        EXPECT_EQ(vals[idx], (idx + 1) * 100 + completions[idx]);
-        ++completions[idx];
-        rs[idx] = comm.irecv(idx + 1, 3, vals[idx]);  // re-arm the slot
-      }
-      // No slot starved: kTake completions over nsenders always-ready
-      // slots must be spread evenly.
-      for (int s = 0; s < nsenders; ++s)
-        EXPECT_EQ(completions[s], kTake / nsenders) << "slot " << s;
-      // Drain what is still outstanding so the run ends quiescent.
-      std::vector<int> left(nsenders);
-      for (int s = 0; s < nsenders; ++s) left[s] = completions[s];
-      for (int s = 0; s < nsenders; ++s) {
-        comm.wait(rs[s]);
+  run(4, [](Comm& comm) {
+    const int nsenders = comm.size() - 1;
+    if (comm.rank() != 0) {
+      // Publish the full stream up front (sends are buffered), so every
+      // slot on the receiver is ready at every waitany call.
+      for (int k = 0; k < kPerSender; ++k)
+        comm.isend(0, 3, comm.rank() * 100 + k);
+      comm.barrier();
+      return;
+    }
+    comm.barrier();  // all messages are in our channels now
+    std::vector<int> vals(nsenders, -1);
+    std::vector<Request> rs(nsenders);
+    for (int s = 0; s < nsenders; ++s)
+      rs[s] = comm.irecv(s + 1, 3, vals[s]);
+    std::vector<int> completions(nsenders, 0);
+    int expect = 0;
+    for (int k = 0; k < kTake; ++k) {
+      RecvStatus st;
+      const int idx = comm.waitany(rs, &st);
+      ASSERT_GE(idx, 0);
+      // Every slot is ready (its sender's stream is pre-published), so
+      // fairness demands strict rotation.
+      EXPECT_EQ(idx, expect) << "completion " << k;
+      expect = (idx + 1) % nsenders;
+      EXPECT_EQ(st.source, idx + 1);
+      EXPECT_EQ(vals[idx], (idx + 1) * 100 + completions[idx]);
+      ++completions[idx];
+      rs[idx] = comm.irecv(idx + 1, 3, vals[idx]);  // re-arm the slot
+    }
+    // No slot starved: kTake completions over nsenders always-ready
+    // slots must be spread evenly.
+    for (int s = 0; s < nsenders; ++s)
+      EXPECT_EQ(completions[s], kTake / nsenders) << "slot " << s;
+    // Drain what is still outstanding so the run ends quiescent.
+    std::vector<int> left(nsenders);
+    for (int s = 0; s < nsenders; ++s) left[s] = completions[s];
+    for (int s = 0; s < nsenders; ++s) {
+      comm.wait(rs[s]);
+      ++left[s];
+      while (left[s] < kPerSender) {
+        int v = 0;
+        comm.recv(s + 1, 3, v);
         ++left[s];
-        while (left[s] < kPerSender) {
-          int v = 0;
-          comm.recv(s + 1, 3, v);
-          ++left[s];
-        }
       }
-    });
-  }
-  set_comm_transport(CommTransport::kSpsc);
+    }
+  });
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -279,7 +280,8 @@ TEST(ParVerify, MismatchedAllreduceLengthDetected) {
         // naming both entries with it.
         const std::size_t n = comm.rank() == 0 ? 4 : 5;
         std::vector<double> in(n, 1.0), out(n, 0.0);
-        comm.allreduce(in.data(), out.data(), n, ReduceOp::kSum);
+        comm.allreduce(std::span<const double>(in), std::span<double>(out),
+                       ReduceOp::kSum);
       },
       {"collective mismatch", "rank 0", "rank 1", "reduce", "count 4",
        "count 5"});
@@ -291,7 +293,7 @@ TEST(ParVerify, MismatchedReduceOpDetected) {
       [](Comm& comm) {
         comm.set_verify(quiet(VerifyMode::kStrict));
         std::vector<double> in(3, 1.0), out(3, 0.0);
-        comm.allreduce(in.data(), out.data(), 3,
+        comm.allreduce(std::span<const double>(in), std::span<double>(out),
                        comm.rank() == 0 ? ReduceOp::kSum : ReduceOp::kMax);
       },
       {"collective mismatch", "op sum", "op max"});
