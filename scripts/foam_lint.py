@@ -26,6 +26,14 @@ Rules
    ``condition_variable`` may appear in their code (comments excluded), so
    the retired mutex/condition-variable mailbox cannot come back.
 
+4. thread-owners: a ``std::thread`` (or ``std::jthread``) may only be
+   constructed in ``src/par/comm.cpp`` (rank threads),
+   ``src/par/team.{hpp,cpp}`` (a rank's helpers; the header declares the
+   Team's thread vector), ``src/telemetry/observe.cpp`` (the monitor) and
+   ``src/mc/`` (the checker's virtual threads). Any other thread would be
+   one no team accounts for and no Comm owner check knows about. Names of
+   nested members (``std::thread::id``, ``hardware_concurrency``) are fine.
+
 Exit status: 0 clean, 1 findings (one ``file:line: message`` per line).
 """
 
@@ -51,6 +59,10 @@ MO_EXEMPT_PREFIXES = ["src/mc/"]
 HOT_PATHS = ["src/par/spsc.hpp"]
 CONDVAR = re.compile(r"\bcondition_variable(?:_any)?\b")
 NO_CONDVAR_PATHS = ["src/par/comm.hpp", "src/par/comm.cpp"]
+THREAD = re.compile(r"\bstd::j?thread\b(?!::)")
+THREAD_OWNERS = ["src/par/comm.cpp", "src/par/team.hpp", "src/par/team.cpp",
+                 "src/telemetry/observe.cpp"]
+THREAD_OWNER_PREFIXES = ["src/mc/"]
 
 
 def strip_line_comment(line: str) -> str:
@@ -97,6 +109,18 @@ def lint_no_condvar(path: Path, rel: str, findings: list[str]) -> None:
             )
 
 
+def lint_thread_owners(path: Path, rel: str, findings: list[str]) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        m = THREAD.search(strip_line_comment(line))
+        if m:
+            findings.append(
+                f"{rel}:{i + 1}: '{m.group(0)}' outside the thread owners "
+                "(par/comm.cpp, par/team.*, telemetry/observe.cpp, mc/); "
+                "run the work on the rank's par::Team instead"
+            )
+
+
 def main() -> int:
     findings: list[str] = []
 
@@ -108,6 +132,16 @@ def main() -> int:
             if any(rel.startswith(p) for p in MO_EXEMPT_PREFIXES):
                 continue
             lint_mo_justification(path, rel, findings)
+
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".hpp", ".cpp", ".h", ".cc"):
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        if rel in THREAD_OWNERS or any(
+            rel.startswith(p) for p in THREAD_OWNER_PREFIXES
+        ):
+            continue
+        lint_thread_owners(path, rel, findings)
 
     for hot in HOT_PATHS:
         path = REPO / hot

@@ -170,7 +170,7 @@ void SpectralDynamics::step(par::Comm* comm) {
   }
   std::vector<SpectralField> advs =
       (comm != nullptr) ? pst_.analyze_div_batch(*comm, a_ptrs, b_ptrs)
-                        : st_.analyze_div_batch(a_ptrs, b_ptrs, ws_);
+                        : st_.analyze_div_batch(a_ptrs, b_ptrs, ws_, team_);
 
   for (int l = 0; l < nd; ++l) {
     const SpectralField& adv = advs[l];

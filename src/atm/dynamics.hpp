@@ -48,6 +48,13 @@ class SpectralDynamics {
   /// One leapfrog step; collective when \p comm is non-null.
   void step(par::Comm* comm);
 
+  /// Split the batched transforms by level over \p team (null: the calling
+  /// thread alone). The team must outlive its use here.
+  void set_team(par::Team* team) {
+    team_ = team;
+    pst_.set_team(team);
+  }
+
   /// Winds of dynamical level l on the Gaussian grid (filled rows: owned
   /// latitudes only). U and V are true winds [m/s] (the cos(lat) image is
   /// divided out).
@@ -85,6 +92,7 @@ class SpectralDynamics {
   std::vector<int> my_lats_;
   /// Scratch for the serial batched transforms (one instance per rank).
   mutable numerics::SpectralWorkspace ws_;
+  par::Team* team_ = nullptr;
 
   std::vector<numerics::SpectralField> zeta_;
   std::vector<numerics::SpectralField> zeta_prev_;

@@ -78,6 +78,12 @@ void AtmosphereModel::init_default(unsigned seed) {
 
 void AtmosphereModel::set_surface(const SurfaceFields& sfc) { sfc_ = sfc; }
 
+void AtmosphereModel::set_team(par::Team* team) {
+  team_ = team;
+  pst_.set_team(team);
+  dyn_.set_team(team);
+}
+
 void AtmosphereModel::reset_flux_accumulation() {
   flux_accum_ = FluxFields(cfg_.nlon, cfg_.nlat);
   flux_steps_ = 0;
@@ -327,7 +333,7 @@ void AtmosphereModel::step(const ModelTime& now) {
     for (int rep = 0; rep < cfg_.emulate_transforms_per_level; ++rep) {
       std::vector<numerics::SpectralField> sps =
           (comm_ != nullptr) ? pst_.analyze_batch(*comm_, in_ptrs)
-                             : st_.analyze_batch(in_ptrs, ws_);
+                             : st_.analyze_batch(in_ptrs, ws_, team_);
       std::vector<const numerics::SpectralField*> sp_ptrs(nem);
       for (int n = 0; n < nem; ++n) sp_ptrs[n] = &sps[n];
       pst_.synthesize_batch(sp_ptrs, out_ptrs);

@@ -90,6 +90,12 @@ class AtmosphereModel {
   /// One 30-minute step at model time \p now. Collective.
   void step(const ModelTime& now);
 
+  /// Split the spectral batches (dynamics and the emulated full-core
+  /// transforms) by field over \p team; null runs them on the calling
+  /// thread alone. Bitwise identical either way. The team must outlive its
+  /// use here.
+  void set_team(par::Team* team);
+
   /// Flux accumulators since the last reset (divide by steps for means).
   const FluxFields& accumulated_fluxes() const { return flux_accum_; }
   /// Fluxes of the most recent step (for the per-step land update).
@@ -139,6 +145,7 @@ class AtmosphereModel {
   /// work (constructed once, not per step).
   numerics::ParSpectralTransform pst_;
   numerics::SpectralWorkspace ws_;
+  par::Team* team_ = nullptr;
   int j0_ = 0, j1_ = 0;  // contiguous owned range
   SpectralDynamics dyn_;
 

@@ -340,6 +340,26 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
   }
   const std::int64_t start_ex = start_day * exchanges_per_day;
 
+  // Threads inside this rank: the rank thread plus its helpers. Helpers
+  // only run the models' batched kernels; every message, span and counter
+  // stays on this thread. The bits do not depend on the team size.
+  const int helpers =
+      opts.helpers_per_rank == ParallelRunOptions::kAutoHelpers
+          ? par::auto_team_helpers(par::usable_cpus(), world.size())
+          : opts.helpers_per_rank;
+  FOAM_REQUIRE(helpers >= 0 && helpers < par::kMaxTeamMembers,
+               "helpers_per_rank=" << opts.helpers_per_rank << " (0.."
+                                   << par::kMaxTeamMembers - 1
+                                   << " or kAutoHelpers)");
+  par::Team team(1 + helpers);
+  // Helper accounting for the metrics gather and the status feed: what
+  // the extra CPU bought (busy) and what the joins cost the rank thread.
+  const auto publish_team = [&]() {
+    tel.metrics().gauge("team.members").set(team.size());
+    tel.metrics().gauge("team.helper_busy_s").set(team.helper_busy_seconds());
+    tel.metrics().gauge("team.join_wait_s").set(team.join_wait_seconds());
+  };
+
   // Heartbeat every exchange; publish the trace snapshot once per day
   // (before the resilience hook, so an injected stall or kill there is
   // observed against a fresh beat).
@@ -347,7 +367,10 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
     if (!obs) return;
     obs->beat(static_cast<double>(ex + 1) /
               static_cast<double>(exchanges_per_day));
-    if ((ex + 1) % exchanges_per_day == 0) obs->publish_self();
+    if ((ex + 1) % exchanges_per_day == 0) {
+      publish_team();
+      obs->publish_self();
+    }
   };
 
   // Day-boundary resilience hook, same order on every rank: the fault
@@ -396,6 +419,7 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
 
   if (is_atm) {
     atm::AtmosphereModel atm(cfg.atm, sub.get());
+    atm.set_team(&team);
     // A serial ocean shell provides masks/initial SST for the coupler on
     // atmosphere rank 0 (state itself lives on the ocean ranks).
     std::unique_ptr<coupler::Coupler> coupler;
@@ -602,6 +626,7 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
     // px * py rank grid (px = 1 is the historic row decomposition).
     ocean::OceanModel ocn(cfg.ocean, ogrid, bathy, sub.get(),
                           layout.ocean_px);
+    ocn.set_team(&team);
     ocn.init_climatology();
     if (resuming) {
       FOAM_TRACE_SCOPE("ckpt.restore");
@@ -682,6 +707,7 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
 
   // This rank's loop is done: final snapshot publish + watchdog opt-out
   // before the potentially-blocking final audit.
+  publish_team();
   if (obs) obs->finish_rank();
 
   // Final drain audit: by run end every message ever sent must have been

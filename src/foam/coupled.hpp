@@ -34,6 +34,7 @@
 #include "coupler/coupler.hpp"
 #include "ocean/model.hpp"
 #include "par/fault.hpp"
+#include "par/team.hpp"
 #include "par/timers.hpp"
 #include "par/verify/verify.hpp"
 #include "telemetry/observe.hpp"
@@ -260,6 +261,14 @@ struct ParallelRunOptions {
   /// are set.
   telemetry::ObservabilityOptions observe =
       telemetry::ObservabilityOptions::from_env();
+  /// Helper threads per rank for its in-rank par::Team, which splits the
+  /// spectral batches by field and the ocean sweeps by row band. The
+  /// default, kAutoHelpers, takes par::auto_team_helpers(par::usable_cpus(),
+  /// world size): the spare CPUs shared between the ranks. Tests set it to
+  /// pin a size (0 .. par::kMaxTeamMembers - 1); the bits never depend on
+  /// it. CoupledFoam has no team.
+  static constexpr int kAutoHelpers = -1;
+  int helpers_per_rank = kAutoHelpers;
 };
 
 /// Run the coupled model SPMD on \p world. Must be called by every rank of

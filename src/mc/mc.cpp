@@ -69,7 +69,7 @@ void Scheduler::begin_execution() {
   running_ = 0;
   concurrent_ = false;
   aborting_ = false;
-  ops_ = 0;
+  stores_ = 0;
   steps_ = 0;
   cur_preempts_ = 0;
   stale_used_ = 0;
@@ -157,6 +157,12 @@ std::vector<std::string> Scheduler::format_trace() const {
       case 'y':
         os << "yield";
         break;
+      case 'W':
+        os << "wait    a" << e.loc << " (parks while = " << e.val << ")";
+        break;
+      case 'N':
+        os << "notify  a" << e.loc;
+        break;
       case 'f':
         os << "finish";
         break;
@@ -238,13 +244,15 @@ std::vector<int> Scheduler::enabled_workers() {
   for (std::size_t i = 1; i < threads_.size(); ++i) {
     ThreadRec& r = threads_[i];
     if (r.finished) continue;
-    // A yield block lifts when another thread has performed a visible op,
+    // A yield block lifts when another thread has stored to an atomic (a
+    // load elsewhere cannot change what the spinner will read, and counting
+    // loads would let two pollers wake each other forever),
     // or when the thread runs alone — eventual visibility then guarantees
     // its retry reads the newest state (see atomic_load), so keeping it
     // parked would misreport a livelock.
-    if (r.yielded && (r.yield_mark < ops_ || unfinished == 1))
+    if (r.yielded && (r.yield_mark < stores_ || unfinished == 1))
       r.yielded = false;
-    if (!r.yielded) out.push_back(static_cast<int>(i));
+    if (!r.yielded && r.futex == nullptr) out.push_back(static_cast<int>(i));
   }
   return out;
 }
@@ -492,7 +500,6 @@ std::uint64_t Scheduler::atomic_load(const void* loc, std::memory_order mo) {
   if (is_acquire(mo)) join_clock(T.clock, s.msg);
   bump_epoch(tid);
   log('L', tid, L->id, s.value, mo);
-  ++ops_;
   const std::uint64_t v = s.value;
   // L/s may dangle once another thread runs: nothing below touches them.
   if (scheduled) schedule_next(tid, lk);
@@ -525,7 +532,7 @@ void Scheduler::atomic_store(const void* loc, std::uint64_t v,
   L->floor[static_cast<std::size_t>(tid)] =
       static_cast<std::uint32_t>(L->hist.size() - 1);
   log('S', tid, L->id, v, mo);
-  ++ops_;
+  ++stores_;
   if (scheduled) schedule_next(tid, lk);
 }
 
@@ -561,9 +568,79 @@ std::uint64_t Scheduler::atomic_rmw_add(const void* loc, std::uint64_t delta,
   L->floor[static_cast<std::size_t>(tid)] =
       static_cast<std::uint32_t>(L->hist.size() - 1);
   log('A', tid, L->id, s.value, mo);
-  ++ops_;
+  ++stores_;
   if (scheduled) schedule_next(tid, lk);
   return prev.value;
+}
+
+void Scheduler::atomic_wait(const void* loc, std::uint64_t old) {
+  std::unique_lock<std::mutex> lk(mu_);
+  const int tid = t_tid;
+  if (aborting_ && tid > 0 && !t_unwinding) {
+    t_unwinding = true;
+    throw Abort{};
+  }
+  AtomicLoc* L = lookup_atomic(loc);
+  if (L == nullptr) {
+    if (!aborting_) (void)op_fail("mc: atomic wait on dead location");
+    return;
+  }
+  const bool scheduled = concurrent_ && tid > 0 && !aborting_;
+  // The futex check reads the newest store (the kernel compares under its
+  // lock); it raises the coherence floor but joins no clock.
+  const std::uint64_t cur = L->hist.back().value;
+  L->floor[static_cast<std::size_t>(tid)] =
+      static_cast<std::uint32_t>(L->hist.size() - 1);
+  bump_epoch(tid);
+  log('W', tid, L->id, old);
+  if (!scheduled) return;
+  if (cur != old) {
+    schedule_next(tid, lk);
+    return;
+  }
+  ThreadRec& me = threads_[static_cast<std::size_t>(tid)];
+  me.futex = loc;
+  std::vector<int> en = enabled_workers();  // excludes me now
+  if (en.empty() && grant_pending_visibility()) en = enabled_workers();
+  if (en.empty()) {
+    me.futex = nullptr;
+    (void)op_fail("mc: livelock — all live threads parked (lost wakeup)");
+    return;
+  }
+  const int next = choose(true, std::move(en), tid, /*prev_enabled=*/false);
+  if (aborting_) {
+    if (!t_unwinding) {
+      t_unwinding = true;
+      throw Abort{};
+    }
+    return;
+  }
+  running_ = next;
+  cv_.notify_all();
+  cv_.wait(lk, [&] { return running_ == tid || aborting_; });
+  if (aborting_ && !t_unwinding) {
+    t_unwinding = true;
+    throw Abort{};
+  }
+}
+
+void Scheduler::atomic_notify(const void* loc) {
+  std::unique_lock<std::mutex> lk(mu_);
+  const int tid = t_tid;
+  if (aborting_ && tid > 0 && !t_unwinding) {
+    t_unwinding = true;
+    throw Abort{};
+  }
+  AtomicLoc* L = lookup_atomic(loc);
+  if (L == nullptr) {
+    if (!aborting_) (void)op_fail("mc: atomic notify on dead location");
+    return;
+  }
+  for (std::size_t i = 1; i < threads_.size(); ++i)
+    if (threads_[i].futex == loc) threads_[i].futex = nullptr;
+  bump_epoch(tid);
+  log('N', tid, L->id, 0);
+  if (concurrent_ && tid > 0 && !aborting_) schedule_next(tid, lk);
 }
 
 // ---------------------------------------------------------------------------
@@ -679,7 +756,7 @@ void Scheduler::yield() {
   if (unfinished_others == 0) return;
   ThreadRec& me = threads_[static_cast<std::size_t>(tid)];
   me.yielded = true;
-  me.yield_mark = ops_;
+  me.yield_mark = stores_;
   log('y', tid, -1, 0);
   std::vector<int> en = enabled_workers();  // excludes me now
   if (en.empty() && grant_pending_visibility()) en = enabled_workers();

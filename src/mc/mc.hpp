@@ -3,7 +3,8 @@
 /// \file mc.hpp
 /// foam_mc — a loom/Relacy-style deterministic model checker for the
 /// lock-free primitives of the foam runtime (par::SpscRing, par::StubQueue,
-/// par::SpscChannel, telemetry::HeartbeatSlotT, telemetry::ProfileLeafT).
+/// par::SpscChannel, par::detail::ForkJoin, telemetry::HeartbeatSlotT,
+/// telemetry::ProfileLeafT).
 ///
 /// The checker runs a test body many times, exploring a different thread
 /// interleaving (and a different set of legal weak-memory read results) on
@@ -36,9 +37,13 @@
 ///    Destroying an mc::atomic / mc::raw marks the address dead, so a
 ///    use-after-free in queue-node reclamation fails deterministically.
 ///  * mc::yield() marks the calling thread blocked until some other
-///    thread performs a visible operation — spin loops must call it, which
+///    thread stores to an atomic — spin loops must call it, which
 ///    both prunes the spin-wait state explosion and turns lost-wakeup bugs
 ///    into "livelock: all live threads yielded" failures.
+///  * mc::atomic::wait / notify_* model the futex behind std::atomic::wait:
+///    a waiter whose value is still current parks until a notify on that
+///    atomic, so a missing or mis-ordered notify (a lost wake-up) leaves
+///    it parked and the execution fails as a livelock.
 ///
 /// The mutation gate: mc::DemoteRelease<Policy> wraps any atomics policy
 /// and weakens every store/RMW ordering one notch (release->relaxed,
@@ -153,6 +158,12 @@ class Scheduler {
   void atomic_store(const void* loc, std::uint64_t v, std::memory_order mo);
   std::uint64_t atomic_rmw_add(const void* loc, std::uint64_t delta,
                                std::memory_order mo);
+  /// Futex wait: if the newest store of \p loc equals \p old (the kernel's
+  /// check, under its lock: no stale value, no synchronization), park the
+  /// caller until atomic_notify(loc); otherwise return at once.
+  void atomic_wait(const void* loc, std::uint64_t old);
+  /// Futex wake of every thread parked on \p loc (no synchronization).
+  void atomic_notify(const void* loc);
   void reg_raw(const void* loc);
   void unreg_raw(const void* loc);
   void raw_read(const void* loc);
@@ -212,6 +223,7 @@ class Scheduler {
     bool finished = false;
     bool yielded = false;
     std::uint64_t yield_mark = 0;
+    const void* futex = nullptr;  // location parked on in atomic_wait
     VClock clock{};
     std::uint32_t epoch = 0;
   };
@@ -262,7 +274,7 @@ class Scheduler {
   int running_ = 0;
   bool concurrent_ = false;
   bool aborting_ = false;
-  std::uint64_t ops_ = 0;
+  std::uint64_t stores_ = 0;  // atomic stores + RMWs (yield wake-ups)
   std::uint64_t steps_ = 0;
   int cur_preempts_ = 0;
   int stale_used_ = 0;  // stale loads taken this execution (max_stale_reads)
@@ -314,6 +326,20 @@ class atomic {
     const T old = val_;
     val_ = static_cast<T>(old + d);
     return old;
+  }
+
+  /// Futex model of std::atomic::wait (Scheduler::atomic_wait): block
+  /// while the newest store is \p old, until a notify on this atomic. No
+  /// ordering either way, so a protocol cannot lean on wait/notify for
+  /// happens-before. Callers re-check the value after it returns.
+  void wait(T old, std::memory_order /*mo*/ = std::memory_order_seq_cst)
+      const {
+    if (sched_ != nullptr) sched_->atomic_wait(this, detail::enc(old));
+  }
+  /// Wakes every waiter (one-waiter protocols cannot tell the difference).
+  void notify_one() { notify_all(); }
+  void notify_all() {
+    if (sched_ != nullptr) sched_->atomic_notify(this);
   }
 
  private:
@@ -402,6 +428,11 @@ struct DemoteRelease {
     T fetch_add(T d, std::memory_order mo = std::memory_order_seq_cst) {
       return a_.fetch_add(d, demote_rmw(mo));
     }
+    void wait(T old, std::memory_order mo = std::memory_order_seq_cst) const {
+      a_.wait(old, mo);
+    }
+    void notify_one() { a_.notify_one(); }
+    void notify_all() { a_.notify_all(); }
 
    private:
     typename Base::template atomic_t<T> a_;
@@ -435,7 +466,8 @@ class Execution {
 };
 
 /// Spin-loop hint: block the calling thread until another thread performs
-/// a visible operation. Required in every model-checked spin loop.
+/// an atomic store or RMW (another thread's load cannot change what the
+/// spinner reads). Required in every model-checked spin loop.
 void yield();
 
 /// Run \p body under every schedule in the bounded space (or until the

@@ -88,11 +88,21 @@ void PolarFourierFilter::apply(Field2Dd& f, const Field2D<int>& mask) const {
 
 void laplacian_masked(const MercatorGrid& grid, const Field2Dd& f,
                       const Field2D<int>& mask, Field2Dd& out) {
+  FOAM_REQUIRE(f.nx() == grid.nlon() && f.ny() == grid.nlat(),
+               "field shape");
+  if (out.nx() != grid.nlon() || out.ny() != grid.nlat())
+    out = Field2Dd(grid.nlon(), grid.nlat());
+  laplacian_masked_rows(grid, f, mask, out, 0, grid.nlat());
+}
+
+void laplacian_masked_rows(const MercatorGrid& grid, const Field2Dd& f,
+                           const Field2D<int>& mask, Field2Dd& out, int jlo,
+                           int jhi) {
   const int nx = grid.nlon();
   const int ny = grid.nlat();
-  FOAM_REQUIRE(f.nx() == nx && f.ny() == ny, "field shape");
-  if (out.nx() != nx || out.ny() != ny) out = Field2Dd(nx, ny);
-  for (int j = 0; j < ny; ++j) {
+  FOAM_ASSERT(out.nx() == nx && out.ny() == ny && jlo >= 0 && jhi <= ny,
+              "rows [" << jlo << "," << jhi << ")");
+  for (int j = jlo; j < jhi; ++j) {
     const double inv_dx2 = 1.0 / (grid.dx(j) * grid.dx(j));
     const double inv_dy2 = 1.0 / (grid.dy(j) * grid.dy(j));
     for (int i = 0; i < nx; ++i) {

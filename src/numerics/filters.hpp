@@ -87,6 +87,11 @@ class PolarFourierFilter {
 /// with one-sided closure at land (no-flux). Longitude wraps periodically.
 void laplacian_masked(const MercatorGrid& grid, const Field2Dd& f,
                       const Field2D<int>& mask, Field2Dd& out);
+/// Rows [jlo, jhi) of laplacian_masked only (one band of a row-split
+/// sweep); \p out must already have the grid's shape.
+void laplacian_masked_rows(const MercatorGrid& grid, const Field2Dd& f,
+                           const Field2D<int>& mask, Field2Dd& out, int jlo,
+                           int jhi);
 
 /// Biharmonic (del^4) dissipation tendency: out = -k4 * lap(lap(f)).
 /// k4 in m^4/s.

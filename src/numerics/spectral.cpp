@@ -1,5 +1,6 @@
 #include "numerics/spectral.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "base/constants.hpp"
@@ -172,9 +173,8 @@ void SpectralTransform::inv_fourier_rows(SpectralWorkspace& ws) const {
 // call, in the order its Legendre loops consume them: per mirror pair, each
 // field's rows; then per single row, each field's rows.
 
-void SpectralTransform::engine_analyze(const LatPairing& lp,
-                                       const std::vector<const Field2Dd*>& fs,
-                                       std::vector<SpectralField>& out,
+void SpectralTransform::analyze_fields(const LatPairing& lp, Grids fs,
+                                       std::span<SpectralField> out,
                                        SpectralWorkspace& ws) const {
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(fs.size());
@@ -236,9 +236,9 @@ void SpectralTransform::engine_analyze(const LatPairing& lp,
   }
 }
 
-void SpectralTransform::engine_synthesize(
-    const LatPairing& lp, const std::vector<const SpectralField*>& ss,
-    const std::vector<Field2Dd*>& outs, SpectralWorkspace& ws) const {
+void SpectralTransform::synthesize_fields(const LatPairing& lp, Spectra ss,
+                                          OutGrids outs,
+                                          SpectralWorkspace& ws) const {
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(ss.size());
   ws.fm.resize(static_cast<std::size_t>(nf) *
@@ -284,10 +284,10 @@ void SpectralTransform::engine_synthesize(
   inv_fourier_rows(ws);
 }
 
-void SpectralTransform::engine_analyze_vec(
-    const LatPairing& lp, bool curl, const std::vector<const Field2Dd*>& As,
-    const std::vector<const Field2Dd*>& Bs, std::vector<SpectralField>& out,
-    SpectralWorkspace& ws) const {
+void SpectralTransform::analyze_vec_fields(const LatPairing& lp, bool curl,
+                                           Grids As, Grids Bs,
+                                           std::span<SpectralField> out,
+                                           SpectralWorkspace& ws) const {
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(As.size());
   ws.src_rows.clear();
@@ -396,11 +396,8 @@ void SpectralTransform::engine_analyze_vec(
   }
 }
 
-void SpectralTransform::engine_uv(const LatPairing& lp,
-                                  const std::vector<const SpectralField*>& psis,
-                                  const std::vector<const SpectralField*>& chis,
-                                  const std::vector<Field2Dd*>& Us,
-                                  const std::vector<Field2Dd*>& Vs,
+void SpectralTransform::uv_fields(const LatPairing& lp, Spectra psis,
+                                  Spectra chis, OutGrids Us, OutGrids Vs,
                                   SpectralWorkspace& ws) const {
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(psis.size());
@@ -495,6 +492,64 @@ void SpectralTransform::engine_uv(const LatPairing& lp,
 }
 
 // ---------------------------------------------------------------------------
+// Batches split by field over a team
+
+template <typename Body>
+void SpectralTransform::split_fields(par::Team* team, std::size_t nf,
+                                     SpectralWorkspace& ws, Body&& body) {
+  if (team != nullptr &&
+      ws.members.size() + 1 < static_cast<std::size_t>(team->size()))
+    ws.members.resize(static_cast<std::size_t>(team->size()) - 1);
+  par::for_chunks(team, static_cast<int>(nf), [&](int m, int lo, int hi) {
+    body(static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo),
+         m == 0 ? ws : ws.members[static_cast<std::size_t>(m) - 1]);
+  });
+}
+
+void SpectralTransform::engine_analyze(const LatPairing& lp, Grids fs,
+                                       std::span<SpectralField> out,
+                                       SpectralWorkspace& ws,
+                                       par::Team* team) const {
+  split_fields(team, fs.size(), ws,
+               [&](std::size_t lo, std::size_t n, SpectralWorkspace& w) {
+                 analyze_fields(lp, fs.subspan(lo, n), out.subspan(lo, n), w);
+               });
+}
+
+void SpectralTransform::engine_synthesize(const LatPairing& lp, Spectra ss,
+                                          OutGrids outs, SpectralWorkspace& ws,
+                                          par::Team* team) const {
+  split_fields(team, ss.size(), ws,
+               [&](std::size_t lo, std::size_t n, SpectralWorkspace& w) {
+                 synthesize_fields(lp, ss.subspan(lo, n), outs.subspan(lo, n),
+                                   w);
+               });
+}
+
+void SpectralTransform::engine_analyze_vec(const LatPairing& lp, bool curl,
+                                           Grids As, Grids Bs,
+                                           std::span<SpectralField> out,
+                                           SpectralWorkspace& ws,
+                                           par::Team* team) const {
+  split_fields(team, As.size(), ws,
+               [&](std::size_t lo, std::size_t n, SpectralWorkspace& w) {
+                 analyze_vec_fields(lp, curl, As.subspan(lo, n),
+                                    Bs.subspan(lo, n), out.subspan(lo, n), w);
+               });
+}
+
+void SpectralTransform::engine_uv(const LatPairing& lp, Spectra psis,
+                                  Spectra chis, OutGrids Us, OutGrids Vs,
+                                  SpectralWorkspace& ws,
+                                  par::Team* team) const {
+  split_fields(team, psis.size(), ws,
+               [&](std::size_t lo, std::size_t n, SpectralWorkspace& w) {
+                 uv_fields(lp, psis.subspan(lo, n), chis.subspan(lo, n),
+                           Us.subspan(lo, n), Vs.subspan(lo, n), w);
+               });
+}
+
+// ---------------------------------------------------------------------------
 // Serial entry points
 
 SpectralField SpectralTransform::analyze(const Field2Dd& f) const {
@@ -510,7 +565,7 @@ SpectralField SpectralTransform::analyze(const Field2Dd& f,
   if (mode_ == SpectralMode::kEngine) {
     std::vector<SpectralField> out(1);
     out[0] = std::move(s);
-    engine_analyze(pairing_, {&f}, out, ws);
+    analyze_fields(pairing_, std::array{&f}, out, ws);
     return std::move(out[0]);
   }
   std::vector<cplx> fm;
@@ -535,7 +590,7 @@ Field2Dd SpectralTransform::synthesize(const SpectralField& s,
   FOAM_REQUIRE(s.mmax() == mmax_ && s.kmax() == kmax_, "truncation mismatch");
   Field2Dd f(grid_.nlon(), grid_.nlat());
   if (mode_ == SpectralMode::kEngine) {
-    engine_synthesize(pairing_, {&s}, {&f}, ws);
+    synthesize_fields(pairing_, std::array{&s}, std::array{&f}, ws);
     return f;
   }
   std::vector<cplx> fm(mmax_ + 1);
@@ -556,7 +611,8 @@ SpectralField SpectralTransform::analyze_div(const Field2Dd& A,
     SpectralWorkspace ws;
     std::vector<SpectralField> out(1);
     out[0] = SpectralField(mmax_, kmax_);
-    engine_analyze_vec(pairing_, /*curl=*/false, {&A}, {&B}, out, ws);
+    analyze_vec_fields(pairing_, /*curl=*/false, std::array{&A},
+                       std::array{&B}, out, ws);
     return std::move(out[0]);
   }
   SpectralField s(mmax_, kmax_);
@@ -585,7 +641,8 @@ SpectralField SpectralTransform::analyze_curl(const Field2Dd& A,
     SpectralWorkspace ws;
     std::vector<SpectralField> out(1);
     out[0] = SpectralField(mmax_, kmax_);
-    engine_analyze_vec(pairing_, /*curl=*/true, {&A}, {&B}, out, ws);
+    analyze_vec_fields(pairing_, /*curl=*/true, std::array{&A},
+                       std::array{&B}, out, ws);
     return std::move(out[0]);
   }
   SpectralField s(mmax_, kmax_);
@@ -619,7 +676,8 @@ void SpectralTransform::uv_from_psi_chi(const SpectralField& psi,
     V = Field2Dd(grid_.nlon(), grid_.nlat());
   if (mode_ == SpectralMode::kEngine) {
     SpectralWorkspace ws;
-    engine_uv(pairing_, {&psi}, {&chi}, {&U}, {&V}, ws);
+    uv_fields(pairing_, std::array{&psi}, std::array{&chi}, std::array{&U},
+              std::array{&V}, ws);
     return;
   }
   std::vector<cplx> um(mmax_ + 1), vm(mmax_ + 1);
@@ -646,14 +704,15 @@ void SpectralTransform::uv_from_psi_chi(const SpectralField& psi,
 // Serial batched entry points
 
 std::vector<SpectralField> SpectralTransform::analyze_batch(
-    const std::vector<const Field2Dd*>& fs, SpectralWorkspace& ws) const {
+    const std::vector<const Field2Dd*>& fs, SpectralWorkspace& ws,
+    par::Team* team) const {
   FOAM_TRACE_SCOPE("spectral.analyze_batch");
   note_batch(mode_ == SpectralMode::kEngine, fs.size(),
              static_cast<std::size_t>(grid_.nlat()));
   std::vector<SpectralField> out(fs.size());
   for (auto& s : out) s = SpectralField(mmax_, kmax_);
   if (mode_ == SpectralMode::kEngine) {
-    engine_analyze(pairing_, fs, out, ws);
+    engine_analyze(pairing_, fs, out, ws, team);
   } else {
     for (std::size_t f = 0; f < fs.size(); ++f) out[f] = analyze(*fs[f]);
   }
@@ -662,7 +721,8 @@ std::vector<SpectralField> SpectralTransform::analyze_batch(
 
 void SpectralTransform::synthesize_batch(
     const std::vector<const SpectralField*>& ss,
-    const std::vector<Field2Dd*>& outs, SpectralWorkspace& ws) const {
+    const std::vector<Field2Dd*>& outs, SpectralWorkspace& ws,
+    par::Team* team) const {
   FOAM_REQUIRE(ss.size() == outs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.synthesize_batch");
   note_batch(mode_ == SpectralMode::kEngine, ss.size(),
@@ -672,7 +732,7 @@ void SpectralTransform::synthesize_batch(
       *g = Field2Dd(grid_.nlon(), grid_.nlat());
   }
   if (mode_ == SpectralMode::kEngine) {
-    engine_synthesize(pairing_, ss, outs, ws);
+    engine_synthesize(pairing_, ss, outs, ws, team);
   } else {
     for (std::size_t f = 0; f < ss.size(); ++f) *outs[f] = synthesize(*ss[f]);
   }
@@ -680,7 +740,8 @@ void SpectralTransform::synthesize_batch(
 
 std::vector<SpectralField> SpectralTransform::analyze_div_batch(
     const std::vector<const Field2Dd*>& As,
-    const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws) const {
+    const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws,
+    par::Team* team) const {
   FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.analyze_div_batch");
   note_batch(mode_ == SpectralMode::kEngine, As.size(),
@@ -688,7 +749,7 @@ std::vector<SpectralField> SpectralTransform::analyze_div_batch(
   std::vector<SpectralField> out(As.size());
   for (auto& s : out) s = SpectralField(mmax_, kmax_);
   if (mode_ == SpectralMode::kEngine) {
-    engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws);
+    engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws, team);
   } else {
     for (std::size_t f = 0; f < As.size(); ++f)
       out[f] = analyze_div(*As[f], *Bs[f]);
@@ -698,7 +759,8 @@ std::vector<SpectralField> SpectralTransform::analyze_div_batch(
 
 std::vector<SpectralField> SpectralTransform::analyze_curl_batch(
     const std::vector<const Field2Dd*>& As,
-    const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws) const {
+    const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws,
+    par::Team* team) const {
   FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.analyze_curl_batch");
   note_batch(mode_ == SpectralMode::kEngine, As.size(),
@@ -706,7 +768,7 @@ std::vector<SpectralField> SpectralTransform::analyze_curl_batch(
   std::vector<SpectralField> out(As.size());
   for (auto& s : out) s = SpectralField(mmax_, kmax_);
   if (mode_ == SpectralMode::kEngine) {
-    engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws);
+    engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws, team);
   } else {
     for (std::size_t f = 0; f < As.size(); ++f)
       out[f] = analyze_curl(*As[f], *Bs[f]);
@@ -718,7 +780,7 @@ void SpectralTransform::uv_from_psi_chi_batch(
     const std::vector<const SpectralField*>& psis,
     const std::vector<const SpectralField*>& chis,
     const std::vector<Field2Dd*>& Us, const std::vector<Field2Dd*>& Vs,
-    SpectralWorkspace& ws) const {
+    SpectralWorkspace& ws, par::Team* team) const {
   FOAM_REQUIRE(psis.size() == chis.size() && psis.size() == Us.size() &&
                    psis.size() == Vs.size(),
                "batch size mismatch");
@@ -732,7 +794,7 @@ void SpectralTransform::uv_from_psi_chi_batch(
       *Vs[f] = Field2Dd(grid_.nlon(), grid_.nlat());
   }
   if (mode_ == SpectralMode::kEngine) {
-    engine_uv(pairing_, psis, chis, Us, Vs, ws);
+    engine_uv(pairing_, psis, chis, Us, Vs, ws, team);
   } else {
     for (std::size_t f = 0; f < psis.size(); ++f)
       uv_from_psi_chi(*psis[f], *chis[f], *Us[f], *Vs[f]);
@@ -794,7 +856,10 @@ void ParSpectralTransform::allreduce_spectral(par::Comm& comm,
 
 void ParSpectralTransform::allreduce_fused(
     par::Comm& comm, std::vector<SpectralField>& fields) const {
-  if (fields.empty()) return;
+  // A one-rank sum is the identity: skipping it keeps the bits and keeps
+  // the rank thread's gap between a team's analysis and synthesis batches
+  // short enough for the helpers to catch the next one without parking.
+  if (fields.empty() || comm.size() == 1) return;
   FOAM_TRACE_SCOPE("spectral.allreduce");
   const std::size_t per = fields[0].size() * 2;
   ws_.reduce.resize(per * fields.size());
@@ -819,7 +884,7 @@ SpectralField ParSpectralTransform::analyze(par::Comm& comm,
   if (serial_.mode() == SpectralMode::kEngine) {
     std::vector<SpectralField> out(1);
     out[0] = std::move(s);
-    serial_.engine_analyze(pairing_, {&f}, out, ws_);
+    serial_.analyze_fields(pairing_, std::array{&f}, out, ws_);
     allreduce_spectral(comm, out[0]);
     return std::move(out[0]);
   }
@@ -840,7 +905,8 @@ SpectralField ParSpectralTransform::analyze(par::Comm& comm,
 void ParSpectralTransform::synthesize(const SpectralField& s,
                                       Field2Dd& f) const {
   if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_synthesize(pairing_, {&s}, {&f}, ws_);
+    serial_.synthesize_fields(pairing_, std::array{&s}, std::array{&f},
+                              ws_);
     return;
   }
   std::vector<cplx> fm(serial_.mmax() + 1);
@@ -862,8 +928,8 @@ SpectralField ParSpectralTransform::analyze_div(par::Comm& comm,
   if (serial_.mode() == SpectralMode::kEngine) {
     std::vector<SpectralField> out(1);
     out[0] = std::move(s);
-    serial_.engine_analyze_vec(pairing_, /*curl=*/false, {&A}, {&B}, out,
-                               ws_);
+    serial_.analyze_vec_fields(pairing_, /*curl=*/false, std::array{&A},
+                               std::array{&B}, out, ws_);
     allreduce_spectral(comm, out[0]);
     return std::move(out[0]);
   }
@@ -893,7 +959,8 @@ SpectralField ParSpectralTransform::analyze_curl(par::Comm& comm,
   if (serial_.mode() == SpectralMode::kEngine) {
     std::vector<SpectralField> out(1);
     out[0] = std::move(s);
-    serial_.engine_analyze_vec(pairing_, /*curl=*/true, {&A}, {&B}, out, ws_);
+    serial_.analyze_vec_fields(pairing_, /*curl=*/true, std::array{&A},
+                               std::array{&B}, out, ws_);
     allreduce_spectral(comm, out[0]);
     return std::move(out[0]);
   }
@@ -920,7 +987,8 @@ void ParSpectralTransform::uv_from_psi_chi(const SpectralField& psi,
                                            const SpectralField& chi,
                                            Field2Dd& U, Field2Dd& V) const {
   if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_uv(pairing_, {&psi}, {&chi}, {&U}, {&V}, ws_);
+    serial_.uv_fields(pairing_, std::array{&psi}, std::array{&chi},
+                      std::array{&U}, std::array{&V}, ws_);
     return;
   }
   std::vector<cplx> um(serial_.mmax() + 1), vm(serial_.mmax() + 1);
@@ -954,7 +1022,7 @@ std::vector<SpectralField> ParSpectralTransform::analyze_batch(
   std::vector<SpectralField> out(fs.size());
   for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
   if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_analyze(pairing_, fs, out, ws_);
+    serial_.engine_analyze(pairing_, fs, out, ws_, team_);
     allreduce_fused(comm, out);
   } else {
     for (std::size_t f = 0; f < fs.size(); ++f) out[f] = analyze(comm, *fs[f]);
@@ -970,7 +1038,7 @@ void ParSpectralTransform::synthesize_batch(
   note_batch(serial_.mode() == SpectralMode::kEngine, ss.size(),
              my_lats_.size());
   if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_synthesize(pairing_, ss, outs, ws_);
+    serial_.engine_synthesize(pairing_, ss, outs, ws_, team_);
   } else {
     for (std::size_t f = 0; f < ss.size(); ++f) synthesize(*ss[f], *outs[f]);
   }
@@ -986,7 +1054,8 @@ std::vector<SpectralField> ParSpectralTransform::analyze_div_batch(
   std::vector<SpectralField> out(As.size());
   for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
   if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws_);
+    serial_.engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws_,
+                               team_);
     allreduce_fused(comm, out);
   } else {
     for (std::size_t f = 0; f < As.size(); ++f)
@@ -1005,7 +1074,8 @@ std::vector<SpectralField> ParSpectralTransform::analyze_curl_batch(
   std::vector<SpectralField> out(As.size());
   for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
   if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws_);
+    serial_.engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws_,
+                               team_);
     allreduce_fused(comm, out);
   } else {
     for (std::size_t f = 0; f < As.size(); ++f)
@@ -1025,7 +1095,7 @@ void ParSpectralTransform::uv_from_psi_chi_batch(
   note_batch(serial_.mode() == SpectralMode::kEngine, psis.size(),
              my_lats_.size());
   if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_uv(pairing_, psis, chis, Us, Vs, ws_);
+    serial_.engine_uv(pairing_, psis, chis, Us, Vs, ws_, team_);
   } else {
     for (std::size_t f = 0; f < psis.size(); ++f)
       uv_from_psi_chi(*psis[f], *chis[f], *Us[f], *Vs[f]);

@@ -37,6 +37,14 @@
 /// uses its own SpectralWorkspace (the overloads without a workspace
 /// allocate a fresh one per call).
 ///
+/// Threads inside a rank: every batched entry point takes an optional
+/// par::Team and splits the batch *by field* over its members (static
+/// contiguous chunks). Each member runs the engine kernels on its own
+/// fields with its own workspace, so a field's FFT rows and Legendre sums
+/// keep their serial order and the results are bitwise independent of the
+/// team size. Telemetry and the fused allreduce stay on the calling (rank)
+/// thread.
+///
 /// ParSpectralTransform layers the same operations over a latitude-band
 /// decomposition on foam::par — FFTs are local to a rank's latitudes and the
 /// Legendre stage completes partial sums with an allreduce, the
@@ -53,6 +61,7 @@
 #include "numerics/grid.hpp"
 #include "numerics/legendre.hpp"
 #include "par/comm.hpp"
+#include "par/team.hpp"
 
 namespace foam::numerics {
 
@@ -111,7 +120,9 @@ enum class SpectralMode { kReference, kEngine };
 /// Fourier rows, the FFT lane scratch and the parity-fold buffers. All
 /// storage grows on first use and is reused afterwards, making repeated
 /// engine transforms allocation-free. One workspace per thread —
-/// workspaces must not be shared concurrently.
+/// workspaces must not be shared concurrently. A batch split over a
+/// par::Team gives member m > 0 the scratch in members[m - 1] (grown once,
+/// on the calling thread, the first time a team of that size is used).
 class SpectralWorkspace {
  public:
   SpectralWorkspace() = default;
@@ -127,6 +138,7 @@ class SpectralWorkspace {
   std::vector<std::complex<double>> fold_pe, fold_po;  // P-term folds [f][m]
   std::vector<std::complex<double>> fold_he, fold_ho;  // H-term folds [f][m]
   std::vector<double> reduce;               // fused-allreduce packing
+  std::vector<SpectralWorkspace> members;   // team helpers' scratch
 };
 
 /// Serial spectral transform bound to one Gaussian grid and truncation.
@@ -169,29 +181,35 @@ class SpectralTransform {
   /// Transform every field of a step in one pass: the Legendre panels are
   /// loaded once per latitude pair and reused across the batch. Under
   /// kReference these loop the single-field reference paths (A/B
-  /// comparability); under kEngine they run the folded panel kernels.
+  /// comparability); under kEngine they run the folded panel kernels,
+  /// split by field over \p team when one is given.
 
   std::vector<SpectralField> analyze_batch(
-      const std::vector<const Field2Dd*>& fs, SpectralWorkspace& ws) const;
+      const std::vector<const Field2Dd*>& fs, SpectralWorkspace& ws,
+      par::Team* team = nullptr) const;
 
   void synthesize_batch(const std::vector<const SpectralField*>& ss,
                         const std::vector<Field2Dd*>& outs,
-                        SpectralWorkspace& ws) const;
+                        SpectralWorkspace& ws,
+                        par::Team* team = nullptr) const;
 
   std::vector<SpectralField> analyze_div_batch(
       const std::vector<const Field2Dd*>& As,
-      const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws) const;
+      const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws,
+      par::Team* team = nullptr) const;
 
   std::vector<SpectralField> analyze_curl_batch(
       const std::vector<const Field2Dd*>& As,
-      const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws) const;
+      const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws,
+      par::Team* team = nullptr) const;
 
   /// Batched winds; U/V outputs are resized to the grid shape if needed.
   void uv_from_psi_chi_batch(const std::vector<const SpectralField*>& psis,
                              const std::vector<const SpectralField*>& chis,
                              const std::vector<Field2Dd*>& Us,
                              const std::vector<Field2Dd*>& Vs,
-                             SpectralWorkspace& ws) const;
+                             SpectralWorkspace& ws,
+                             par::Team* team = nullptr) const;
 
   /// Spectral Laplacian: c_n^m *= -n(n+1)/a^2.
   void laplacian(SpectralField& s) const;
@@ -233,29 +251,48 @@ class SpectralTransform {
   void fourier_rows(SpectralWorkspace& ws) const;
   void inv_fourier_rows(SpectralWorkspace& ws) const;
 
+  using Grids = std::span<const Field2Dd* const>;
+  using OutGrids = std::span<Field2Dd* const>;
+  using Spectra = std::span<const SpectralField* const>;
+
   /// Engine kernels over an arbitrary row grouping (serial uses the full
   /// grid's pairing; the parallel variants pass their owned rows).
   /// Analysis kernels accumulate into zero-initialized outputs; synthesis
-  /// kernels write only the rows named by the pairing.
-  void engine_analyze(const LatPairing& lp,
-                      const std::vector<const Field2Dd*>& fs,
-                      std::vector<SpectralField>& out,
+  /// kernels write only the rows named by the pairing. With a \p team the
+  /// batch is split by field (split_fields); every field still runs the
+  /// *_fields kernel below, unchanged.
+  void engine_analyze(const LatPairing& lp, Grids fs,
+                      std::span<SpectralField> out, SpectralWorkspace& ws,
+                      par::Team* team = nullptr) const;
+  void engine_synthesize(const LatPairing& lp, Spectra ss, OutGrids outs,
+                         SpectralWorkspace& ws,
+                         par::Team* team = nullptr) const;
+  void engine_analyze_vec(const LatPairing& lp, bool curl, Grids As,
+                          Grids Bs, std::span<SpectralField> out,
+                          SpectralWorkspace& ws,
+                          par::Team* team = nullptr) const;
+  void engine_uv(const LatPairing& lp, Spectra psis, Spectra chis,
+                 OutGrids Us, OutGrids Vs, SpectralWorkspace& ws,
+                 par::Team* team = nullptr) const;
+
+  /// The kernels themselves, over one member's contiguous run of fields.
+  void analyze_fields(const LatPairing& lp, Grids fs,
+                      std::span<SpectralField> out,
                       SpectralWorkspace& ws) const;
-  void engine_synthesize(const LatPairing& lp,
-                         const std::vector<const SpectralField*>& ss,
-                         const std::vector<Field2Dd*>& outs,
+  void synthesize_fields(const LatPairing& lp, Spectra ss, OutGrids outs,
                          SpectralWorkspace& ws) const;
-  void engine_analyze_vec(const LatPairing& lp, bool curl,
-                          const std::vector<const Field2Dd*>& As,
-                          const std::vector<const Field2Dd*>& Bs,
-                          std::vector<SpectralField>& out,
+  void analyze_vec_fields(const LatPairing& lp, bool curl, Grids As,
+                          Grids Bs, std::span<SpectralField> out,
                           SpectralWorkspace& ws) const;
-  void engine_uv(const LatPairing& lp,
-                 const std::vector<const SpectralField*>& psis,
-                 const std::vector<const SpectralField*>& chis,
-                 const std::vector<Field2Dd*>& Us,
-                 const std::vector<Field2Dd*>& Vs,
-                 SpectralWorkspace& ws) const;
+  void uv_fields(const LatPairing& lp, Spectra psis, Spectra chis,
+                 OutGrids Us, OutGrids Vs, SpectralWorkspace& ws) const;
+
+  /// Run body(lo, count, workspace) over fields [0, nf) split over \p team
+  /// (or inline, whole, when it is null): member 0 uses \p ws, member m
+  /// ws.members[m - 1].
+  template <typename Body>
+  static void split_fields(par::Team* team, std::size_t nf,
+                           SpectralWorkspace& ws, Body&& body);
 
   const GaussianGrid& grid_;
   int mmax_;
@@ -283,6 +320,10 @@ class ParSpectralTransform {
                        std::vector<int> my_lats);
 
   const std::vector<int>& my_lats() const { return my_lats_; }
+
+  /// Split every later batched call by field over \p team (null: run on
+  /// the calling thread alone). The team must outlive its use here.
+  void set_team(par::Team* team) { team_ = team; }
 
   SpectralField analyze(par::Comm& comm, const Field2Dd& f) const;
   void synthesize(const SpectralField& s, Field2Dd& f) const;
@@ -321,6 +362,7 @@ class ParSpectralTransform {
   std::vector<int> my_lats_;
   SpectralTransform::LatPairing pairing_;  // folding groups within my_lats
   mutable SpectralWorkspace ws_;
+  par::Team* team_ = nullptr;
 };
 
 }  // namespace foam::numerics

@@ -41,6 +41,31 @@ par::Decomp2D make_ocean_decomp(const OceanConfig& cfg, par::Comm* comm,
 
 }  // namespace
 
+OceanModel::MemberScratch::MemberScratch(
+    const numerics::PolarFourierFilter& filter, int nx, int nz)
+    : filter_ws(filter),
+      mask(static_cast<std::size_t>(nx)),
+      la(static_cast<std::size_t>(nz)),
+      lb(static_cast<std::size_t>(nz)),
+      lc(static_cast<std::size_t>(nz)),
+      ld(static_cast<std::size_t>(nz)),
+      cp(static_cast<std::size_t>(nz)) {}
+
+void OceanModel::set_team(par::Team* team) {
+  team_ = team;
+  const std::size_t members =
+      team != nullptr ? static_cast<std::size_t>(team->size()) : 1;
+  while (scratch_.size() < members)
+    scratch_.emplace_back(filter_, cfg_.nx, cfg_.nz);
+}
+
+template <typename Body>
+void OceanModel::bands(int lo, int hi, Body&& body) {
+  par::for_chunks(team_, hi - lo, [&](int m, int a, int b) {
+    body(m, lo + a, lo + b);
+  });
+}
+
 OceanModel::OceanModel(const OceanConfig& cfg,
                        const numerics::MercatorGrid& grid,
                        const Field2Dd& bathymetry, par::Comm* comm, int px)
@@ -52,8 +77,7 @@ OceanModel::OceanModel(const OceanConfig& cfg,
       mask2d_(cfg.nx, cfg.ny, 0),
       depth_(cfg.nx, cfg.ny, 0.0),
       filter_(grid, cfg.filter_lat),
-      filter_ws_(filter_),
-      filter_mask_(static_cast<std::size_t>(cfg.nx)),
+      scratch_(1, MemberScratch(filter_, cfg.nx, cfg.nz)),
       decomp_(make_ocean_decomp(cfg, comm, px)),
       up_(cfg.nx, cfg.ny, cfg.nz, 0.0),
       vp_(cfg.nx, cfg.ny, cfg.nz, 0.0),
@@ -368,107 +392,119 @@ void OceanModel::exchange_halo(Field3Dd& f) {
 void OceanModel::density() {
   const int lo = std::max(0, j0_ - 1);
   const int hi = std::min(cfg_.ny, j1_ + 1);
-  for (int j = lo; j < hi; ++j)
-    for (const int i : xext_)
-      for (int k = 0; k < levels_(i, j); ++k)
-        rho_(i, j, k) =
-            cfg_.rho0 * (1.0 - cfg_.alpha_t * (t_(i, j, k) - cfg_.t_ref) +
-                         cfg_.beta_s * (s_(i, j, k) - cfg_.s_ref));
+  bands(lo, hi, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j)
+      for (const int i : xext_)
+        for (int k = 0; k < levels_(i, j); ++k)
+          rho_(i, j, k) =
+              cfg_.rho0 * (1.0 - cfg_.alpha_t * (t_(i, j, k) - cfg_.t_ref) +
+                           cfg_.beta_s * (s_(i, j, k) - cfg_.s_ref));
+  });
 }
 
 void OceanModel::baroclinic_pressure() {
   const int lo = std::max(0, j0_ - 1);
   const int hi = std::min(cfg_.ny, j1_ + 1);
-  for (int j = lo; j < hi; ++j) {
-    for (const int i : xext_) {
-      const int lev = levels_(i, j);
-      double p = 0.0;
-      double rho_above = 0.0;
-      for (int k = 0; k < lev; ++k) {
-        const double rp = rho_(i, j, k) - cfg_.rho0;
-        if (k == 0) {
-          p = gravity * rp * 0.5 * vgrid_.dz(0);
-        } else {
-          p += gravity * 0.5 *
-               (rho_above * vgrid_.dz(k - 1) + rp * vgrid_.dz(k));
+  bands(lo, hi, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
+      for (const int i : xext_) {
+        const int lev = levels_(i, j);
+        double p = 0.0;
+        double rho_above = 0.0;
+        for (int k = 0; k < lev; ++k) {
+          const double rp = rho_(i, j, k) - cfg_.rho0;
+          if (k == 0) {
+            p = gravity * rp * 0.5 * vgrid_.dz(0);
+          } else {
+            p += gravity * 0.5 *
+                 (rho_above * vgrid_.dz(k - 1) + rp * vgrid_.dz(k));
+          }
+          pbc_(i, j, k) = p;
+          rho_above = rp;
         }
-        pbc_(i, j, k) = p;
-        rho_above = rp;
       }
     }
-  }
+  });
 }
 
 void OceanModel::pressure_forces() {
   const int nx = cfg_.nx;
-  for (int j = j0_; j < j1_; ++j) {
-    const double inv2dx = 1.0 / (2.0 * dx(j));
-    const double inv2dy = 1.0 / (2.0 * dy(j));
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      double sx = 0.0, sy = 0.0, h = 0.0;
-      for (int k = 0; k < lev; ++k) {
-        double fx = 0.0, fy = 0.0;
-        if (cfg_.enable_baroclinic_pg) {
-          // Ghost-mirror closure at walls (a dry neighbour mirrors the
-          // centre pressure): wall columns still feel pressure restoring,
-          // at half the centred magnitude.
-          const double pc = pbc_(i, j, k);
-          const double pe =
-              wet((i + 1) % nx, j, k) ? pbc_.wrap_x(i + 1, j, k) : pc;
-          const double pw =
-              wet((i + nx - 1) % nx, j, k) ? pbc_.wrap_x(i - 1, j, k) : pc;
-          fx = -(pe - pw) * inv2dx / cfg_.rho0;
-          const double pn =
-              (j + 1 < cfg_.ny && wet(i, j + 1, k)) ? pbc_(i, j + 1, k) : pc;
-          const double ps =
-              (j - 1 >= 0 && wet(i, j - 1, k)) ? pbc_(i, j - 1, k) : pc;
-          fy = -(pn - ps) * inv2dy / cfg_.rho0;
+  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
+      const double inv2dx = 1.0 / (2.0 * dx(j));
+      const double inv2dy = 1.0 / (2.0 * dy(j));
+      for (int i = i0_; i < i1_; ++i) {
+        const int lev = levels_(i, j);
+        double sx = 0.0, sy = 0.0, h = 0.0;
+        for (int k = 0; k < lev; ++k) {
+          double fx = 0.0, fy = 0.0;
+          if (cfg_.enable_baroclinic_pg) {
+            // Ghost-mirror closure at walls (a dry neighbour mirrors the
+            // centre pressure): wall columns still feel pressure restoring,
+            // at half the centred magnitude.
+            const double pc = pbc_(i, j, k);
+            const double pe =
+                wet((i + 1) % nx, j, k) ? pbc_.wrap_x(i + 1, j, k) : pc;
+            const double pw =
+                wet((i + nx - 1) % nx, j, k) ? pbc_.wrap_x(i - 1, j, k) : pc;
+            fx = -(pe - pw) * inv2dx / cfg_.rho0;
+            const double pn =
+                (j + 1 < cfg_.ny && wet(i, j + 1, k)) ? pbc_(i, j + 1, k) : pc;
+            const double ps =
+                (j - 1 >= 0 && wet(i, j - 1, k)) ? pbc_(i, j - 1, k) : pc;
+            fy = -(pn - ps) * inv2dy / cfg_.rho0;
+          }
+          gx_(i, j, k) = fx;
+          gy_(i, j, k) = fy;
+          sx += fx * vgrid_.dz(k);
+          sy += fy * vgrid_.dz(k);
+          h += vgrid_.dz(k);
         }
-        gx_(i, j, k) = fx;
-        gy_(i, j, k) = fy;
-        sx += fx * vgrid_.dz(k);
-        sy += fy * vgrid_.dz(k);
-        h += vgrid_.dz(k);
+        fbar_x_(i, j) = h > 0.0 ? sx / h : 0.0;
+        fbar_y_(i, j) = h > 0.0 ? sy / h : 0.0;
       }
-      fbar_x_(i, j) = h > 0.0 ? sx / h : 0.0;
-      fbar_y_(i, j) = h > 0.0 ? sy / h : 0.0;
     }
-  }
+  });
 }
 
 void OceanModel::implicit_vertical(Field3Dd& f, const Field3Dd& coeff,
                                    double dt) {
-  std::vector<double> la(cfg_.nz), lb(cfg_.nz), lc(cfg_.nz), ld(cfg_.nz),
-      cp(cfg_.nz);
-  for (int j = j0_; j < j1_; ++j) {
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      if (lev < 2) continue;
-      la.assign(lev, 0.0);
-      lb.assign(lev, 1.0);
-      lc.assign(lev, 0.0);
-      ld.assign(lev, 0.0);
-      for (int k = 0; k < lev; ++k) {
-        const double dzk = vgrid_.dz(k);
-        if (k > 0) {
-          const double dzi = 0.5 * (vgrid_.dz(k - 1) + vgrid_.dz(k));
-          const double r = dt * coeff(i, j, k) / (dzk * dzi);
-          la[k] = -r;
-          lb[k] += r;
+  bands(j0_, j1_, [&](int m, int jlo, int jhi) {
+    // The member's column scratch (capacity nz: assign never allocates).
+    MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    std::vector<double>& la = sc.la;
+    std::vector<double>& lb = sc.lb;
+    std::vector<double>& lc = sc.lc;
+    std::vector<double>& ld = sc.ld;
+    for (int j = jlo; j < jhi; ++j) {
+      for (int i = i0_; i < i1_; ++i) {
+        const int lev = levels_(i, j);
+        if (lev < 2) continue;
+        la.assign(lev, 0.0);
+        lb.assign(lev, 1.0);
+        lc.assign(lev, 0.0);
+        ld.assign(lev, 0.0);
+        for (int k = 0; k < lev; ++k) {
+          const double dzk = vgrid_.dz(k);
+          if (k > 0) {
+            const double dzi = 0.5 * (vgrid_.dz(k - 1) + vgrid_.dz(k));
+            const double r = dt * coeff(i, j, k) / (dzk * dzi);
+            la[k] = -r;
+            lb[k] += r;
+          }
+          if (k < lev - 1) {
+            const double dzi = 0.5 * (vgrid_.dz(k) + vgrid_.dz(k + 1));
+            const double r = dt * coeff(i, j, k + 1) / (dzk * dzi);
+            lc[k] = -r;
+            lb[k] += r;
+          }
+          ld[k] = f(i, j, k);
         }
-        if (k < lev - 1) {
-          const double dzi = 0.5 * (vgrid_.dz(k) + vgrid_.dz(k + 1));
-          const double r = dt * coeff(i, j, k + 1) / (dzk * dzi);
-          lc[k] = -r;
-          lb[k] += r;
-        }
-        ld[k] = f(i, j, k);
+        numerics::solve_tridiag(la, lb, lc, ld, sc.cp);
+        for (int k = 0; k < lev; ++k) f(i, j, k) = ld[k];
       }
-      numerics::solve_tridiag(la, lb, lc, ld, cp);
-      for (int k = 0; k < lev; ++k) f(i, j, k) = ld[k];
     }
-  }
+  });
 }
 
 void OceanModel::internal_momentum_step() {
@@ -490,48 +526,58 @@ void OceanModel::internal_momentum_step() {
     const Field3Dd& vel_prev = (pass == 0) ? up_prev_ : vp_prev_;
     Field3Dd& tend = (pass == 0) ? gx_ : gy_;
     for (int k = 0; k < cfg_.nz; ++k) {
-      for (int j = 0; j < cfg_.ny; ++j)
-        for (int i = 0; i < nx; ++i) kmask(i, j) = wet(i, j, k) ? 1 : 0;
+      bands(0, cfg_.ny, [&](int, int jlo, int jhi) {
+        for (int j = jlo; j < jhi; ++j)
+          for (int i = 0; i < nx; ++i) kmask(i, j) = wet(i, j, k) ? 1 : 0;
+      });
       const int lo = std::max(0, j0_ - 1);
       const int hi = std::min(cfg_.ny, j1_ + 1);
-      for (int j = lo; j < hi; ++j)
-        for (const int i : xext_) lvl(i, j) = vel_prev(i, j, k);
+      bands(lo, hi, [&](int, int jlo, int jhi) {
+        for (int j = jlo; j < jhi; ++j)
+          for (const int i : xext_) lvl(i, j) = vel_prev(i, j, k);
+      });
       // No-slip Laplacian: a land neighbour contributes zero velocity so
       // boundary currents feel sidewall friction. Computed on the owned
       // box; the halo ring arrives by exchange below.
-      for (int j = j0_; j < j1_; ++j) {
-        const double ix2 = 1.0 / (dx(j) * dx(j));
-        const double iy2 = 1.0 / (dy(j) * dy(j));
-        for (int i = i0_; i < i1_; ++i) {
-          if (kmask(i, j) == 0) {
-            lap1(i, j) = 0.0;
-            continue;
+      bands(j0_, j1_, [&](int, int jlo, int jhi) {
+        for (int j = jlo; j < jhi; ++j) {
+          const double ix2 = 1.0 / (dx(j) * dx(j));
+          const double iy2 = 1.0 / (dy(j) * dy(j));
+          for (int i = i0_; i < i1_; ++i) {
+            if (kmask(i, j) == 0) {
+              lap1(i, j) = 0.0;
+              continue;
+            }
+            const double c = lvl(i, j);
+            const double e =
+                kmask.wrap_x(i + 1, j) ? lvl.wrap_x(i + 1, j) : 0.0;
+            const double w2 =
+                kmask.wrap_x(i - 1, j) ? lvl.wrap_x(i - 1, j) : 0.0;
+            const double n2 =
+                (j + 1 < cfg_.ny && kmask(i, j + 1)) ? lvl(i, j + 1) : 0.0;
+            const double s2 =
+                (j > 0 && kmask(i, j - 1)) ? lvl(i, j - 1) : 0.0;
+            lap1(i, j) =
+                (e - 2.0 * c + w2) * ix2 + (n2 - 2.0 * c + s2) * iy2;
           }
-          const double c = lvl(i, j);
-          const double e =
-              kmask.wrap_x(i + 1, j) ? lvl.wrap_x(i + 1, j) : 0.0;
-          const double w2 =
-              kmask.wrap_x(i - 1, j) ? lvl.wrap_x(i - 1, j) : 0.0;
-          const double n2 =
-              (j + 1 < cfg_.ny && kmask(i, j + 1)) ? lvl(i, j + 1) : 0.0;
-          const double s2 =
-              (j > 0 && kmask(i, j - 1)) ? lvl(i, j - 1) : 0.0;
-          lap1(i, j) =
-              (e - 2.0 * c + w2) * ix2 + (n2 - 2.0 * c + s2) * iy2;
         }
-      }
+      });
       exchange_halo(lap1);
-      numerics::laplacian_masked(grid_, lap1, kmask, lap2);
-      for (int j = j0_; j < j1_; ++j) {
-        const double d = dx(j);
-        // Caps keep the explicit (lagged, effective step 2dt) updates
-        // monotone on the shrinking polar cells.
-        const double cap4 = 0.0025 * d * d * d * d / dt;
-        const double a4 = std::min(cfg_.visc4, cap4);
-        for (int i = i0_; i < i1_; ++i)
-          if (wet(i, j, k))
-            tend(i, j, k) += cfg_.visc_h * lap1(i, j) - a4 * lap2(i, j);
-      }
+      // lap2 is read at its own cell only, so each band computes its rows
+      // of it and applies them in one pass (owned rows are all it needs).
+      bands(j0_, j1_, [&](int, int jlo, int jhi) {
+        numerics::laplacian_masked_rows(grid_, lap1, kmask, lap2, jlo, jhi);
+        for (int j = jlo; j < jhi; ++j) {
+          const double d = dx(j);
+          // Caps keep the explicit (lagged, effective step 2dt) updates
+          // monotone on the shrinking polar cells.
+          const double cap4 = 0.0025 * d * d * d * d / dt;
+          const double a4 = std::min(cfg_.visc4, cap4);
+          for (int i = i0_; i < i1_; ++i)
+            if (wet(i, j, k))
+              tend(i, j, k) += cfg_.visc_h * lap1(i, j) - a4 * lap2(i, j);
+        }
+      });
     }
   }
 
@@ -539,57 +585,61 @@ void OceanModel::internal_momentum_step() {
   if (cfg_.div_damp > 0.0) {
     for (int k = 0; k < cfg_.nz; ++k) {
       // Computed on the owned box; the halo ring arrives by exchange.
-      for (int j = j0_; j < j1_; ++j) {
-        const double invdx = 1.0 / dx(j);
-        const double invdy = 1.0 / dy(j);
-        for (int i = i0_; i < i1_; ++i) {
-          if (!wet(i, j, k)) {
-            divf(i, j) = 0.0;
-            continue;
+      bands(j0_, j1_, [&](int, int jlo, int jhi) {
+        for (int j = jlo; j < jhi; ++j) {
+          const double invdx = 1.0 / dx(j);
+          const double invdy = 1.0 / dy(j);
+          for (int i = i0_; i < i1_; ++i) {
+            if (!wet(i, j, k)) {
+              divf(i, j) = 0.0;
+              continue;
+            }
+            const int ie = (i + 1) % nx;
+            const int iw = (i + nx - 1) % nx;
+            const double ue =
+                wet(ie, j, k)
+                    ? 0.5 * (up_prev_(i, j, k) + up_prev_(ie, j, k))
+                    : 0.0;
+            const double uw =
+                wet(iw, j, k)
+                    ? 0.5 * (up_prev_(iw, j, k) + up_prev_(i, j, k))
+                    : 0.0;
+            const double vn =
+                (j + 1 < cfg_.ny && wet(i, j + 1, k))
+                    ? 0.5 * (vp_prev_(i, j, k) + vp_prev_(i, j + 1, k))
+                    : 0.0;
+            const double vs =
+                (j - 1 >= 0 && wet(i, j - 1, k))
+                    ? 0.5 * (vp_prev_(i, j - 1, k) + vp_prev_(i, j, k))
+                    : 0.0;
+            divf(i, j) = (ue - uw) * invdx + (vn - vs) * invdy;
           }
-          const int ie = (i + 1) % nx;
-          const int iw = (i + nx - 1) % nx;
-          const double ue =
-              wet(ie, j, k)
-                  ? 0.5 * (up_prev_(i, j, k) + up_prev_(ie, j, k))
-                  : 0.0;
-          const double uw =
-              wet(iw, j, k)
-                  ? 0.5 * (up_prev_(iw, j, k) + up_prev_(i, j, k))
-                  : 0.0;
-          const double vn =
-              (j + 1 < cfg_.ny && wet(i, j + 1, k))
-                  ? 0.5 * (vp_prev_(i, j, k) + vp_prev_(i, j + 1, k))
-                  : 0.0;
-          const double vs =
-              (j - 1 >= 0 && wet(i, j - 1, k))
-                  ? 0.5 * (vp_prev_(i, j - 1, k) + vp_prev_(i, j, k))
-                  : 0.0;
-          divf(i, j) = (ue - uw) * invdx + (vn - vs) * invdy;
         }
-      }
+      });
       exchange_halo(divf);
-      for (int j = j0_; j < j1_; ++j) {
-        const double inv2dx = 1.0 / (2.0 * dx(j));
-        const double inv2dy = 1.0 / (2.0 * dy(j));
-        const double cap = 0.05 * dx(j) * dx(j) / dt;
-        const double cdd = std::min(cfg_.div_damp, cap);
-        for (int i = i0_; i < i1_; ++i) {
-          if (!wet(i, j, k)) continue;
-          const int ie = (i + 1) % nx;
-          const int iw = (i + nx - 1) % nx;
-          const double de = wet(ie, j, k) ? divf(ie, j) : divf(i, j);
-          const double dw = wet(iw, j, k) ? divf(iw, j) : divf(i, j);
-          gx_(i, j, k) += cdd * (de - dw) * inv2dx;
-          const double dn =
-              (j + 1 < cfg_.ny && wet(i, j + 1, k)) ? divf(i, j + 1)
-                                                    : divf(i, j);
-          const double ds =
-              (j - 1 >= 0 && wet(i, j - 1, k)) ? divf(i, j - 1)
-                                               : divf(i, j);
-          gy_(i, j, k) += cdd * (dn - ds) * inv2dy;
+      bands(j0_, j1_, [&](int, int jlo, int jhi) {
+        for (int j = jlo; j < jhi; ++j) {
+          const double inv2dx = 1.0 / (2.0 * dx(j));
+          const double inv2dy = 1.0 / (2.0 * dy(j));
+          const double cap = 0.05 * dx(j) * dx(j) / dt;
+          const double cdd = std::min(cfg_.div_damp, cap);
+          for (int i = i0_; i < i1_; ++i) {
+            if (!wet(i, j, k)) continue;
+            const int ie = (i + 1) % nx;
+            const int iw = (i + nx - 1) % nx;
+            const double de = wet(ie, j, k) ? divf(ie, j) : divf(i, j);
+            const double dw = wet(iw, j, k) ? divf(iw, j) : divf(i, j);
+            gx_(i, j, k) += cdd * (de - dw) * inv2dx;
+            const double dn =
+                (j + 1 < cfg_.ny && wet(i, j + 1, k)) ? divf(i, j + 1)
+                                                      : divf(i, j);
+            const double ds =
+                (j - 1 >= 0 && wet(i, j - 1, k)) ? divf(i, j - 1)
+                                                 : divf(i, j);
+            gy_(i, j, k) += cdd * (dn - ds) * inv2dy;
+          }
         }
-      }
+      });
     }
   }
 
@@ -597,30 +647,32 @@ void OceanModel::internal_momentum_step() {
   // wind deviation + friction(prev)).
   Field3Dd u_new(up_prev_);
   Field3Dd v_new(vp_prev_);
-  for (int j = j0_; j < j1_; ++j) {
-    const double f = 2.0 * earth_omega * std::sin(grid_.lat(j));
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      if (lev == 0) continue;
-      const double ice_scale =
-          1.0 - ice_(i, j) + ice_(i, j) / ice_stress_divisor;
-      const double ax = taux_(i, j) * ice_scale / cfg_.rho0;
-      const double ay = tauy_(i, j) * ice_scale / cfg_.rho0;
-      const double h = depth_(i, j);
-      for (int k = 0; k < lev; ++k) {
-        const double wind_x = (k == 0 ? ax / vgrid_.dz(0) : 0.0) - ax / h;
-        const double wind_y = (k == 0 ? ay / vgrid_.dz(0) : 0.0) - ay / h;
-        const double tx = gx_(i, j, k) - fbar_x_(i, j) + wind_x +
-                          f * vp_(i, j, k) -
-                          cfg_.rayleigh * up_prev_(i, j, k);
-        const double ty = gy_(i, j, k) - fbar_y_(i, j) + wind_y -
-                          f * up_(i, j, k) -
-                          cfg_.rayleigh * vp_prev_(i, j, k);
-        u_new(i, j, k) = up_prev_(i, j, k) + dt2 * tx;
-        v_new(i, j, k) = vp_prev_(i, j, k) + dt2 * ty;
+  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
+      const double f = 2.0 * earth_omega * std::sin(grid_.lat(j));
+      for (int i = i0_; i < i1_; ++i) {
+        const int lev = levels_(i, j);
+        if (lev == 0) continue;
+        const double ice_scale =
+            1.0 - ice_(i, j) + ice_(i, j) / ice_stress_divisor;
+        const double ax = taux_(i, j) * ice_scale / cfg_.rho0;
+        const double ay = tauy_(i, j) * ice_scale / cfg_.rho0;
+        const double h = depth_(i, j);
+        for (int k = 0; k < lev; ++k) {
+          const double wind_x = (k == 0 ? ax / vgrid_.dz(0) : 0.0) - ax / h;
+          const double wind_y = (k == 0 ? ay / vgrid_.dz(0) : 0.0) - ay / h;
+          const double tx = gx_(i, j, k) - fbar_x_(i, j) + wind_x +
+                            f * vp_(i, j, k) -
+                            cfg_.rayleigh * up_prev_(i, j, k);
+          const double ty = gy_(i, j, k) - fbar_y_(i, j) + wind_y -
+                            f * up_(i, j, k) -
+                            cfg_.rayleigh * vp_prev_(i, j, k);
+          u_new(i, j, k) = up_prev_(i, j, k) + dt2 * tx;
+          v_new(i, j, k) = vp_prev_(i, j, k) + dt2 * ty;
+        }
       }
     }
-  }
+  });
 
   // Implicit vertical viscosity on the new level.
   if (cfg_.enable_vmix) {
@@ -630,60 +682,64 @@ void OceanModel::internal_momentum_step() {
 
   // Wall-normal damping, deep/bottom drag and the hard safety clamp.
   const double keep = cfg_.wall_normal_retain;
-  for (int j = j0_; j < j1_; ++j) {
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      if (lev == 0) continue;
-      if (keep < 1.0) {
+  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
+      for (int i = i0_; i < i1_; ++i) {
+        const int lev = levels_(i, j);
+        if (lev == 0) continue;
+        if (keep < 1.0) {
+          for (int k = 0; k < lev; ++k) {
+            if (!wet((i + 1) % nx, j, k) || !wet((i + nx - 1) % nx, j, k))
+              u_new(i, j, k) *= keep;
+            if (j + 1 >= cfg_.ny || j - 1 < 0 || !wet(i, j + 1, k) ||
+                !wet(i, j - 1, k))
+              v_new(i, j, k) *= keep;
+          }
+        }
+        // Frictional abyss: the two deepest layers of the *deviation* flow
+        // are strongly damped (bottom boundary layer + unresolved topographic
+        // form drag); cliff-trapped bottom modes otherwise survive every
+        // interior dissipation mechanism. The barotropic mode has its own
+        // bottom drag — coupling the two through this term would let a noisy
+        // ub manufacture deviation velocity.
+        for (int kb = std::max(0, lev - 2); kb < lev; ++kb) {
+          const double speed =
+              std::sqrt(u_new(i, j, kb) * u_new(i, j, kb) +
+                        v_new(i, j, kb) * v_new(i, j, kb));
+          const double fac =
+              1.0 / (1.0 + dt2 * (cfg_.deep_drag +
+                                  2.5e-3 * speed / vgrid_.dz(kb)));
+          u_new(i, j, kb) *= fac;
+          v_new(i, j, kb) *= fac;
+        }
         for (int k = 0; k < lev; ++k) {
-          if (!wet((i + 1) % nx, j, k) || !wet((i + nx - 1) % nx, j, k))
-            u_new(i, j, k) *= keep;
-          if (j + 1 >= cfg_.ny || j - 1 < 0 || !wet(i, j + 1, k) ||
-              !wet(i, j - 1, k))
-            v_new(i, j, k) *= keep;
+          u_new(i, j, k) = std::clamp(u_new(i, j, k), -cfg_.max_baroclinic,
+                                      cfg_.max_baroclinic);
+          v_new(i, j, k) = std::clamp(v_new(i, j, k), -cfg_.max_baroclinic,
+                                      cfg_.max_baroclinic);
         }
       }
-      // Frictional abyss: the two deepest layers of the *deviation* flow
-      // are strongly damped (bottom boundary layer + unresolved topographic
-      // form drag); cliff-trapped bottom modes otherwise survive every
-      // interior dissipation mechanism. The barotropic mode has its own
-      // bottom drag — coupling the two through this term would let a noisy
-      // ub manufacture deviation velocity.
-      for (int kb = std::max(0, lev - 2); kb < lev; ++kb) {
-        const double speed =
-            std::sqrt(u_new(i, j, kb) * u_new(i, j, kb) +
-                      v_new(i, j, kb) * v_new(i, j, kb));
-        const double fac =
-            1.0 / (1.0 + dt2 * (cfg_.deep_drag +
-                                2.5e-3 * speed / vgrid_.dz(kb)));
-        u_new(i, j, kb) *= fac;
-        v_new(i, j, kb) *= fac;
-      }
-      for (int k = 0; k < lev; ++k) {
-        u_new(i, j, k) =
-            std::clamp(u_new(i, j, k), -cfg_.max_baroclinic, cfg_.max_baroclinic);
-        v_new(i, j, k) =
-            std::clamp(v_new(i, j, k), -cfg_.max_baroclinic, cfg_.max_baroclinic);
-      }
     }
-  }
+  });
 
   // Robert-Asselin filter on the centre level, then rotate time levels.
   const double eps = cfg_.asselin;
-  for (int j = j0_; j < j1_; ++j) {
-    for (int i = i0_; i < i1_; ++i) {
-      for (int k = 0; k < levels_(i, j); ++k) {
-        up_prev_(i, j, k) =
-            up_(i, j, k) +
-            eps * (u_new(i, j, k) - 2.0 * up_(i, j, k) + up_prev_(i, j, k));
-        vp_prev_(i, j, k) =
-            vp_(i, j, k) +
-            eps * (v_new(i, j, k) - 2.0 * vp_(i, j, k) + vp_prev_(i, j, k));
-        up_(i, j, k) = u_new(i, j, k);
-        vp_(i, j, k) = v_new(i, j, k);
+  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
+      for (int i = i0_; i < i1_; ++i) {
+        for (int k = 0; k < levels_(i, j); ++k) {
+          up_prev_(i, j, k) =
+              up_(i, j, k) +
+              eps * (u_new(i, j, k) - 2.0 * up_(i, j, k) + up_prev_(i, j, k));
+          vp_prev_(i, j, k) =
+              vp_(i, j, k) +
+              eps * (v_new(i, j, k) - 2.0 * vp_(i, j, k) + vp_prev_(i, j, k));
+          up_(i, j, k) = u_new(i, j, k);
+          vp_(i, j, k) = v_new(i, j, k);
+        }
       }
     }
-  }
+  });
   have_mom_prev_ = true;
 
   enforce_zero_depth_mean();
@@ -712,37 +768,40 @@ void OceanModel::enforce_zero_depth_mean() {
   // be de-meaned as well (without a second transfer): a mean left in
   // up_prev_ would be re-injected by the next leapfrog update and pump ub
   // without bound.
-  for (int j = j0_; j < j1_; ++j) {
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      if (lev == 0) continue;
-      double su = 0.0, sv = 0.0, spu = 0.0, spv = 0.0;
-      for (int k = 0; k < lev; ++k) {
-        su += up_(i, j, k) * vgrid_.dz(k);
-        sv += vp_(i, j, k) * vgrid_.dz(k);
-        spu += up_prev_(i, j, k) * vgrid_.dz(k);
-        spv += vp_prev_(i, j, k) * vgrid_.dz(k);
+  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
+      for (int i = i0_; i < i1_; ++i) {
+        const int lev = levels_(i, j);
+        if (lev == 0) continue;
+        double su = 0.0, sv = 0.0, spu = 0.0, spv = 0.0;
+        for (int k = 0; k < lev; ++k) {
+          su += up_(i, j, k) * vgrid_.dz(k);
+          sv += vp_(i, j, k) * vgrid_.dz(k);
+          spu += up_prev_(i, j, k) * vgrid_.dz(k);
+          spv += vp_prev_(i, j, k) * vgrid_.dz(k);
+        }
+        const double mu = su / depth_(i, j);
+        const double mv = sv / depth_(i, j);
+        const double mpu = spu / depth_(i, j);
+        const double mpv = spv / depth_(i, j);
+        for (int k = 0; k < lev; ++k) {
+          up_(i, j, k) -= mu;
+          vp_(i, j, k) -= mv;
+          up_prev_(i, j, k) -= mpu;
+          vp_prev_(i, j, k) -= mpv;
+        }
+        ub_(i, j) += mu;
+        vb_(i, j) += mv;
       }
-      const double mu = su / depth_(i, j);
-      const double mv = sv / depth_(i, j);
-      const double mpu = spu / depth_(i, j);
-      const double mpv = spv / depth_(i, j);
-      for (int k = 0; k < lev; ++k) {
-        up_(i, j, k) -= mu;
-        vp_(i, j, k) -= mv;
-        up_prev_(i, j, k) -= mpu;
-        vp_prev_(i, j, k) -= mpv;
-      }
-      ub_(i, j) += mu;
-      vb_(i, j) += mv;
     }
-  }
+  });
 }
 
 void OceanModel::index_biharmonic_filter(Field2Dd& f, double eps) {
   const int nx = cfg_.nx;
-  auto index_laplacian = [&](const Field2Dd& src, Field2Dd& dst) {
-    for (int j = j0_; j < j1_; ++j) {
+  auto index_laplacian = [&](const Field2Dd& src, Field2Dd& dst, int jlo,
+                             int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
       for (int i = i0_; i < i1_; ++i) {
         if (mask2d_(i, j) == 0) {
           dst(i, j) = 0.0;
@@ -760,13 +819,17 @@ void OceanModel::index_biharmonic_filter(Field2Dd& f, double eps) {
     }
   };
   Field2Dd lap(nx, cfg_.ny, 0.0), lap2(nx, cfg_.ny, 0.0);
-  index_laplacian(f, lap);
+  bands(j0_, j1_,
+       [&](int, int jlo, int jhi) { index_laplacian(f, lap, jlo, jhi); });
   exchange_halo(lap);
-  index_laplacian(lap, lap2);
+  // The update reads lap2 at its own cell only: one pass per band.
   const double scale = eps / 64.0;
-  for (int j = j0_; j < j1_; ++j)
-    for (int i = i0_; i < i1_; ++i)
-      if (mask2d_(i, j) != 0) f(i, j) -= scale * lap2(i, j);
+  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    index_laplacian(lap, lap2, jlo, jhi);
+    for (int j = jlo; j < jhi; ++j)
+      for (int i = i0_; i < i1_; ++i)
+        if (mask2d_(i, j) != 0) f(i, j) -= scale * lap2(i, j);
+  });
   exchange_halo(f);
 }
 
@@ -775,46 +838,48 @@ void OceanModel::barotropic_subcycle() {
   const double dtb = cfg_.dt_mom / nsub;
   for (int sub = 0; sub < nsub; ++sub) {
     // Momentum: symmetric Coriolis rotation around the forcing update.
-    for (int j = j0_; j < j1_; ++j) {
-      const double f = 2.0 * earth_omega * std::sin(grid_.lat(j));
-      const double cs = std::cos(0.5 * f * dtb);
-      const double sn = std::sin(0.5 * f * dtb);
-      const double inv2dx = 1.0 / (2.0 * dx(j));
-      const double inv2dy = 1.0 / (2.0 * dy(j));
-      for (int i = i0_; i < i1_; ++i) {
-        if (mask2d_(i, j) == 0) continue;
-        // Ghost-mirror closure at walls for the surface PG.
-        const bool we = mask2d_.wrap_x(i + 1, j) != 0;
-        const bool ww = mask2d_.wrap_x(i - 1, j) != 0;
-        const double ee = we ? eta_.wrap_x(i + 1, j) : eta_(i, j);
-        const double ew = ww ? eta_.wrap_x(i - 1, j) : eta_(i, j);
-        const double detadx = (ee - ew) * inv2dx;
-        const bool wn = j + 1 < cfg_.ny && mask2d_(i, j + 1) != 0;
-        const bool ws = j - 1 >= 0 && mask2d_(i, j - 1) != 0;
-        const double en = wn ? eta_(i, j + 1) : eta_(i, j);
-        const double es = ws ? eta_(i, j - 1) : eta_(i, j);
-        const double detady = (en - es) * inv2dy;
-        const double ice_scale =
-            1.0 - ice_(i, j) + ice_(i, j) / ice_stress_divisor;
-        const double h = depth_(i, j);
-        const double gxb = fbar_x_(i, j) +
-                           taux_(i, j) * ice_scale / (cfg_.rho0 * h) -
-                           gravity * detadx;
-        const double gyb = fbar_y_(i, j) +
-                           tauy_(i, j) * ice_scale / (cfg_.rho0 * h) -
-                           gravity * detady;
-        const double u_old = ub_(i, j);
-        const double v_old = vb_(i, j);
-        double u1 = cs * u_old + sn * v_old;
-        double v1 = -sn * u_old + cs * v_old;
-        u1 += dtb * (gxb - cfg_.bottom_drag * u_old);
-        v1 += dtb * (gyb - cfg_.bottom_drag * v_old);
-        ub_(i, j) =
-            std::clamp(cs * u1 + sn * v1, -cfg_.max_barotropic, cfg_.max_barotropic);
-        vb_(i, j) =
-            std::clamp(-sn * u1 + cs * v1, -cfg_.max_barotropic, cfg_.max_barotropic);
+    bands(j0_, j1_, [&](int, int jlo, int jhi) {
+      for (int j = jlo; j < jhi; ++j) {
+        const double f = 2.0 * earth_omega * std::sin(grid_.lat(j));
+        const double cs = std::cos(0.5 * f * dtb);
+        const double sn = std::sin(0.5 * f * dtb);
+        const double inv2dx = 1.0 / (2.0 * dx(j));
+        const double inv2dy = 1.0 / (2.0 * dy(j));
+        for (int i = i0_; i < i1_; ++i) {
+          if (mask2d_(i, j) == 0) continue;
+          // Ghost-mirror closure at walls for the surface PG.
+          const bool we = mask2d_.wrap_x(i + 1, j) != 0;
+          const bool ww = mask2d_.wrap_x(i - 1, j) != 0;
+          const double ee = we ? eta_.wrap_x(i + 1, j) : eta_(i, j);
+          const double ew = ww ? eta_.wrap_x(i - 1, j) : eta_(i, j);
+          const double detadx = (ee - ew) * inv2dx;
+          const bool wn = j + 1 < cfg_.ny && mask2d_(i, j + 1) != 0;
+          const bool ws = j - 1 >= 0 && mask2d_(i, j - 1) != 0;
+          const double en = wn ? eta_(i, j + 1) : eta_(i, j);
+          const double es = ws ? eta_(i, j - 1) : eta_(i, j);
+          const double detady = (en - es) * inv2dy;
+          const double ice_scale =
+              1.0 - ice_(i, j) + ice_(i, j) / ice_stress_divisor;
+          const double h = depth_(i, j);
+          const double gxb = fbar_x_(i, j) +
+                             taux_(i, j) * ice_scale / (cfg_.rho0 * h) -
+                             gravity * detadx;
+          const double gyb = fbar_y_(i, j) +
+                             tauy_(i, j) * ice_scale / (cfg_.rho0 * h) -
+                             gravity * detady;
+          const double u_old = ub_(i, j);
+          const double v_old = vb_(i, j);
+          double u1 = cs * u_old + sn * v_old;
+          double v1 = -sn * u_old + cs * v_old;
+          u1 += dtb * (gxb - cfg_.bottom_drag * u_old);
+          v1 += dtb * (gyb - cfg_.bottom_drag * v_old);
+          ub_(i, j) = std::clamp(cs * u1 + sn * v1, -cfg_.max_barotropic,
+                                 cfg_.max_barotropic);
+          vb_(i, j) = std::clamp(-sn * u1 + cs * v1, -cfg_.max_barotropic,
+                                 cfg_.max_barotropic);
+        }
       }
-    }
+    });
     // The momentum update touched owned rows only; refresh halos before
     // any stencil (the index filter, continuity) reads neighbours.
     exchange_halo(ub_);
@@ -823,16 +888,18 @@ void OceanModel::barotropic_subcycle() {
     // already zero; the velocity itself must not ring).
     if (cfg_.wall_normal_retain < 1.0) {
       const double keep = cfg_.wall_normal_retain;
-      for (int j = j0_; j < j1_; ++j) {
-        for (int i = i0_; i < i1_; ++i) {
-          if (mask2d_(i, j) == 0) continue;
-          if (mask2d_.wrap_x(i + 1, j) == 0 || mask2d_.wrap_x(i - 1, j) == 0)
-            ub_(i, j) *= keep;
-          if (j + 1 >= cfg_.ny || j - 1 < 0 || mask2d_(i, j + 1) == 0 ||
-              mask2d_(i, j - 1) == 0)
-            vb_(i, j) *= keep;
+      bands(j0_, j1_, [&](int, int jlo, int jhi) {
+        for (int j = jlo; j < jhi; ++j) {
+          for (int i = i0_; i < i1_; ++i) {
+            if (mask2d_(i, j) == 0) continue;
+            if (mask2d_.wrap_x(i + 1, j) == 0 || mask2d_.wrap_x(i - 1, j) == 0)
+              ub_(i, j) *= keep;
+            if (j + 1 >= cfg_.ny || j - 1 < 0 || mask2d_(i, j + 1) == 0 ||
+                mask2d_(i, j - 1) == 0)
+              vb_(i, j) *= keep;
+          }
         }
-      }
+      });
     }
     exchange_halo(ub_);
     exchange_halo(vb_);
@@ -843,33 +910,35 @@ void OceanModel::barotropic_subcycle() {
     // Continuity, slowed by 1/slow_factor: the external wave speed drops by
     // sqrt(slow_factor) while steady circulation is untouched (the Tobis
     // slowed-barotropic scheme).
-    for (int j = j0_; j < j1_; ++j) {
-      const double invdx = 1.0 / dx(j);
-      const double invdy = 1.0 / dy(j);
-      for (int i = i0_; i < i1_; ++i) {
-        if (mask2d_(i, j) == 0) continue;
-        auto flux_x = [&](int ia, int ib) {
-          if (mask2d_.wrap_x(ia, j) == 0 || mask2d_.wrap_x(ib, j) == 0)
-            return 0.0;
-          const double hf =
-              std::min(depth_.wrap_x(ia, j), depth_.wrap_x(ib, j));
-          return hf * 0.5 * (ub_.wrap_x(ia, j) + ub_.wrap_x(ib, j));
-        };
-        const double fe = flux_x(i, i + 1);
-        const double fwst = flux_x(i - 1, i);
-        double fn = 0.0, fs = 0.0;
-        if (j + 1 < cfg_.ny && mask2d_(i, j + 1) != 0) {
-          const double hf = std::min(depth_(i, j), depth_(i, j + 1));
-          fn = hf * 0.5 * (vb_(i, j) + vb_(i, j + 1));
+    bands(j0_, j1_, [&](int, int jlo, int jhi) {
+      for (int j = jlo; j < jhi; ++j) {
+        const double invdx = 1.0 / dx(j);
+        const double invdy = 1.0 / dy(j);
+        for (int i = i0_; i < i1_; ++i) {
+          if (mask2d_(i, j) == 0) continue;
+          auto flux_x = [&](int ia, int ib) {
+            if (mask2d_.wrap_x(ia, j) == 0 || mask2d_.wrap_x(ib, j) == 0)
+              return 0.0;
+            const double hf =
+                std::min(depth_.wrap_x(ia, j), depth_.wrap_x(ib, j));
+            return hf * 0.5 * (ub_.wrap_x(ia, j) + ub_.wrap_x(ib, j));
+          };
+          const double fe = flux_x(i, i + 1);
+          const double fwst = flux_x(i - 1, i);
+          double fn = 0.0, fs = 0.0;
+          if (j + 1 < cfg_.ny && mask2d_(i, j + 1) != 0) {
+            const double hf = std::min(depth_(i, j), depth_(i, j + 1));
+            fn = hf * 0.5 * (vb_(i, j) + vb_(i, j + 1));
+          }
+          if (j - 1 >= 0 && mask2d_(i, j - 1) != 0) {
+            const double hf = std::min(depth_(i, j), depth_(i, j - 1));
+            fs = hf * 0.5 * (vb_(i, j) + vb_(i, j - 1));
+          }
+          const double div = (fe - fwst) * invdx + (fn - fs) * invdy;
+          eta_(i, j) += dtb * (-div / cfg_.slow_factor + fw_(i, j));
         }
-        if (j - 1 >= 0 && mask2d_(i, j - 1) != 0) {
-          const double hf = std::min(depth_(i, j), depth_(i, j - 1));
-          fs = hf * 0.5 * (vb_(i, j) + vb_(i, j - 1));
-        }
-        const double div = (fe - fwst) * invdx + (fn - fs) * invdy;
-        eta_(i, j) += dtb * (-div / cfg_.slow_factor + fw_(i, j));
       }
-    }
+    });
     apply_polar_filter_2d(eta_);
     exchange_halo(eta_);
     if (cfg_.baro_filter_eps > 0.0)
@@ -885,24 +954,26 @@ void OceanModel::vertical_mixing_coefficients() {
   // Pacanowski-Philander (1981) Richardson-dependent mixing with the
   // steeper exponent of Peters, Gregg & Toole that improved the model's
   // west-equatorial-Pacific cold bias (paper §4.2).
-  for (int j = j0_; j < j1_; ++j) {
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      for (int k = 1; k < lev; ++k) {
-        const double dzi = 0.5 * (vgrid_.dz(k - 1) + vgrid_.dz(k));
-        const double du = up_(i, j, k - 1) - up_(i, j, k);
-        const double dv = vp_(i, j, k - 1) - vp_(i, j, k);
-        const double shear2 = (du * du + dv * dv) / (dzi * dzi) + 1.0e-10;
-        const double n2 = -gravity * (rho_(i, j, k - 1) - rho_(i, j, k)) /
-                          (cfg_.rho0 * dzi);
-        const double ri = std::max(0.0, n2 / shear2);
-        const double denom = std::pow(1.0 + 5.0 * ri, cfg_.ri_exponent);
-        nu_(i, j, k) = cfg_.nu0 / denom + cfg_.nu_b;
-        kappa_(i, j, k) =
-            (cfg_.nu0 / denom) / (1.0 + 5.0 * ri) + cfg_.kappa_b;
+  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
+      for (int i = i0_; i < i1_; ++i) {
+        const int lev = levels_(i, j);
+        for (int k = 1; k < lev; ++k) {
+          const double dzi = 0.5 * (vgrid_.dz(k - 1) + vgrid_.dz(k));
+          const double du = up_(i, j, k - 1) - up_(i, j, k);
+          const double dv = vp_(i, j, k - 1) - vp_(i, j, k);
+          const double shear2 = (du * du + dv * dv) / (dzi * dzi) + 1.0e-10;
+          const double n2 = -gravity * (rho_(i, j, k - 1) - rho_(i, j, k)) /
+                            (cfg_.rho0 * dzi);
+          const double ri = std::max(0.0, n2 / shear2);
+          const double denom = std::pow(1.0 + 5.0 * ri, cfg_.ri_exponent);
+          nu_(i, j, k) = cfg_.nu0 / denom + cfg_.nu_b;
+          kappa_(i, j, k) =
+              (cfg_.nu0 / denom) / (1.0 + 5.0 * ri) + cfg_.kappa_b;
+        }
       }
     }
-  }
+  });
 }
 
 void OceanModel::convective_adjustment() {
@@ -913,68 +984,72 @@ void OceanModel::convective_adjustment() {
   for (int lvl = 0; lvl < 2; ++lvl) {
     Field3Dd& tt = (lvl == 0) ? t_ : t_prev_;
     Field3Dd& ss = (lvl == 0) ? s_ : s_prev_;
-    for (int j = j0_; j < j1_; ++j) {
-      for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
-        if (lev < 2) continue;
-        for (int pass = 0; pass < lev; ++pass) {
-          bool mixed = false;
-          for (int k = 0; k < lev - 1; ++k) {
-            const double r_up =
-                -cfg_.alpha_t * tt(i, j, k) + cfg_.beta_s * ss(i, j, k);
-            const double r_dn = -cfg_.alpha_t * tt(i, j, k + 1) +
-                                cfg_.beta_s * ss(i, j, k + 1);
-            if (r_up > r_dn + 1e-12) {  // denser above lighter: mix
-              const double w1 = vgrid_.dz(k);
-              const double w2 = vgrid_.dz(k + 1);
-              const double tm =
-                  (tt(i, j, k) * w1 + tt(i, j, k + 1) * w2) / (w1 + w2);
-              const double sm =
-                  (ss(i, j, k) * w1 + ss(i, j, k + 1) * w2) / (w1 + w2);
-              tt(i, j, k) = tm;
-              tt(i, j, k + 1) = tm;
-              ss(i, j, k) = sm;
-              ss(i, j, k + 1) = sm;
-              mixed = true;
+    bands(j0_, j1_, [&](int, int jlo, int jhi) {
+      for (int j = jlo; j < jhi; ++j) {
+        for (int i = i0_; i < i1_; ++i) {
+          const int lev = levels_(i, j);
+          if (lev < 2) continue;
+          for (int pass = 0; pass < lev; ++pass) {
+            bool mixed = false;
+            for (int k = 0; k < lev - 1; ++k) {
+              const double r_up =
+                  -cfg_.alpha_t * tt(i, j, k) + cfg_.beta_s * ss(i, j, k);
+              const double r_dn = -cfg_.alpha_t * tt(i, j, k + 1) +
+                                  cfg_.beta_s * ss(i, j, k + 1);
+              if (r_up > r_dn + 1e-12) {  // denser above lighter: mix
+                const double w1 = vgrid_.dz(k);
+                const double w2 = vgrid_.dz(k + 1);
+                const double tm =
+                    (tt(i, j, k) * w1 + tt(i, j, k + 1) * w2) / (w1 + w2);
+                const double sm =
+                    (ss(i, j, k) * w1 + ss(i, j, k + 1) * w2) / (w1 + w2);
+                tt(i, j, k) = tm;
+                tt(i, j, k + 1) = tm;
+                ss(i, j, k) = sm;
+                ss(i, j, k + 1) = sm;
+                mixed = true;
+              }
             }
+            if (!mixed) break;
           }
-          if (!mixed) break;
         }
       }
-    }
+    });
   }
 }
 
 void OceanModel::diagnose_w() {
   const int nx = cfg_.nx;
-  for (int j = j0_; j < j1_; ++j) {
-    const double invdx = 1.0 / dx(j);
-    const double invdy = 1.0 / dy(j);
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      double w = 0.0;
-      for (int k = lev - 1; k >= 0; --k) {
-        // From the baroclinic deviation velocities: their depth integral
-        // vanishes, so w closes at the surface; the barotropic divergence
-        // belongs to the (slowed) free surface, not interior upwelling.
-        const int ie = (i + 1) % nx;
-        const int iw = (i + nx - 1) % nx;
-        const double ue =
-            wet(ie, j, k) ? 0.5 * (up_(i, j, k) + up_(ie, j, k)) : 0.0;
-        const double uw =
-            wet(iw, j, k) ? 0.5 * (up_(iw, j, k) + up_(i, j, k)) : 0.0;
-        const double vn = (j + 1 < cfg_.ny && wet(i, j + 1, k))
-                              ? 0.5 * (vp_(i, j, k) + vp_(i, j + 1, k))
-                              : 0.0;
-        const double vs = (j - 1 >= 0 && wet(i, j - 1, k))
-                              ? 0.5 * (vp_(i, j - 1, k) + vp_(i, j, k))
-                              : 0.0;
-        const double div = (ue - uw) * invdx + (vn - vs) * invdy;
-        w += div * vgrid_.dz(k);
-        wtop_(i, j, k) = std::clamp(w, -cfg_.w_clamp, cfg_.w_clamp);
+  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
+      const double invdx = 1.0 / dx(j);
+      const double invdy = 1.0 / dy(j);
+      for (int i = i0_; i < i1_; ++i) {
+        const int lev = levels_(i, j);
+        double w = 0.0;
+        for (int k = lev - 1; k >= 0; --k) {
+          // From the baroclinic deviation velocities: their depth integral
+          // vanishes, so w closes at the surface; the barotropic divergence
+          // belongs to the (slowed) free surface, not interior upwelling.
+          const int ie = (i + 1) % nx;
+          const int iw = (i + nx - 1) % nx;
+          const double ue =
+              wet(ie, j, k) ? 0.5 * (up_(i, j, k) + up_(ie, j, k)) : 0.0;
+          const double uw =
+              wet(iw, j, k) ? 0.5 * (up_(iw, j, k) + up_(i, j, k)) : 0.0;
+          const double vn = (j + 1 < cfg_.ny && wet(i, j + 1, k))
+                                ? 0.5 * (vp_(i, j, k) + vp_(i, j + 1, k))
+                                : 0.0;
+          const double vs = (j - 1 >= 0 && wet(i, j - 1, k))
+                                ? 0.5 * (vp_(i, j - 1, k) + vp_(i, j, k))
+                                : 0.0;
+          const double div = (ue - uw) * invdx + (vn - vs) * invdy;
+          w += div * vgrid_.dz(k);
+          wtop_(i, j, k) = std::clamp(w, -cfg_.w_clamp, cfg_.w_clamp);
+        }
       }
     }
-  }
+  });
 }
 
 void OceanModel::tracer_step() {
@@ -991,67 +1066,69 @@ void OceanModel::tracer_step() {
   for (int pass = 0; pass < 2; ++pass) {
     Field3Dd& q = (pass == 0) ? t_ : s_;
     Field3Dd q_new(q);
-    for (int j = j0_; j < j1_; ++j) {
-      const double invdx = 1.0 / dx(j);
-      const double invdy = 1.0 / dy(j);
-      for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
-        for (int k = 0; k < lev; ++k) {
-          const int ie = (i + 1) % nx;
-          const int iw = (i + nx - 1) % nx;
-          double tend = 0.0;
-          if (cfg_.enable_horiz_adv) {
-            if (wet(ie, j, k)) {
-              const double uf = 0.5 * (u_total(i, j, k) + u_total(ie, j, k));
-              tend -= uf * (uf > 0.0 ? q(i, j, k) : q(ie, j, k)) * invdx;
+    bands(j0_, j1_, [&](int, int jlo, int jhi) {
+      for (int j = jlo; j < jhi; ++j) {
+        const double invdx = 1.0 / dx(j);
+        const double invdy = 1.0 / dy(j);
+        for (int i = i0_; i < i1_; ++i) {
+          const int lev = levels_(i, j);
+          for (int k = 0; k < lev; ++k) {
+            const int ie = (i + 1) % nx;
+            const int iw = (i + nx - 1) % nx;
+            double tend = 0.0;
+            if (cfg_.enable_horiz_adv) {
+              if (wet(ie, j, k)) {
+                const double uf = 0.5 * (u_total(i, j, k) + u_total(ie, j, k));
+                tend -= uf * (uf > 0.0 ? q(i, j, k) : q(ie, j, k)) * invdx;
+              }
+              if (wet(iw, j, k)) {
+                const double uf = 0.5 * (u_total(iw, j, k) + u_total(i, j, k));
+                tend += uf * (uf > 0.0 ? q(iw, j, k) : q(i, j, k)) * invdx;
+              }
+              if (j + 1 < cfg_.ny && wet(i, j + 1, k)) {
+                const double vf =
+                    0.5 * (v_total(i, j, k) + v_total(i, j + 1, k));
+                tend -= vf * (vf > 0.0 ? q(i, j, k) : q(i, j + 1, k)) * invdy;
+              }
+              if (j - 1 >= 0 && wet(i, j - 1, k)) {
+                const double vf =
+                    0.5 * (v_total(i, j - 1, k) + v_total(i, j, k));
+                tend += vf * (vf > 0.0 ? q(i, j - 1, k) : q(i, j, k)) * invdy;
+              }
             }
-            if (wet(iw, j, k)) {
-              const double uf = 0.5 * (u_total(iw, j, k) + u_total(i, j, k));
-              tend += uf * (uf > 0.0 ? q(iw, j, k) : q(i, j, k)) * invdx;
+            if (cfg_.enable_vert_adv) {
+              const double dzk = vgrid_.dz(k);
+              if (k > 0) {
+                const double w = wtop_(i, j, k);
+                tend -= w * (w > 0.0 ? q(i, j, k) : q(i, j, k - 1)) / dzk;
+              }
+              if (k + 1 < lev) {
+                const double w = wtop_(i, j, k + 1);
+                tend += w * (w > 0.0 ? q(i, j, k + 1) : q(i, j, k)) / dzk;
+              }
             }
-            if (j + 1 < cfg_.ny && wet(i, j + 1, k)) {
-              const double vf =
-                  0.5 * (v_total(i, j, k) + v_total(i, j + 1, k));
-              tend -= vf * (vf > 0.0 ? q(i, j, k) : q(i, j + 1, k)) * invdy;
-            }
-            if (j - 1 >= 0 && wet(i, j - 1, k)) {
-              const double vf =
-                  0.5 * (v_total(i, j - 1, k) + v_total(i, j, k));
-              tend += vf * (vf > 0.0 ? q(i, j - 1, k) : q(i, j, k)) * invdy;
-            }
+            // Surface forcing in the tendency.
+            if (k == 0 && pass == 0)
+              tend +=
+                  qnet_(i, j) / (cfg_.rho0 * cp_sea_water * vgrid_.dz(0));
+            if (k == 0 && pass == 1)
+              tend -= fw_(i, j) * cfg_.s_ref / vgrid_.dz(0);
+            // Laplacian diffusion (no-flux at land).
+            const double qc = q(i, j, k);
+            const double qe = wet(ie, j, k) ? q(ie, j, k) : qc;
+            const double qw = wet(iw, j, k) ? q(iw, j, k) : qc;
+            const double qn2 = (j + 1 < cfg_.ny && wet(i, j + 1, k))
+                                   ? q(i, j + 1, k)
+                                   : qc;
+            const double qs =
+                (j - 1 >= 0 && wet(i, j - 1, k)) ? q(i, j - 1, k) : qc;
+            tend += cfg_.kappa_h * ((qe - 2.0 * qc + qw) * invdx * invdx +
+                                    (qn2 - 2.0 * qc + qs) * invdy * invdy);
+            q_new(i, j, k) = q(i, j, k) + dtt * tend;
           }
-          if (cfg_.enable_vert_adv) {
-            const double dzk = vgrid_.dz(k);
-            if (k > 0) {
-              const double w = wtop_(i, j, k);
-              tend -= w * (w > 0.0 ? q(i, j, k) : q(i, j, k - 1)) / dzk;
-            }
-            if (k + 1 < lev) {
-              const double w = wtop_(i, j, k + 1);
-              tend += w * (w > 0.0 ? q(i, j, k + 1) : q(i, j, k)) / dzk;
-            }
-          }
-          // Surface forcing in the tendency.
-          if (k == 0 && pass == 0)
-            tend +=
-                qnet_(i, j) / (cfg_.rho0 * cp_sea_water * vgrid_.dz(0));
-          if (k == 0 && pass == 1)
-            tend -= fw_(i, j) * cfg_.s_ref / vgrid_.dz(0);
-          // Laplacian diffusion (no-flux at land).
-          const double qc = q(i, j, k);
-          const double qe = wet(ie, j, k) ? q(ie, j, k) : qc;
-          const double qw = wet(iw, j, k) ? q(iw, j, k) : qc;
-          const double qn2 = (j + 1 < cfg_.ny && wet(i, j + 1, k))
-                                 ? q(i, j + 1, k)
-                                 : qc;
-          const double qs =
-              (j - 1 >= 0 && wet(i, j - 1, k)) ? q(i, j - 1, k) : qc;
-          tend += cfg_.kappa_h * ((qe - 2.0 * qc + qw) * invdx * invdx +
-                                  (qn2 - 2.0 * qc + qs) * invdy * invdy);
-          q_new(i, j, k) = q(i, j, k) + dtt * tend;
         }
       }
-    }
+    });
     q = std::move(q_new);
   }
   // Keep the (unused) previous tracer level coherent for diagnostics.
@@ -1130,11 +1207,17 @@ void OceanModel::filter_rows_distributed(
   // process row — this is the whole point of decomposing in x: the polar
   // ranks' filter load, which caps the row decomposition's scaling,
   // divides by px instead of being repeated on every rank.
-  for (int s = rr; s < nslots; s += P) {
-    fill_mask(s, filter_mask_.data());
-    filter_.filter_row(full.data() + static_cast<std::size_t>(s) * cfg_.nx,
-                       j_of(s), filter_mask_.data(), filter_ws_);
-  }
+  // This rank's q-th slot is rr + q * P; its slots split over the team.
+  const int mine = (nslots - rr + P - 1) / P;
+  par::for_chunks(team_, mine, [&](int m, int qlo, int qhi) {
+    MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    for (int q = qlo; q < qhi; ++q) {
+      const int s = rr + q * P;
+      fill_mask(s, sc.mask.data());
+      filter_.filter_row(full.data() + static_cast<std::size_t>(s) * cfg_.nx,
+                         j_of(s), sc.mask.data(), sc.filter_ws);
+    }
+  });
   // Re-share the filtered rows (one gatherv + bcast for the batch): rank
   // r's contribution is its slots r, r+P, ... in increasing slot order.
   std::vector<int> counts(P);
@@ -1163,8 +1246,14 @@ void OceanModel::apply_polar_filter_2d(Field2Dd& f) {
   // (and the collective gather below) stays aligned across the row comm.
   if (rows.empty()) return;
   if (row_comm_ == nullptr) {  // full rows are local (px == 1 or serial)
-    for (const int j : rows)
-      filter_.filter_row(&f(0, j), j, &mask2d_(0, j), filter_ws_);
+    const int nrows = static_cast<int>(rows.size());
+    par::for_chunks(team_, nrows, [&](int m, int lo, int hi) {
+      MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+      for (int r = lo; r < hi; ++r) {
+        const int j = rows[static_cast<std::size_t>(r)];
+        filter_.filter_row(&f(0, j), j, &mask2d_(0, j), sc.filter_ws);
+      }
+    });
     return;
   }
   // 2-D path: gather the owned segments of every polar row across the
@@ -1195,15 +1284,19 @@ void OceanModel::apply_polar_filter_3d(Field3Dd& f) {
   const std::vector<int>& rows = polar_rows_;
   if (rows.empty()) return;  // no polar rows owned by this process row
   if (row_comm_ == nullptr) {  // full rows are local (px == 1 or serial)
-    for (int k = 0; k < cfg_.nz; ++k) {
-      for (const int j : rows) {
+    // (level, polar row) slots, level-major; each is filtered on its own.
+    const int nrows = static_cast<int>(rows.size());
+    par::for_chunks(team_, cfg_.nz * nrows, [&](int m, int lo, int hi) {
+      MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+      for (int slot = lo; slot < hi; ++slot) {
+        const int k = slot / nrows;
+        const int j = rows[static_cast<std::size_t>(slot % nrows)];
         // Per-level wet mask: columns dry at this depth are treated as land
         // so their placeholder values never contaminate wet cells.
-        for (int i = 0; i < cfg_.nx; ++i)
-          filter_mask_[i] = wet(i, j, k) ? 1 : 0;
-        filter_.filter_row(&f(0, j, k), j, filter_mask_.data(), filter_ws_);
+        for (int i = 0; i < cfg_.nx; ++i) sc.mask[i] = wet(i, j, k) ? 1 : 0;
+        filter_.filter_row(&f(0, j, k), j, sc.mask.data(), sc.filter_ws);
       }
-    }
+    });
     return;
   }
   // 2-D path: one batched gather for all (level, polar-row) slots.

@@ -46,6 +46,7 @@
 #include "ocean/vgrid.hpp"
 #include "par/comm.hpp"
 #include "par/decomp.hpp"
+#include "par/team.hpp"
 
 namespace foam::ocean {
 
@@ -144,6 +145,14 @@ class OceanModel {
   /// behind the ~10x formulation claim.
   double work_points() const { return work_points_; }
 
+  /// Split the row-independent sweeps into bands of j rows over \p team
+  /// (null: the calling thread alone). Every cell keeps one writer and
+  /// every cross-row sum stays serial, so the state is bitwise identical
+  /// for any team size. Helpers never touch the communicator: halo
+  /// exchanges, gathers and the polar-row collectives stay on the calling
+  /// thread. The team must outlive its use here.
+  void set_team(par::Team* team);
+
   /// Owned row range [row_lo, row_hi).
   int row_lo() const { return j0_; }
   int row_hi() const { return j1_; }
@@ -155,6 +164,10 @@ class OceanModel {
 
  private:
   bool wet(int i, int j, int k) const { return levels_(i, j) > k; }
+  /// Run body(member, jlo, jhi) over rows [lo, hi) in contiguous bands,
+  /// one per team member (the whole range inline without a team).
+  template <typename Body>
+  void bands(int lo, int hi, Body&& body);
   double dx(int j) const { return grid_.dx(j); }
   double dy(int j) const { return grid_.dy(j); }
 
@@ -204,8 +217,16 @@ class OceanModel {
   Field2D<int> mask2d_;
   Field2Dd depth_;  // actual wet column depth [m]
   numerics::PolarFourierFilter filter_;
-  numerics::PolarFourierFilter::Workspace filter_ws_;
-  std::vector<int> filter_mask_;  // one row's wet flags (nx)
+  /// Scratch of one team member (index 0: the rank thread), sized at
+  /// construction / set_team so the band sweeps never allocate.
+  struct MemberScratch {
+    MemberScratch(const numerics::PolarFourierFilter& filter, int nx, int nz);
+    numerics::PolarFourierFilter::Workspace filter_ws;
+    std::vector<int> mask;                   // one row's wet flags (nx)
+    std::vector<double> la, lb, lc, ld, cp;  // one column's tridiagonal
+  };
+  std::vector<MemberScratch> scratch_;
+  par::Team* team_ = nullptr;
 
   par::Decomp2D decomp_;
   int pi_ = 0, pj_ = 0;  // this rank's coordinates on the rank grid

@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "base/logging.hpp"
+#include "par/team.hpp"
 #include "telemetry/observe.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -28,18 +29,6 @@ std::atomic<bool> g_abort{false};
 struct AbortError : Error {
   using Error::Error;
 };
-
-/// One PAUSE-class instruction: tells the core this is a spin-wait (saves
-/// power, yields pipeline slots to the sibling hyperthread).
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::this_thread::yield();
-#endif
-}
 
 /// Backoff policy between matching attempts of a lock-free blocking wait:
 /// spin briefly (latency-critical window), then yield (oversubscribed
@@ -78,7 +67,7 @@ class SpinWaiter {
 
  private:
   static bool single_cpu() {
-    static const bool s = std::thread::hardware_concurrency() <= 1;
+    static const bool s = usable_cpus() <= 1;
     return s;
   }
 
@@ -339,6 +328,17 @@ Comm::CollScope::CollScope(Comm& c, verify::CollKind kind, int root,
 
 Comm::CollScope::~CollScope() { comm.active_coll_ = prev; }
 
+verify::Verifier* Comm::rank_verifier() const {
+  verify::Verifier* v = active_verifier(ctx_);
+  if (v != nullptr && std::this_thread::get_id() != owner_)
+    throw Error("Comm used off its rank thread: communicator " +
+                std::to_string(comm_id_) + " of world rank " +
+                std::to_string(members_[rank_]) +
+                " was called from a thread that is not the rank's (a "
+                "par::Team helper must not send or receive)");
+  return v;
+}
+
 int Comm::local_rank_of_global(int g) const {
   return local_of(members_, g);
 }
@@ -351,7 +351,7 @@ void Comm::post_message(int dst, int tag, detail::Message&& msg) {
   msg.src_global = members_[rank_];
   msg.tag = tag;
   const std::size_t bytes = msg.payload.size();
-  if (verify::Verifier* v = active_verifier(ctx_)) {
+  if (verify::Verifier* v = rank_verifier()) {
     if (active_coll_ != nullptr && tag > kMaxUserTag) {
       msg.coll = *active_coll_;
       msg.coll_hash = msg.coll.hash();
@@ -409,7 +409,9 @@ std::shared_ptr<detail::RequestState> Comm::make_recv_state(int src,
 
 void Comm::post_recv_state(
     const std::shared_ptr<detail::RequestState>& rs) {
-  // Posting order is matching priority; the list is owner-thread-only.
+  // Posting order is matching priority; the list is owner-thread-only, so
+  // refuse a foreign thread before it touches the list.
+  (void)rank_verifier();
   ctx_->pending[members_[rank_]].push_back(rs);
 }
 
@@ -422,7 +424,8 @@ void Comm::wait_state(detail::RequestState& rs, const char* what) {
   telemetry::Telemetry* tel = telemetry::current();
   std::chrono::steady_clock::time_point t0;
   if (tel != nullptr) t0 = std::chrono::steady_clock::now();
-  verify::Verifier* v = rs.done ? nullptr : active_verifier(ctx_);
+  verify::Verifier* v = rank_verifier();
+  if (rs.done) v = nullptr;
   WaitGuard guard(v, me, what, v != nullptr
                                    ? std::vector<verify::WaitSpec>{spec_of(rs)}
                                    : std::vector<verify::WaitSpec>{});
@@ -536,8 +539,8 @@ bool Comm::test(Request& r, RecvStatus* st) {
     const int me = members_[rank_];
     check_abort(ctx_);
     drain_inbox(ctx_, me);
-    progress(ctx_->inboxes[me].arrivals, ctx_->pending[me],
-             active_verifier(ctx_), me);
+    progress(ctx_->inboxes[me].arrivals, ctx_->pending[me], rank_verifier(),
+             me);
   }
   if (!r.state_->done) return false;
   if (st) *st = r.state_->status;
@@ -558,7 +561,7 @@ int Comm::waitany(std::span<Request> rs, RecvStatus* st) {
   telemetry::Telemetry* tel = telemetry::current();
   std::chrono::steady_clock::time_point t0;
   if (tel != nullptr) t0 = std::chrono::steady_clock::now();
-  verify::Verifier* v = active_verifier(ctx_);
+  verify::Verifier* v = rank_verifier();
   std::vector<verify::WaitSpec> specs;
   if (v != nullptr)
     for (const Request& r : rs)

@@ -63,6 +63,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -579,7 +580,15 @@ class Comm {
   friend void run(int, const std::function<void(Comm&)>&);
   Comm(detail::Context* ctx, int comm_id, std::vector<int> members, int rank)
       : ctx_(ctx), comm_id_(comm_id), members_(std::move(members)),
-        rank_(rank) {}
+        rank_(rank), owner_(std::this_thread::get_id()) {}
+
+  /// The run's checker when it should observe events, else nullptr — and,
+  /// when it is on, a named foam::Error if the caller is not the thread
+  /// that created this Comm (its rank thread): the SPSC channels have one
+  /// producer and one consumer per rank pair, so a helper thread of a
+  /// par::Team must never send or receive. With verification off this is
+  /// the one relaxed load the callers already paid.
+  verify::Verifier* rank_verifier() const;
 
   int local_rank_of_global(int g) const;
   void send_internal(int dst, int tag, const void* data, std::size_t bytes);
@@ -633,6 +642,7 @@ class Comm {
   int comm_id_ = 0;
   std::vector<int> members_;  // global rank of each communicator rank
   int rank_ = 0;              // this rank within the communicator
+  std::thread::id owner_;     // the rank thread that created this Comm
   /// Collective entries made through this communicator object (every rank
   /// counts its own; the counts agree exactly when entry is consistent —
   /// that agreement is what the collective check verifies).

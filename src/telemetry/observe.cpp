@@ -384,6 +384,8 @@ void RunObserver::write_status(double final_day) {
     bool done = false;
     std::string region = "?";
     std::vector<std::string> open;
+    /// The rank's par::Team gauges (team.*), from its last publish.
+    std::vector<std::pair<std::string, double>> team;
   };
   std::vector<RankRow> rows(static_cast<std::size_t>(im.nranks));
   std::map<std::string, double> counters;
@@ -409,6 +411,7 @@ void RunObserver::write_status(double final_day) {
       }
       row.open = s.open;
       for (const auto& [name, value] : s.samples) {
+        if (name.rfind("team.", 0) == 0) row.team.emplace_back(name, value);
         // Skip the per-peer breakdowns; the feed wants run-level totals.
         if (name.find(".peer") != std::string::npos) continue;
         counters[name] += value;
@@ -464,7 +467,20 @@ void RunObserver::write_status(double final_day) {
       if (i > 0) os << ", ";
       json_quote(os, row.open[i]);
     }
-    os << "]}";
+    os << "]";
+    if (!row.team.empty()) {
+      // Threads inside the rank: members, helper busy seconds and the
+      // rank thread's join wait — the CPU figure explained per rank.
+      os << ", \"team\": {";
+      for (std::size_t i = 0; i < row.team.size(); ++i) {
+        if (i > 0) os << ", ";
+        json_quote(os, row.team[i].first.substr(5));
+        os << ": ";
+        put_num(os, row.team[i].second);
+      }
+      os << "}";
+    }
+    os << "}";
   }
   os << "\n],\n\"counters\": {";
   // Top counters by magnitude keep the feed small and scannable.

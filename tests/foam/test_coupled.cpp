@@ -5,13 +5,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "foam/checkpoint.hpp"
 #include "telemetry/chrome_trace.hpp"
 
 namespace foam {
 namespace {
+
+FoamConfig cfg_for_helpers() { return FoamConfig::testing(); }
 
 TEST(CoupledFoam, TwoDaysStableAndPhysical) {
   FoamConfig cfg = FoamConfig::testing();
@@ -637,6 +642,94 @@ TEST(ParallelCoupled, MultiRankOceanDayMatchesSingleOceanBitwise) {
             << " SST diverged at cell " << n;
     }
   }
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::vector<char> bytes;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+    bytes.insert(bytes.end(), buf, buf + n);
+  std::fclose(f);
+  return bytes;
+}
+
+/// One coupled run with \p helpers helper threads per rank, checkpointing
+/// daily under \p prefix; returns the ocean lead's final SST.
+Field2Dd helpers_run(const RankLayout& layout, bool overlap, int helpers,
+                     const std::string& prefix, double days,
+                     bool resume = false) {
+  Field2Dd sst;
+  par::run(layout.world_size(), [&](par::Comm& world) {
+    ParallelRunOptions opts;
+    opts.layout = layout;
+    opts.overlap = overlap;
+    opts.capture_timelines = false;
+    opts.verify = {};
+    opts.fault = {};
+    opts.helpers_per_rank = helpers;
+    opts.checkpoint.path_prefix = prefix;
+    opts.checkpoint.resume = resume;
+    const auto res = run_coupled_parallel(world, opts, cfg_for_helpers(),
+                                          days);
+    if (world.rank() == layout.atm_ranks) sst = res.final_sst;
+  });
+  return sst;
+}
+
+TEST(ParallelCoupled, HelpersDoNotChangeBits) {
+  // Threads inside a rank split work by field and by row band, never a
+  // sum: the final SST and every checkpoint shard are byte-identical with
+  // 0, 1 and 2 helpers per rank, in both exchange modes.
+  struct Case {
+    RankLayout layout;
+    bool overlap;
+  };
+  std::string cut;  // the 1+1 overlap run's checkpoints with 2 helpers
+  for (const Case c : {Case{RankLayout::rows(1, 1), true},
+                       Case{RankLayout::grid(2, 2, 1), false}}) {
+    const std::string tag = c.layout.describe() + (c.overlap ? "ov" : "bl");
+    std::vector<std::string> prefixes;
+    std::vector<Field2Dd> ssts;
+    for (const int helpers : {0, 1, 2}) {
+      prefixes.push_back(testing::TempDir() + "/helpers_" + tag + "_" +
+                         std::to_string(helpers));
+      ssts.push_back(
+          helpers_run(c.layout, c.overlap, helpers, prefixes.back(), 1.0));
+    }
+    if (cut.empty()) cut = prefixes.back();
+    ASSERT_GT(ssts[0].size(), 0u);
+    for (std::size_t h = 1; h < ssts.size(); ++h) {
+      ASSERT_EQ(ssts[h].size(), ssts[0].size());
+      EXPECT_EQ(std::memcmp(ssts[h].data(), ssts[0].data(),
+                            ssts[0].size() * sizeof(double)),
+                0)
+          << tag << ": final SST differs with " << h << " helper(s)";
+      for (int r = 0; r < c.layout.world_size(); ++r)
+        EXPECT_EQ(file_bytes(ckpt_shard_path(prefixes[h], 1, r)),
+                  file_bytes(ckpt_shard_path(prefixes[0], 1, r)))
+            << tag << ": day-1 shard of rank " << r << " differs with " << h
+            << " helper(s)";
+    }
+  }
+  // A checkpoint written with 2 helpers resumes with none onto the same
+  // bits as an uninterrupted 2-day run without helpers.
+  const RankLayout one_one = RankLayout::rows(1, 1);
+  const std::string ref = testing::TempDir() + "/helpers_ref2";
+  const Field2Dd sst_ref = helpers_run(one_one, true, 0, ref, 2.0);
+  const Field2Dd sst_resumed = helpers_run(one_one, true, 0, cut, 2.0,
+                                           /*resume=*/true);
+  ASSERT_EQ(sst_resumed.size(), sst_ref.size());
+  EXPECT_EQ(std::memcmp(sst_resumed.data(), sst_ref.data(),
+                        sst_ref.size() * sizeof(double)),
+            0);
+  for (int r = 0; r < one_one.world_size(); ++r)
+    EXPECT_EQ(file_bytes(ckpt_shard_path(cut, 2, r)),
+              file_bytes(ckpt_shard_path(ref, 2, r)))
+        << "day-2 shard of rank " << r << " after a 2-helper checkpoint";
 }
 
 }  // namespace

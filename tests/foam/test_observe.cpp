@@ -195,5 +195,41 @@ TEST(Observe, SpanRingDropsSurfaceAsCounter) {
   });
 }
 
+TEST(Observe, TeamAccountingReachesMetricsAndStatusFeed) {
+  // Each rank's helpers are accounted where the CPU figure is read: the
+  // gathered metrics and the rank's status-feed row.
+  const FoamConfig cfg = FoamConfig::testing();
+  const std::string dir = fresh_dir("obs_team");
+  telemetry::ObservabilityOptions ob;
+  ob.heartbeat = true;
+  ob.status = true;
+  ob.dir = dir;
+  ParallelRunOptions o = mk_opts(ob);
+  o.layout = RankLayout::rows(1, 1);
+  o.helpers_per_rank = 1;
+  o.telemetry.level = telemetry::TraceLevel::kRegions;
+  par::run(2, [&](par::Comm& world) {
+    const ParallelRunResult res = run_coupled_parallel(world, o, cfg, 1.0);
+    ASSERT_EQ(static_cast<int>(res.metrics.size()), world.size());
+    for (int r = 0; r < world.size(); ++r) {
+      double members = -1.0, busy = -1.0, join = -1.0;
+      for (const auto& [name, value] : res.metrics[r]) {
+        if (name == "team.members") members = value;
+        if (name == "team.helper_busy_s") busy = value;
+        if (name == "team.join_wait_s") join = value;
+      }
+      EXPECT_EQ(members, 2.0) << "rank " << r;
+      EXPECT_GT(busy, 0.0) << "rank " << r;
+      EXPECT_GE(join, 0.0) << "rank " << r;
+    }
+  });
+  std::string err;
+  const std::string status = slurp(dir + "/status.json");
+  EXPECT_TRUE(telemetry::json_validate(status, &err)) << err;
+  EXPECT_NE(status.find("\"team\": {\"helper_busy_s\": "), std::string::npos)
+      << status;
+  EXPECT_NE(status.find("\"members\": 2}"), std::string::npos) << status;
+}
+
 }  // namespace
 }  // namespace foam

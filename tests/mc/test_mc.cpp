@@ -11,7 +11,8 @@
 /// and explored over every schedule in the bounded space (r.complete is
 /// asserted, so these are proofs over the bound, not samples): FIFO order
 /// with ring wraparound, ring -> spill overflow with sequence merge,
-/// stub-queue reclamation safety, heartbeat done-publication.
+/// stub-queue reclamation safety, heartbeat done-publication, and the
+/// par::Team fork-join handshake (publish, complete, park/wake).
 ///
 /// Part 3 — mutation gates: the same protocols under
 /// mc::DemoteRelease<ModelAtomics> (every release edge weakened to
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -32,6 +34,7 @@
 #include "mc/mc.hpp"
 #include "par/comm.hpp"
 #include "par/spsc.hpp"
+#include "par/team.hpp"
 #include "telemetry/slots.hpp"
 
 namespace mc = foam::mc;
@@ -399,6 +402,88 @@ TEST(McProfileLeaf, SampleIsSomePublishedWord) {
   EXPECT_TRUE(r.complete);
 }
 
+// The par::Team fork-join handshake: a caller publishing \p jobs jobs to
+// \p helpers helpers (then the stop job), each helper writing its own
+// result slot. Every schedule must finish (no lost wake-up: a waiter that
+// parks on atomic::wait is always woken), the helpers must see each job
+// the caller wrote, and the caller must see every helper's result after
+// the join — the raw slots turn any missing edge into a reported race.
+template <typename Policy>
+void fork_join_rounds(mc::Execution& ex, par::detail::ForkJoin<Policy>& fj,
+                      int helpers, int jobs, mc::raw<int>& job,
+                      std::array<mc::raw<int>, 2>& out) {
+  ex.spawn([&, helpers, jobs] {  // member 0: the rank thread
+    for (int j = 1; j <= jobs; ++j) {
+      job.write() = j;
+      const std::uint32_t e = fj.publish();
+      fj.await_helpers(e);
+      for (int h = 0; h < helpers; ++h)
+        MC_ASSERT(out[static_cast<std::size_t>(h)].read() == 10 * j + h);
+    }
+    job.write() = 0;  // stop
+    fj.publish();
+  });
+  for (int h = 0; h < helpers; ++h) {
+    ex.spawn([&, h] {  // helpers
+      std::uint32_t seen = 0;
+      for (;;) {
+        seen = fj.await_epoch(seen);
+        const int j = job.read();
+        if (j == 0) return;
+        out[static_cast<std::size_t>(h)].write() = 10 * j + h;
+        fj.complete(seen);
+      }
+    });
+  }
+  ex.join_all();
+}
+
+// Two bounds, each exhausted: one helper through two jobs and the stop
+// (epoch reuse, park/wake across rounds) at 3 preemptions, and two helpers
+// through one job (the completion count chaining both helpers' writes to
+// the caller) at 1 — two helpers at higher bounds run for minutes.
+TEST(McTeam, ForkJoinCompletesWithoutLostWakeup) {
+  struct Bound {
+    int helpers, jobs, preemptions;
+  };
+  for (const Bound b : {Bound{1, 2, 3}, Bound{2, 1, 1}}) {
+    mc::Options o = small_opts();
+    o.max_preemptions = b.preemptions;
+    const auto r = mc::explore(o, [&](mc::Execution& ex) {
+      par::detail::ForkJoin<mc::ModelAtomics> fj(b.helpers, /*spin_ns=*/0);
+      mc::raw<int> job;
+      std::array<mc::raw<int>, 2> out;
+      fork_join_rounds(ex, fj, b.helpers, b.jobs, job, out);
+    });
+    EXPECT_FALSE(r.failed) << b.helpers << " helper(s): " << r.failure;
+    EXPECT_TRUE(r.complete) << b.helpers << " helper(s): schedule space not "
+                            << "exhausted after " << r.executions;
+    EXPECT_GT(r.executions, 1u);
+  }
+}
+
+// The checker's wait model must catch the lost wake-up the team's waits
+// avoid: re-loading the counter to pick the value to wait on. When the
+// last increment lands between the check and that re-load, the waiter
+// sleeps on the final value and nothing ever notifies it again.
+TEST(McTeam, ReloadedWaitValueLosesWakeup) {
+  const auto r = mc::explore(small_opts(), [&](mc::Execution& ex) {
+    mc::atomic<std::uint32_t> done{0};
+    ex.spawn([&] {
+      while (done.load(std::memory_order_acquire) != 1)
+        done.wait(done.load(std::memory_order_acquire),
+                  std::memory_order_acquire);
+    });
+    ex.spawn([&] {
+      done.fetch_add(1, std::memory_order_acq_rel);
+      done.notify_one();
+    });
+    ex.join_all();
+  });
+  EXPECT_TRUE(r.failed) << "a lost wake-up was not caught";
+  EXPECT_NE(r.failure.find("livelock"), std::string::npos) << r.failure;
+}
+
 // ---------------------------------------------------------------------------
 // Part 3: mutation gates. Each gate weakens every release edge of one
 // production protocol (DemoteRelease) and asserts the checker FAILS —
@@ -468,6 +553,20 @@ TEST(McMutation, HeartbeatPublishWeakeningCaught) {
   });
   EXPECT_TRUE(r.failed) << "weakened HeartbeatPublish edge was not caught";
   EXPECT_NE(r.failure.find("MC_ASSERT"), std::string::npos) << r.failure;
+}
+
+// Gate TeamPublish: epoch_.store(release) in ForkJoin::publish demoted to
+// relaxed (and complete()'s acq_rel to acquire). A helper can now see the
+// new epoch without the job the caller wrote — a data race on the job.
+TEST(McMutation, TeamPublishWeakeningCaught) {
+  const auto r = mc::explore(small_opts(), [&](mc::Execution& ex) {
+    par::detail::ForkJoin<Demoted> fj(1, /*spin_ns=*/0);
+    mc::raw<int> job;
+    std::array<mc::raw<int>, 2> out;
+    fork_join_rounds(ex, fj, /*helpers=*/1, /*jobs=*/1, job, out);
+  });
+  EXPECT_TRUE(r.failed) << "weakened TeamPublish edge was not caught";
+  EXPECT_NE(r.failure.find("data race"), std::string::npos) << r.failure;
 }
 
 }  // namespace

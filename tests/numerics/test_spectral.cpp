@@ -10,6 +10,7 @@
 
 #include "base/constants.hpp"
 #include "par/decomp.hpp"
+#include "par/team.hpp"
 
 namespace foam::numerics {
 namespace {
@@ -272,6 +273,81 @@ TEST(Spectral, BatchEqualsSingleCallsBitwise) {
       expect_rows_bitwise(us[f], u, all, "u");
       expect_rows_bitwise(vs[f], v, all, "v");
     }
+  }
+}
+
+/// Every batched entry point's outputs for one set of inputs.
+struct BatchOutputs {
+  std::vector<SpectralField> an, dv, cu;
+  std::vector<Field2Dd> syn, us, vs;
+};
+
+void expect_outputs_bitwise(const BatchOutputs& a, const BatchOutputs& b,
+                            const std::vector<int>& rows, int members) {
+  SCOPED_TRACE(::testing::Message() << members << " member(s)");
+  for (std::size_t f = 0; f < a.an.size(); ++f) {
+    expect_spec_bitwise(a.an[f], b.an[f], "analyze");
+    expect_spec_bitwise(a.dv[f], b.dv[f], "div");
+    expect_spec_bitwise(a.cu[f], b.cu[f], "curl");
+    expect_rows_bitwise(a.syn[f], b.syn[f], rows, "synthesize");
+    expect_rows_bitwise(a.us[f], b.us[f], rows, "u");
+    expect_rows_bitwise(a.vs[f], b.vs[f], rows, "v");
+  }
+}
+
+TEST(Spectral, TeamBatchEqualsSerialBitwise) {
+  // Each batched entry point, serial and distributed, split by field over
+  // a team of 1-4 members, must reproduce the team-less batch bit for bit.
+  // 5 fields split unevenly; odd nlat and a partial latitude set give
+  // unpaired rows.
+  for (const int nlat : {40, 41}) {
+    const GaussianGrid grid(48, nlat);
+    const SpectralTransform st(grid, 15);
+    const int nf = 5;
+    const BatchInputs in(grid, nf, 900u + nlat);
+    std::vector<int> all(nlat);
+    for (int j = 0; j < nlat; ++j) all[j] = j;
+    const auto serial = [&](par::Team* team) {
+      SpectralWorkspace ws;
+      BatchOutputs o;
+      o.an = st.analyze_batch(in.A, ws, team);
+      o.dv = st.analyze_div_batch(in.A, in.B, ws, team);
+      o.cu = st.analyze_curl_batch(in.A, in.B, ws, team);
+      o.syn = blank_grids(grid, nf);
+      st.synthesize_batch(in.psi, ptrs(o.syn), ws, team);
+      o.us = blank_grids(grid, nf);
+      o.vs = blank_grids(grid, nf);
+      st.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(o.us), ptrs(o.vs), ws,
+                               team);
+      return o;
+    };
+    // The distributed transform over the southern two thirds of the rows:
+    // some mirror pairs, some singles.
+    std::vector<int> part;
+    for (int j = 0; j < 2 * nlat / 3; ++j) part.push_back(j);
+    const auto distributed = [&](par::Comm& comm, par::Team* team) {
+      ParSpectralTransform pst(st, part);
+      pst.set_team(team);
+      BatchOutputs o;
+      o.an = pst.analyze_batch(comm, in.A);
+      o.dv = pst.analyze_div_batch(comm, in.A, in.B);
+      o.cu = pst.analyze_curl_batch(comm, in.A, in.B);
+      o.syn = blank_grids(grid, nf);
+      pst.synthesize_batch(in.psi, ptrs(o.syn));
+      o.us = blank_grids(grid, nf);
+      o.vs = blank_grids(grid, nf);
+      pst.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(o.us), ptrs(o.vs));
+      return o;
+    };
+    const BatchOutputs ref = serial(nullptr);
+    par::run(1, [&](par::Comm& comm) {
+      const BatchOutputs dref = distributed(comm, nullptr);
+      for (int members = 1; members <= par::kMaxTeamMembers; ++members) {
+        par::Team team(members);
+        expect_outputs_bitwise(ref, serial(&team), all, members);
+        expect_outputs_bitwise(dref, distributed(comm, &team), part, members);
+      }
+    });
   }
 }
 

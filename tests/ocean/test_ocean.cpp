@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "data/earth.hpp"
 #include "base/constants.hpp"
+#include "base/history.hpp"
+#include "par/team.hpp"
 #include "ocean/vgrid.hpp"
 
 namespace foam::ocean {
@@ -367,6 +372,97 @@ TEST(OceanModel, FourByOneMatchesSerialBitwise) {
 
 TEST(OceanModel, TwoByThreeMatchesSerialBitwise) {
   expect_layout_bitwise(6, 2, 8);
+}
+
+/// Forcing that drives every sweep: wind, a polar heat loss strong enough
+/// to reach the freeze clamp and convection, freshwater and sea ice.
+struct TeamForcing {
+  explicit TeamForcing(const numerics::MercatorGrid& grid)
+      : taux(48, 48, 0.0), tauy(48, 48, 0.02), heat(48, 48, 0.0),
+        fw(48, 48, 1e-8), ice(48, 48, 0.0) {
+    for (int j = 0; j < 48; ++j) {
+      const double lat = grid.lat(j) / constants::deg2rad;
+      for (int i = 0; i < 48; ++i) {
+        taux(i, j) = analytic_zonal_stress(grid.lat(j));
+        heat(i, j) = std::abs(lat) > 55.0 ? -400.0 : 60.0;
+        ice(i, j) = std::abs(lat) > 62.0 ? 0.5 : 0.0;
+      }
+    }
+    f.wind_x = &taux;
+    f.wind_y = &tauy;
+    f.heat = &heat;
+    f.freshwater = &fw;
+    f.ice = &ice;
+  }
+  Field2Dd taux, tauy, heat, fw, ice;
+  OceanForcing f;
+};
+
+/// The full prognostic state (save_state's records) after \p steps steps.
+std::vector<HistoryRecord> team_run_state(int members, int steps) {
+  // The coupled model's grid reaches 70 degrees, so the polar filter runs.
+  const numerics::MercatorGrid grid(48, 48, OceanConfig::kStandardLatMax);
+  const Field2Dd bathy = data::bathymetry(grid);
+  const TeamForcing forcing(grid);
+  OceanModel m(OceanConfig::testing(48, 48, 8), grid, bathy);
+  par::Team team(members);
+  m.set_team(&team);
+  m.init_climatology();
+  m.set_forcing(forcing.f);
+  for (int s = 0; s < steps; ++s) m.step();
+  const std::string path = ::testing::TempDir() + "/ocean_team_" +
+                           std::to_string(members) + ".foam";
+  {
+    HistoryWriter out(path);
+    m.save_state(out, "ocean");
+    out.close();
+  }
+  return HistoryReader(path).records();
+}
+
+TEST(Ocean, TeamStepEqualsSerialBitwise) {
+  // Row bands over 1-4 members: every prognostic field after 10 steps (5
+  // tracer steps, 80 barotropic substeps) equals the single-member run
+  // byte for byte.
+  const std::vector<HistoryRecord> ref = team_run_state(1, 10);
+  ASSERT_FALSE(ref.empty());
+  for (int members = 2; members <= par::kMaxTeamMembers; ++members) {
+    const std::vector<HistoryRecord> got = team_run_state(members, 10);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t r = 0; r < ref.size(); ++r) {
+      ASSERT_EQ(got[r].name, ref[r].name);
+      ASSERT_EQ(got[r].data.size(), ref[r].data.size()) << ref[r].name;
+      EXPECT_EQ(std::memcmp(got[r].data.data(), ref[r].data.data(),
+                            ref[r].data.size() * sizeof(double)),
+                0)
+          << ref[r].name << " differs with " << members << " members";
+    }
+  }
+}
+
+TEST(Ocean, TeamOnTwoDimensionalLayoutMatchesSerialBitwise) {
+  // The 2-D decomposition filters polar rows cooperatively across the
+  // process row; with a team each rank splits its share of those rows too.
+  const numerics::MercatorGrid grid(48, 48, OceanConfig::kStandardLatMax);
+  const Field2Dd bathy = data::bathymetry(grid);
+  const TeamForcing forcing(grid);
+  const OceanConfig cfg = OceanConfig::testing(48, 48, 8);
+  OceanModel serial(cfg, grid, bathy);
+  serial.init_climatology();
+  serial.set_forcing(forcing.f);
+  for (int s = 0; s < 6; ++s) serial.step();
+  const Field2Dd ref_sst = serial.sst();
+  par::run(2, [&](par::Comm& comm) {
+    par::Team team(2);
+    OceanModel m(cfg, grid, bathy, &comm, /*px=*/2);
+    m.set_team(&team);
+    m.init_climatology();
+    m.set_forcing(forcing.f);
+    for (int s = 0; s < 6; ++s) m.step();
+    const Field2Dd sst = m.gather(m.sst());
+    for (std::size_t n = 0; n < sst.size(); ++n)
+      ASSERT_EQ(sst.data()[n], ref_sst.data()[n]) << "cell " << n;
+  });
 }
 
 TEST(OceanModel, RejectsIndivisibleRankGrid) {

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/error.hpp"
@@ -417,6 +418,40 @@ TEST(ParVerify, OffModeRecordsNothing) {
     EXPECT_FALSE(comm.verifier().enabled());
     EXPECT_EQ(comm.verify_quiescent(), 0u);
     EXPECT_EQ(comm.verifier().finding_count(), 0u);
+  });
+}
+
+// A par::Team helper must never touch its rank's Comm: the SPSC channels
+// have exactly one producer and one consumer per rank pair. With
+// verification on, a call from any thread but the rank's is a named error
+// (and nothing is sent); the rank thread itself keeps working.
+TEST(ParVerify, CommUsedOffRankThreadThrowsNamedError) {
+  run(2, [](Comm& comm) {
+    comm.set_verify(quiet(VerifyMode::kAudit));
+    std::string send_err, recv_err;
+    std::thread other([&] {
+      try {
+        comm.send(1 - comm.rank(), 5, 42);
+      } catch (const Error& e) {
+        send_err = e.what();
+      }
+      try {
+        int v = 0;
+        (void)comm.recv(1 - comm.rank(), 5, v);
+      } catch (const Error& e) {
+        recv_err = e.what();
+      }
+    });
+    other.join();
+    EXPECT_NE(send_err.find("Comm used off its rank thread"),
+              std::string::npos)
+        << send_err;
+    EXPECT_NE(recv_err.find("Comm used off its rank thread"),
+              std::string::npos)
+        << recv_err;
+    // Nothing leaked from the refused calls; the rank thread still works.
+    EXPECT_EQ(comm.allreduce_scalar(1, ReduceOp::kSum), 2);
+    EXPECT_EQ(comm.verify_quiescent(), 0u);
   });
 }
 
