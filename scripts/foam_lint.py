@@ -34,6 +34,12 @@ Rules
    one no team accounts for and no Comm owner check knows about. Names of
    nested members (``std::thread::id``, ``hardware_concurrency``) are fine.
 
+5. ocean-row-sweeps: no ``wrap_x(`` in the code of ``src/ocean/``
+   (comments excluded). The ocean's sweeps run over row pointers with the
+   two wrap columns peeled (DESIGN.md, "Ocean sweeps"); a per-cell
+   periodic index brings back the modulo on every neighbour and keeps the
+   loop from vectorizing.
+
 Exit status: 0 clean, 1 findings (one ``file:line: message`` per line).
 """
 
@@ -63,6 +69,8 @@ THREAD = re.compile(r"\bstd::j?thread\b(?!::)")
 THREAD_OWNERS = ["src/par/comm.cpp", "src/par/team.hpp", "src/par/team.cpp",
                  "src/telemetry/observe.cpp"]
 THREAD_OWNER_PREFIXES = ["src/mc/"]
+WRAP_X = re.compile(r"\bwrap_x\s*\(")
+ROW_SWEEP_PREFIX = "src/ocean/"
 
 
 def strip_line_comment(line: str) -> str:
@@ -121,6 +129,16 @@ def lint_thread_owners(path: Path, rel: str, findings: list[str]) -> None:
             )
 
 
+def lint_row_sweeps(path: Path, rel: str, findings: list[str]) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        if WRAP_X.search(strip_line_comment(line)):
+            findings.append(
+                f"{rel}:{i + 1}: 'wrap_x(' in the ocean; sweep rows with "
+                "the wrap columns peeled (DESIGN.md, \"Ocean sweeps\")"
+            )
+
+
 def main() -> int:
     findings: list[str] = []
 
@@ -137,6 +155,8 @@ def main() -> int:
         if path.suffix not in (".hpp", ".cpp", ".h", ".cc"):
             continue
         rel = path.relative_to(REPO).as_posix()
+        if rel.startswith(ROW_SWEEP_PREFIX):
+            lint_row_sweeps(path, rel, findings)
         if rel in THREAD_OWNERS or any(
             rel.startswith(p) for p in THREAD_OWNER_PREFIXES
         ):

@@ -249,6 +249,40 @@ void FftPlan::inverse(cplx* data, cplx* work) const {
   for (int i = 0; i < n_; ++i) data[i] = rmul(inv, data[i]);
 }
 
+void FftPlan::run_rows(double* re, double* im, double* work,
+                       const cplx* tw) const {
+  if (n_ == 1) return;
+  const std::size_t plane = static_cast<std::size_t>(n_) * L;
+  double* wre = work;
+  double* wim = work + plane;
+  for (int i = 0; i < n_; ++i) {
+    const std::size_t from = static_cast<std::size_t>(perm_[i]) * L;
+    std::memcpy(wre + static_cast<std::size_t>(i) * L, re + from,
+                sizeof(double) * L);
+    std::memcpy(wim + static_cast<std::size_t>(i) * L, im + from,
+                sizeof(double) * L);
+  }
+  if (!run_lanes(wre, wim, re, im, tw)) {
+    std::memcpy(re, wre, sizeof(double) * plane);
+    std::memcpy(im, wim, sizeof(double) * plane);
+  }
+}
+
+void FftPlan::forward_lanes(double* re, double* im, double* work) const {
+  run_rows(re, im, work, stage_tw_.data());
+}
+
+void FftPlan::inverse_lanes(double* re, double* im, double* work) const {
+  run_rows(re, im, work, stage_tw_inv_.data());
+  // inverse()'s rmul(inv, z), part by part.
+  const double inv = 1.0 / n_;
+  const std::size_t plane = static_cast<std::size_t>(n_) * L;
+  for (std::size_t at = 0; at < plane; ++at) {
+    re[at] = inv * re[at];
+    im[at] = inv * im[at];
+  }
+}
+
 std::size_t FftPlan::rows_scratch_size() const {
   const int nc = half_ ? half_->n_ : n_;
   return 4 * static_cast<std::size_t>(nc) * L;

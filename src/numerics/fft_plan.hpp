@@ -14,9 +14,11 @@
 ///
 /// Two kernels, one per transform:
 ///
-///  * forward()/inverse() — one complex row (the ocean polar filter). Same
-///    butterfly sums in the same order as the reference recursion, so they
-///    agree with Fft::forward()/inverse() bitwise.
+///  * forward()/inverse() — one complex row. Same butterfly sums in the
+///    same order as the reference recursion, so they agree with
+///    Fft::forward()/inverse() bitwise. forward_lanes()/inverse_lanes() run
+///    kLanes such rows at once (the ocean polar filter), each lane with
+///    exactly the single row's operations.
 ///  * forward_real_rows()/inverse_real_rows() — many real rows at once (the
 ///    spectral engine). Even N runs the N/2-point complex plan plus an O(N)
 ///    split post-pass, half the butterflies of the reference path; odd N
@@ -68,6 +70,20 @@ class FftPlan {
   /// Normalized (1/N) in-place inverse DFT.
   void inverse(std::complex<double>* data, std::complex<double>* work) const;
 
+  /// Doubles of workspace forward_lanes()/inverse_lanes() need.
+  std::size_t lanes_workspace_size() const {
+    return 2 * static_cast<std::size_t>(n_) * kLanes;
+  }
+
+  /// forward() of kLanes independent complex rows at once, in place. The
+  /// rows are split into a real and an imaginary plane of n*kLanes doubles,
+  /// point i of lane l at [i*kLanes + l] (natural point order). Each lane's
+  /// result is bitwise forward()'s for that row. \p work: >=
+  /// lanes_workspace_size() doubles.
+  void forward_lanes(double* re, double* im, double* work) const;
+  /// inverse() of kLanes rows in the layout of forward_lanes().
+  void inverse_lanes(double* re, double* im, double* work) const;
+
   /// Doubles of scratch the *_real_rows transforms need.
   std::size_t rows_scratch_size() const;
 
@@ -93,6 +109,10 @@ class FftPlan {
   /// stages with twiddle table \p tw (stage_tw_ or stage_tw_inv_).
   void run(std::complex<double>* data, std::complex<double>* work,
            const std::complex<double>* tw) const;
+  /// run() over kLanes rows: digit-reversal gather of the [point][lane]
+  /// planes into \p work, then run_lanes(), the result back in (re, im).
+  void run_rows(double* re, double* im, double* work,
+                const std::complex<double>* tw) const;
   /// Lane kernel over leaf-ordered [point][lane] input in (are, aim),
   /// ping-ponging with (bre, bim). Returns true when the result lands in b.
   bool run_lanes(double* are, double* aim, double* bre, double* bim,

@@ -10,8 +10,9 @@ namespace foam::numerics {
 using constants::deg2rad;
 
 PolarFourierFilter::Workspace::Workspace(const PolarFourierFilter& filter)
-    : spec_(static_cast<std::size_t>(filter.plan_.size())),
-      work_(filter.plan_.workspace_size()) {}
+    : re_(static_cast<std::size_t>(filter.plan_.size()) * kLanes),
+      im_(re_.size()),
+      lanes_work_(filter.plan_.lanes_workspace_size()) {}
 
 PolarFourierFilter::PolarFourierFilter(const MercatorGrid& grid,
                                        double crit_lat_deg)
@@ -36,37 +37,74 @@ double PolarFourierFilter::factor(int m, int j) const {
 
 void PolarFourierFilter::filter_row(double* row, int j, const int* mask,
                                     Workspace& ws) const {
-  using cplx = std::complex<double>;
+  filter_rows(&row, &j, &mask, 1, ws);
+}
+
+void PolarFourierFilter::filter_rows(double* const* rows, const int* js,
+                                     const int* const* masks, int nrows,
+                                     Workspace& ws) const {
+  constexpr int L = kLanes;
   const int n = grid_.nlon();
-  FOAM_ASSERT(ws.spec_.size() == static_cast<std::size_t>(n),
+  FOAM_REQUIRE(nrows >= 1 && nrows <= L, "filter_rows of " << nrows);
+  FOAM_ASSERT(ws.re_.size() == static_cast<std::size_t>(n) * L,
               "workspace of another filter");
-  cplx* spec = ws.spec_.data();
-  if (mask == nullptr) {
-    for (int i = 0; i < n; ++i) spec[i] = cplx(row[i], 0.0);
-  } else {
-    // Fill land with the row's ocean mean so the filter sees no artificial
-    // jumps at coastlines; land values are never written back.
+  double* re = ws.re_.data();
+  double* im = ws.im_.data();
+  // One lane per row (a short batch repeats its last row). Fill land with
+  // the row's ocean mean (summed in index order) so the filter sees no
+  // artificial jumps at coastlines; land values are never written back,
+  // and an all-land row is left untouched.
+  bool live[L];
+  const double* fac[L];
+  for (int l = 0; l < L; ++l) {
+    const int r = std::min(l, nrows - 1);
+    const double* row = rows[r];
+    const int* mask = masks[r];
+    live[l] = l < nrows;
+    fac[l] = factors_.data() + static_cast<std::size_t>(js[r]) * (n / 2 + 1);
     double mean = 0.0;
-    int n_wet = 0;
-    for (int i = 0; i < n; ++i)
-      if (mask[i] != 0) {
-        mean += row[i];
-        ++n_wet;
-      }
-    if (n_wet == 0) return;
-    mean /= n_wet;
-    for (int i = 0; i < n; ++i)
-      spec[i] = cplx(mask[i] != 0 ? row[i] : mean, 0.0);
+    if (mask != nullptr) {
+      int n_wet = 0;
+      for (int i = 0; i < n; ++i)
+        if (mask[i] != 0) {
+          mean += row[i];
+          ++n_wet;
+        }
+      if (n_wet == 0)
+        live[l] = false;
+      else
+        mean /= n_wet;
+    }
+    for (int i = 0; i < n; ++i) {
+      re[static_cast<std::size_t>(i) * L + l] =
+          mask == nullptr || mask[i] != 0 ? row[i] : mean;
+      im[static_cast<std::size_t>(i) * L + l] = 0.0;
+    }
   }
-  plan_.forward(spec, ws.work_.data());
-  const double* fac =
-      factors_.data() + static_cast<std::size_t>(j) * (n / 2 + 1);
-  for (int m = 1; m <= n / 2; ++m) spec[m] *= fac[m];
-  // Real input: rebuild the upper half from the scaled lower half.
-  for (int k = n / 2 + 1; k < n; ++k) spec[k] = std::conj(spec[n - k]);
-  plan_.inverse(spec, ws.work_.data());
-  for (int i = 0; i < n; ++i)
-    if (mask == nullptr || mask[i] != 0) row[i] = spec[i].real();
+  plan_.forward_lanes(re, im, ws.lanes_work_.data());
+  for (int m = 1; m <= n / 2; ++m)
+    for (int l = 0; l < L; ++l) {
+      const std::size_t at = static_cast<std::size_t>(m) * L + l;
+      re[at] *= fac[l][m];
+      im[at] *= fac[l][m];
+    }
+  // Real input: rebuild the upper half from the scaled lower half (conj).
+  for (int k = n / 2 + 1; k < n; ++k)
+    for (int l = 0; l < L; ++l) {
+      const std::size_t at = static_cast<std::size_t>(k) * L + l;
+      const std::size_t from = static_cast<std::size_t>(n - k) * L + l;
+      re[at] = re[from];
+      im[at] = -im[from];
+    }
+  plan_.inverse_lanes(re, im, ws.lanes_work_.data());
+  for (int l = 0; l < nrows; ++l) {
+    if (!live[l]) continue;
+    double* row = rows[l];
+    const int* mask = masks[l];
+    for (int i = 0; i < n; ++i)
+      if (mask == nullptr || mask[i] != 0)
+        row[i] = re[static_cast<std::size_t>(i) * L + l];
+  }
 }
 
 void PolarFourierFilter::apply(Field2Dd& f) const {
@@ -90,19 +128,10 @@ void laplacian_masked(const MercatorGrid& grid, const Field2Dd& f,
                       const Field2D<int>& mask, Field2Dd& out) {
   FOAM_REQUIRE(f.nx() == grid.nlon() && f.ny() == grid.nlat(),
                "field shape");
-  if (out.nx() != grid.nlon() || out.ny() != grid.nlat())
-    out = Field2Dd(grid.nlon(), grid.nlat());
-  laplacian_masked_rows(grid, f, mask, out, 0, grid.nlat());
-}
-
-void laplacian_masked_rows(const MercatorGrid& grid, const Field2Dd& f,
-                           const Field2D<int>& mask, Field2Dd& out, int jlo,
-                           int jhi) {
   const int nx = grid.nlon();
   const int ny = grid.nlat();
-  FOAM_ASSERT(out.nx() == nx && out.ny() == ny && jlo >= 0 && jhi <= ny,
-              "rows [" << jlo << "," << jhi << ")");
-  for (int j = jlo; j < jhi; ++j) {
+  if (out.nx() != nx || out.ny() != ny) out = Field2Dd(nx, ny);
+  for (int j = 0; j < ny; ++j) {
     const double inv_dx2 = 1.0 / (grid.dx(j) * grid.dx(j));
     const double inv_dy2 = 1.0 / (grid.dy(j) * grid.dy(j));
     for (int i = 0; i < nx; ++i) {

@@ -12,7 +12,6 @@
 ///   it ("spatial mode splitting on the grid is prevented through the use of
 ///   a del^4 numerical dissipation").
 
-#include <complex>
 #include <vector>
 
 #include "base/field.hpp"
@@ -28,26 +27,30 @@ namespace foam::numerics {
 /// resolved at the critical latitude. m = 0 (the zonal mean) always passes
 /// unchanged, and the filter never amplifies.
 ///
-/// Every row runs through one FftPlan's complex forward/inverse with the
-/// attenuation factors tabulated at construction, so filtering allocates
-/// nothing. The complex plan path repeats the reference Fft's butterflies
-/// in the same order, which keeps the result bitwise equal to the reference
-/// formulation Fft::forward_real -> scale -> Fft::inverse_real. (The plan's
-/// real rows API runs the half-length split path, which agrees with that
-/// formulation only to rounding, so it is not used here.)
+/// Rows run through one FftPlan's complex lane transforms, up to kLanes
+/// rows per call, with the attenuation factors tabulated at construction,
+/// so filtering allocates nothing. Each lane repeats the reference Fft's
+/// butterflies in the same order, which keeps every row bitwise equal to
+/// the reference formulation Fft::forward_real -> scale ->
+/// Fft::inverse_real. (The plan's real rows API runs the half-length split
+/// path, which agrees with that formulation only to rounding, so it is not
+/// used here.)
 class PolarFourierFilter {
  public:
-  /// Caller-owned scratch for filter_row (one per thread): the row's full
-  /// spectrum and the plan's workspace, sized once.
+  /// Caller-owned scratch for filter_row/filter_rows (one per thread):
+  /// the [point][lane] spectrum planes and the plan's lane workspace, sized
+  /// once.
   class Workspace {
    public:
     explicit Workspace(const PolarFourierFilter& filter);
 
    private:
     friend class PolarFourierFilter;
-    std::vector<std::complex<double>> spec_;
-    std::vector<std::complex<double>> work_;
+    std::vector<double> re_, im_, lanes_work_;
   };
+
+  /// Rows filter_rows() takes per call.
+  static constexpr int kLanes = FftPlan::kLanes;
 
   PolarFourierFilter(const MercatorGrid& grid, double crit_lat_deg = 60.0);
 
@@ -63,6 +66,14 @@ class PolarFourierFilter {
   /// with the rule of apply(f, mask); \p mask holds the row's nlon wet
   /// flags, or is null for an all-ocean row. Only wet cells are written.
   void filter_row(double* row, int j, const int* mask, Workspace& ws) const;
+
+  /// filter_row() on \p nrows (1..kLanes) rows at once: row r is
+  /// \p rows[r] of latitude row \p js[r] with wet flags \p masks[r]
+  /// (null: all ocean). A row's result does not depend on the batch it
+  /// rides in; a short batch is padded with its last row, which is written
+  /// once.
+  void filter_rows(double* const* rows, const int* js,
+                   const int* const* masks, int nrows, Workspace& ws) const;
 
   /// True when latitude row j lies poleward of the critical latitude (the
   /// rows apply() filters).
@@ -87,11 +98,6 @@ class PolarFourierFilter {
 /// with one-sided closure at land (no-flux). Longitude wraps periodically.
 void laplacian_masked(const MercatorGrid& grid, const Field2Dd& f,
                       const Field2D<int>& mask, Field2Dd& out);
-/// Rows [jlo, jhi) of laplacian_masked only (one band of a row-split
-/// sweep); \p out must already have the grid's shape.
-void laplacian_masked_rows(const MercatorGrid& grid, const Field2Dd& f,
-                           const Field2D<int>& mask, Field2Dd& out, int jlo,
-                           int jhi);
 
 /// Biharmonic (del^4) dissipation tendency: out = -k4 * lap(lap(f)).
 /// k4 in m^4/s.

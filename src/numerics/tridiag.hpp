@@ -41,4 +41,37 @@ inline void solve_tridiag(const std::vector<double>& a,
   for (std::size_t i = n - 1; i-- > 0;) d[i] -= cp[i] * d[i + 1];
 }
 
+/// solve_tridiag's forward sweep over the matrix alone, for systems that
+/// share it: the n x n matrix (a, b, c) as above; \p cp receives the
+/// modified super-diagonal and \p den the pivots (den[0] = b[0]).
+inline void tridiag_factor(const double* a, const double* b, const double* c,
+                           int n, double* cp, double* den) {
+  FOAM_ASSERT(b[0] != 0.0, "singular tridiagonal system");
+  den[0] = b[0];
+  cp[0] = c[0] / b[0];
+  for (int i = 1; i < n; ++i) {
+    den[i] = b[i] - a[i] * cp[i - 1];
+    FOAM_ASSERT(den[i] != 0.0, "singular tridiagonal system at row " << i);
+    cp[i] = c[i] / den[i];
+  }
+}
+
+/// Solve two right-hand sides against one tridiag_factor()ed matrix. They
+/// are interleaved, x[2k] and x[2k+1] being row k of each, and each is
+/// overwritten with its solution by exactly solve_tridiag's operations, so
+/// the pair can share one vector division per row.
+inline void tridiag_solve2(const double* a, const double* cp,
+                           const double* den, int n, double* x) {
+  x[0] = x[0] / den[0];
+  x[1] = x[1] / den[0];
+  for (int i = 1; i < n; ++i) {
+    x[2 * i] = (x[2 * i] - a[i] * x[2 * i - 2]) / den[i];
+    x[2 * i + 1] = (x[2 * i + 1] - a[i] * x[2 * i - 1]) / den[i];
+  }
+  for (int i = n - 1; i-- > 0;) {
+    x[2 * i] -= cp[i] * x[2 * i + 2];
+    x[2 * i + 1] -= cp[i] * x[2 * i + 3];
+  }
+}
+
 }  // namespace foam::numerics

@@ -39,17 +39,78 @@ par::Decomp2D make_ocean_decomp(const OceanConfig& cfg, par::Comm* comm,
   return par::Decomp2D(cfg.nx, cfg.ny, px, comm->size() / px);
 }
 
+/// Row (j, k) of a 3-D field: nx contiguous values.
+inline double* row_of(Field3Dd& f, int j, int k) {
+  return f.level(k) + static_cast<std::size_t>(j) * f.nx();
+}
+inline const double* row_of(const Field3Dd& f, int j, int k) {
+  return f.level(k) + static_cast<std::size_t>(j) * f.nx();
+}
+
+/// c ? a : b with both operands evaluated: the selects that replace the
+/// sweeps' land branches. Every load happens unconditionally, so GCC
+/// if-converts and vectorizes the loop; the chosen value is bitwise the
+/// one the branch would have computed.
+template <typename T>
+inline T select(bool c, T a, T b) {
+  return c ? a : b;
+}
+
+/// std::clamp's comparisons on values rather than references (which keeps
+/// the selects vectorizable): lo if v < lo, else hi if hi < v, else v.
+inline double clamp_sel(double v, double lo, double hi) {
+  return select(v < lo, lo, select(hi < v, hi, v));
+}
+
+// GCC's "no loop-carried dependence" assertion for the sweeps below (other
+// compilers check aliasing at run time instead).
+#if defined(__GNUC__) && !defined(__clang__)
+#define FOAM_IVDEP _Pragma("GCC ivdep")
+#else
+#define FOAM_IVDEP
+#endif
+
+/// cell(i) for i in [lo, hi). Contract (which lets the loop vectorize
+/// without alias checks): cell(i) writes column i only, and nothing it
+/// writes is read at another column in the same sweep.
+template <typename Cell>
+inline void sweep_cells(int lo, int hi, Cell&& cell) {
+FOAM_IVDEP
+  for (int i = lo; i < hi; ++i) cell(i);
+}
+
+/// cell(i, iw, ie) for the columns [lo, hi) of a periodic row of nx, iw/ie
+/// being i's west/east neighbours. The two end columns, whose neighbours
+/// may wrap, are peeled off, so the interior runs with iw = i - 1 and
+/// ie = i + 1: contiguous, branch-free and vectorizable once cell() is
+/// inlined. Same contract as sweep_cells: neighbours are read from arrays
+/// the sweep does not write.
+template <typename Cell>
+[[gnu::flatten]] inline void sweep_row(int lo, int hi, int nx, Cell&& cell) {
+  if (lo >= hi) return;
+  cell(lo, lo == 0 ? nx - 1 : lo - 1, lo + 1 == nx ? 0 : lo + 1);
+FOAM_IVDEP
+  for (int i = lo + 1; i < hi - 1; ++i) cell(i, i - 1, i + 1);
+  if (hi - 1 > lo) cell(hi - 1, hi - 2, hi == nx ? 0 : hi);
+}
+
 }  // namespace
 
 OceanModel::MemberScratch::MemberScratch(
     const numerics::PolarFourierFilter& filter, int nx, int nz)
     : filter_ws(filter),
-      mask(static_cast<std::size_t>(nx)),
+      masks(static_cast<std::size_t>(nx) *
+            numerics::PolarFourierFilter::kLanes),
+      acc_stride(static_cast<std::size_t>(nx) + 1),
+      accs(kAccs * acc_stride),
       la(static_cast<std::size_t>(nz)),
-      lb(static_cast<std::size_t>(nz)),
-      lc(static_cast<std::size_t>(nz)),
-      ld(static_cast<std::size_t>(nz)),
-      cp(static_cast<std::size_t>(nz)) {}
+      lb(la.size()),
+      lc(la.size()),
+      cp(la.size()),
+      den(la.size()),
+      rhs(2 * la.size()),
+      tcol(la.size()),
+      scol(la.size()) {}
 
 void OceanModel::set_team(par::Team* team) {
   team_ = team;
@@ -64,6 +125,13 @@ void OceanModel::bands(int lo, int hi, Body&& body) {
   par::for_chunks(team_, hi - lo, [&](int m, int a, int b) {
     body(m, lo + a, lo + b);
   });
+}
+
+template <typename Body>
+void OceanModel::ext_columns(Body&& body) const {
+  body(i0_, i1_);
+  if (ext_w_ >= 0) body(ext_w_, ext_w_ + 1);
+  if (ext_e_ >= 0) body(ext_e_, ext_e_ + 1);
 }
 
 OceanModel::OceanModel(const OceanConfig& cfg,
@@ -85,8 +153,6 @@ OceanModel::OceanModel(const OceanConfig& cfg,
       vp_prev_(cfg.nx, cfg.ny, cfg.nz, 0.0),
       t_(cfg.nx, cfg.ny, cfg.nz, 0.0),
       s_(cfg.nx, cfg.ny, cfg.nz, cfg.s_ref),
-      t_prev_(cfg.nx, cfg.ny, cfg.nz, 0.0),
-      s_prev_(cfg.nx, cfg.ny, cfg.nz, cfg.s_ref),
       eta_(cfg.nx, cfg.ny, 0.0),
       ub_(cfg.nx, cfg.ny, 0.0),
       vb_(cfg.nx, cfg.ny, 0.0),
@@ -99,6 +165,12 @@ OceanModel::OceanModel(const OceanConfig& cfg,
       wtop_(cfg.nx, cfg.ny, cfg.nz, 0.0),
       fbar_x_(cfg.nx, cfg.ny, 0.0),
       fbar_y_(cfg.nx, cfg.ny, 0.0),
+      u_new_(cfg.nx, cfg.ny, cfg.nz, 0.0),
+      v_new_(cfg.nx, cfg.ny, cfg.nz, 0.0),
+      lap_(cfg.nx, cfg.ny, 0.0),
+      div_(cfg.nx, cfg.ny, 0.0),
+      baro_fx_(cfg.nx, cfg.ny, 0.0),
+      baro_fy_(cfg.nx, cfg.ny, 0.0),
       taux_(cfg.nx, cfg.ny, 0.0),
       tauy_(cfg.nx, cfg.ny, 0.0),
       qnet_(cfg.nx, cfg.ny, 0.0),
@@ -122,6 +194,7 @@ OceanModel::OceanModel(const OceanConfig& cfg,
     levels_(i, cfg_.ny - 1) = 0;
     levels_(i, cfg_.ny - 2) = 0;
   }
+  row_levels_.assign(static_cast<std::size_t>(cfg_.ny), 0);
   for (int j = 0; j < cfg_.ny; ++j) {
     for (int i = 0; i < cfg_.nx; ++i) {
       const int lev = levels_(i, j);
@@ -129,7 +202,16 @@ OceanModel::OceanModel(const OceanConfig& cfg,
       double h = 0.0;
       for (int k = 0; k < lev; ++k) h += vgrid_.dz(k);
       depth_(i, j) = h;
+      row_levels_[j] = std::max(row_levels_[j], lev);
     }
+  }
+  dry_row_.assign(static_cast<std::size_t>(cfg_.nx), 0);
+  vdiff_up_.assign(static_cast<std::size_t>(cfg_.nz), 0.0);
+  vdiff_dn_.assign(static_cast<std::size_t>(cfg_.nz), 0.0);
+  for (int k = 0; k < cfg_.nz; ++k) {
+    const double dzk = vgrid_.dz(k);
+    if (k > 0) vdiff_up_[k] = dzk * (0.5 * (vgrid_.dz(k - 1) + dzk));
+    if (k + 1 < cfg_.nz) vdiff_dn_[k] = dzk * (0.5 * (dzk + vgrid_.dz(k + 1)));
   }
   const int rank = comm_ != nullptr ? comm_->rank() : 0;
   pi_ = decomp_.pi_of(rank);
@@ -140,15 +222,11 @@ OceanModel::OceanModel(const OceanConfig& cfg,
   j1_ = yr.hi;
   i0_ = xr.lo;
   i1_ = xr.hi;
-  // Columns visited by extended-range loops. With px == 1 every column is
-  // owned and the list is 0..nx-1, reproducing the row-decomposed loops
-  // bitwise; otherwise the wrapped halo column on each side joins in.
+  // Columns visited by extended-range loops: with px == 1 every column is
+  // owned; otherwise the wrapped halo column on each side joins in.
   if (decomp_.px() > 1) {
-    xext_.push_back((i0_ - 1 + cfg_.nx) % cfg_.nx);
-    for (int i = i0_; i < i1_; ++i) xext_.push_back(i);
-    xext_.push_back(i1_ % cfg_.nx);
-  } else {
-    for (int i = 0; i < cfg_.nx; ++i) xext_.push_back(i);
+    ext_w_ = (i0_ - 1 + cfg_.nx) % cfg_.nx;
+    ext_e_ = i1_ % cfg_.nx;
   }
   for (int j = j0_; j < j1_; ++j)
     if (filter_.is_polar_row(j)) polar_rows_.push_back(j);
@@ -199,10 +277,7 @@ void OceanModel::init_climatology() {
   init_thermal_wind();
   up_prev_ = up_;
   vp_prev_ = vp_;
-  t_prev_ = t_;
-  s_prev_ = s_;
   have_mom_prev_ = false;
-  have_tracer_prev_ = false;
 }
 
 void OceanModel::init_thermal_wind() {
@@ -212,13 +287,12 @@ void OceanModel::init_thermal_wind() {
   // equatorial strip starts slightly unbalanced but bounded.
   const int save_lo = j0_, save_hi = j1_;
   const int save_ilo = i0_, save_ihi = i1_;
-  std::vector<int> save_xext;
-  save_xext.swap(xext_);
+  const int save_ext_w = ext_w_, save_ext_e = ext_e_;
   j0_ = 0;
   j1_ = cfg_.ny;  // initialization is rank-replicated over the full domain
   i0_ = 0;
   i1_ = cfg_.nx;
-  for (int i = 0; i < cfg_.nx; ++i) xext_.push_back(i);
+  ext_w_ = ext_e_ = -1;
   density();
   baroclinic_pressure();
   pressure_forces();
@@ -240,7 +314,8 @@ void OceanModel::init_thermal_wind() {
   j1_ = save_hi;
   i0_ = save_ilo;
   i1_ = save_ihi;
-  xext_.swap(save_xext);
+  ext_w_ = save_ext_w;
+  ext_e_ = save_ext_e;
 }
 
 void OceanModel::set_forcing(const OceanForcing& f) {
@@ -392,36 +467,61 @@ void OceanModel::exchange_halo(Field3Dd& f) {
 void OceanModel::density() {
   const int lo = std::max(0, j0_ - 1);
   const int hi = std::min(cfg_.ny, j1_ + 1);
+  const double rho0 = cfg_.rho0, alpha = cfg_.alpha_t, beta = cfg_.beta_s;
+  const double t_ref = cfg_.t_ref, s_ref = cfg_.s_ref;
   bands(lo, hi, [&](int, int jlo, int jhi) {
-    for (int j = jlo; j < jhi; ++j)
-      for (const int i : xext_)
-        for (int k = 0; k < levels_(i, j); ++k)
-          rho_(i, j, k) =
-              cfg_.rho0 * (1.0 - cfg_.alpha_t * (t_(i, j, k) - cfg_.t_ref) +
-                           cfg_.beta_s * (s_(i, j, k) - cfg_.s_ref));
+    for (int j = jlo; j < jhi; ++j) {
+      const int* lev = lev_row(j);
+      for (int k = 0; k < row_levels_[j]; ++k) {
+        const double* t = row_of(t_, j, k);
+        const double* s = row_of(s_, j, k);
+        double* rho = row_of(rho_, j, k);
+        ext_columns([&](int a, int b) {
+          sweep_cells(a, b, [&](int i) {
+            const double r = rho0 * (1.0 - alpha * (t[i] - t_ref) +
+                                     beta * (s[i] - s_ref));
+            rho[i] = select(k < lev[i], r, rho[i]);
+          });
+        });
+      }
+    }
   });
 }
 
 void OceanModel::baroclinic_pressure() {
   const int lo = std::max(0, j0_ - 1);
   const int hi = std::min(cfg_.ny, j1_ + 1);
-  bands(lo, hi, [&](int, int jlo, int jhi) {
+  const double rho0 = cfg_.rho0;
+  bands(lo, hi, [&](int m, int jlo, int jhi) {
+    // Per-column running pressure and the density anomaly of the level
+    // above, summed down the column level by level.
+    MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    double* p = sc.acc(0);
+    double* above = sc.acc(1);
     for (int j = jlo; j < jhi; ++j) {
-      for (const int i : xext_) {
-        const int lev = levels_(i, j);
-        double p = 0.0;
-        double rho_above = 0.0;
-        for (int k = 0; k < lev; ++k) {
-          const double rp = rho_(i, j, k) - cfg_.rho0;
+      const int* lev = lev_row(j);
+      for (int k = 0; k < row_levels_[j]; ++k) {
+        const double* rho = row_of(rho_, j, k);
+        double* pbc = row_of(pbc_, j, k);
+        const double dzk = vgrid_.dz(k);
+        const double dzm = k > 0 ? vgrid_.dz(k - 1) : 0.0;
+        ext_columns([&](int a, int b) {
           if (k == 0) {
-            p = gravity * rp * 0.5 * vgrid_.dz(0);
+            sweep_cells(a, b, [&](int i) {
+              const double rp = rho[i] - rho0;
+              p[i] = gravity * rp * 0.5 * dzk;
+              above[i] = rp;
+              pbc[i] = select(0 < lev[i], p[i], pbc[i]);
+            });
           } else {
-            p += gravity * 0.5 *
-                 (rho_above * vgrid_.dz(k - 1) + rp * vgrid_.dz(k));
+            sweep_cells(a, b, [&](int i) {
+              const double rp = rho[i] - rho0;
+              p[i] += gravity * 0.5 * (above[i] * dzm + rp * dzk);
+              above[i] = rp;
+              pbc[i] = select(k < lev[i], p[i], pbc[i]);
+            });
           }
-          pbc_(i, j, k) = p;
-          rho_above = rp;
-        }
+        });
       }
     }
   });
@@ -429,79 +529,102 @@ void OceanModel::baroclinic_pressure() {
 
 void OceanModel::pressure_forces() {
   const int nx = cfg_.nx;
-  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+  const bool pg = cfg_.enable_baroclinic_pg;
+  const double rho0 = cfg_.rho0;
+  bands(j0_, j1_, [&](int m, int jlo, int jhi) {
+    MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    double* sx = sc.acc(0);
+    double* sy = sc.acc(1);
     for (int j = jlo; j < jhi; ++j) {
       const double inv2dx = 1.0 / (2.0 * dx(j));
       const double inv2dy = 1.0 / (2.0 * dy(j));
-      for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
-        double sx = 0.0, sy = 0.0, h = 0.0;
-        for (int k = 0; k < lev; ++k) {
-          double fx = 0.0, fy = 0.0;
-          if (cfg_.enable_baroclinic_pg) {
-            // Ghost-mirror closure at walls (a dry neighbour mirrors the
-            // centre pressure): wall columns still feel pressure restoring,
-            // at half the centred magnitude.
-            const double pc = pbc_(i, j, k);
-            const double pe =
-                wet((i + 1) % nx, j, k) ? pbc_.wrap_x(i + 1, j, k) : pc;
-            const double pw =
-                wet((i + nx - 1) % nx, j, k) ? pbc_.wrap_x(i - 1, j, k) : pc;
-            fx = -(pe - pw) * inv2dx / cfg_.rho0;
-            const double pn =
-                (j + 1 < cfg_.ny && wet(i, j + 1, k)) ? pbc_(i, j + 1, k) : pc;
-            const double ps =
-                (j - 1 >= 0 && wet(i, j - 1, k)) ? pbc_(i, j - 1, k) : pc;
-            fy = -(pn - ps) * inv2dy / cfg_.rho0;
-          }
-          gx_(i, j, k) = fx;
-          gy_(i, j, k) = fy;
-          sx += fx * vgrid_.dz(k);
-          sy += fy * vgrid_.dz(k);
-          h += vgrid_.dz(k);
-        }
-        fbar_x_(i, j) = h > 0.0 ? sx / h : 0.0;
-        fbar_y_(i, j) = h > 0.0 ? sy / h : 0.0;
+      const int* lev = lev_row(j);
+      const int* lev_n = lev_row(j + 1);
+      const int* lev_s = lev_row(j - 1);
+      const int jn = north(j);
+      const int js = south(j);
+      std::fill(sx + i0_, sx + i1_, 0.0);
+      std::fill(sy + i0_, sy + i1_, 0.0);
+      for (int k = 0; k < row_levels_[j]; ++k) {
+        const double dzk = vgrid_.dz(k);
+        const double* pc = row_of(pbc_, j, k);
+        const double* pn = row_of(pbc_, jn, k);
+        const double* ps = row_of(pbc_, js, k);
+        double* gx = row_of(gx_, j, k);
+        double* gy = row_of(gy_, j, k);
+        sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+          // Ghost-mirror closure at walls (a dry neighbour mirrors the
+          // centre pressure): wall columns still feel pressure restoring, at
+          // half the centred magnitude.
+          const double c = pc[i];
+          const double e = select(k < lev[ie], pc[ie], c);
+          const double w = select(k < lev[iw], pc[iw], c);
+          const double n = select(k < lev_n[i], pn[i], c);
+          const double s = select(k < lev_s[i], ps[i], c);
+          const double fx = select(pg, -(e - w) * inv2dx / rho0, 0.0);
+          const double fy = select(pg, -(n - s) * inv2dy / rho0, 0.0);
+          const bool wet = k < lev[i];
+          gx[i] = select(wet, fx, gx[i]);
+          gy[i] = select(wet, fy, gy[i]);
+          sx[i] = select(wet, sx[i] + fx * dzk, sx[i]);
+          sy[i] = select(wet, sy[i] + fy * dzk, sy[i]);
+        });
       }
+      // The column depth is the same k-ascending sum of dz as depth_.
+      const double* h = &depth_(0, j);
+      double* fbx = &fbar_x_(0, j);
+      double* fby = &fbar_y_(0, j);
+      sweep_cells(i0_, i1_, [&](int i) {
+        fbx[i] = select(h[i] > 0.0, sx[i] / h[i], 0.0);
+        fby[i] = select(h[i] > 0.0, sy[i] / h[i], 0.0);
+      });
     }
   });
 }
 
-void OceanModel::implicit_vertical(Field3Dd& f, const Field3Dd& coeff,
-                                   double dt) {
+void OceanModel::implicit_vertical(Field3Dd& fa, Field3Dd& fb,
+                                   const Field3Dd& coeff, double dt) {
+  const std::size_t plane =
+      static_cast<std::size_t>(cfg_.nx) * static_cast<std::size_t>(cfg_.ny);
   bands(j0_, j1_, [&](int m, int jlo, int jhi) {
-    // The member's column scratch (capacity nz: assign never allocates).
     MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
-    std::vector<double>& la = sc.la;
-    std::vector<double>& lb = sc.lb;
-    std::vector<double>& lc = sc.lc;
-    std::vector<double>& ld = sc.ld;
+    double* a = sc.la.data();
+    double* b = sc.lb.data();
+    double* c = sc.lc.data();
+    double* x = sc.rhs.data();
     for (int j = jlo; j < jhi; ++j) {
+      const int* lev_j = lev_row(j);
       for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
+        const int lev = lev_j[i];
         if (lev < 2) continue;
-        la.assign(lev, 0.0);
-        lb.assign(lev, 1.0);
-        lc.assign(lev, 0.0);
-        ld.assign(lev, 0.0);
+        const std::size_t at = static_cast<std::size_t>(j) * cfg_.nx + i;
+        const double* kc = coeff.data() + at;
+        double* pa = fa.data() + at;
+        double* pb = fb.data() + at;
         for (int k = 0; k < lev; ++k) {
-          const double dzk = vgrid_.dz(k);
+          double bk = 1.0;
+          a[k] = 0.0;
+          c[k] = 0.0;
           if (k > 0) {
-            const double dzi = 0.5 * (vgrid_.dz(k - 1) + vgrid_.dz(k));
-            const double r = dt * coeff(i, j, k) / (dzk * dzi);
-            la[k] = -r;
-            lb[k] += r;
+            const double r = dt * kc[k * plane] / vdiff_up_[k];
+            a[k] = -r;
+            bk += r;
           }
           if (k < lev - 1) {
-            const double dzi = 0.5 * (vgrid_.dz(k) + vgrid_.dz(k + 1));
-            const double r = dt * coeff(i, j, k + 1) / (dzk * dzi);
-            lc[k] = -r;
-            lb[k] += r;
+            const double r = dt * kc[(k + 1) * plane] / vdiff_dn_[k];
+            c[k] = -r;
+            bk += r;
           }
-          ld[k] = f(i, j, k);
+          b[k] = bk;
+          x[2 * k] = pa[k * plane];
+          x[2 * k + 1] = pb[k * plane];
         }
-        numerics::solve_tridiag(la, lb, lc, ld, sc.cp);
-        for (int k = 0; k < lev; ++k) f(i, j, k) = ld[k];
+        numerics::tridiag_factor(a, b, c, lev, sc.cp.data(), sc.den.data());
+        numerics::tridiag_solve2(a, sc.cp.data(), sc.den.data(), lev, x);
+        for (int k = 0; k < lev; ++k) {
+          pa[k * plane] = x[2 * k];
+          pb[k * plane] = x[2 * k + 1];
+        }
       }
     }
   });
@@ -518,64 +641,74 @@ void OceanModel::internal_momentum_step() {
 
   // Lateral friction (Laplacian, no-slip walls) and del^4 dissipation,
   // evaluated at the previous time level (lagged friction keeps leapfrog
-  // stable). Divergence damping likewise.
-  Field2Dd lvl(nx, cfg_.ny, 0.0), lap1(nx, cfg_.ny, 0.0),
-      lap2(nx, cfg_.ny, 0.0), divf(nx, cfg_.ny, 0.0);
-  Field2D<int> kmask(nx, cfg_.ny, 0);
+  // stable). Divergence damping likewise. A row with no wet cell at level
+  // k is skipped; what it would read or write there is never used.
   for (int pass = 0; pass < 2; ++pass) {
     const Field3Dd& vel_prev = (pass == 0) ? up_prev_ : vp_prev_;
     Field3Dd& tend = (pass == 0) ? gx_ : gy_;
     for (int k = 0; k < cfg_.nz; ++k) {
-      bands(0, cfg_.ny, [&](int, int jlo, int jhi) {
-        for (int j = jlo; j < jhi; ++j)
-          for (int i = 0; i < nx; ++i) kmask(i, j) = wet(i, j, k) ? 1 : 0;
-      });
-      const int lo = std::max(0, j0_ - 1);
-      const int hi = std::min(cfg_.ny, j1_ + 1);
-      bands(lo, hi, [&](int, int jlo, int jhi) {
-        for (int j = jlo; j < jhi; ++j)
-          for (const int i : xext_) lvl(i, j) = vel_prev(i, j, k);
-      });
       // No-slip Laplacian: a land neighbour contributes zero velocity so
       // boundary currents feel sidewall friction. Computed on the owned
       // box; the halo ring arrives by exchange below.
       bands(j0_, j1_, [&](int, int jlo, int jhi) {
         for (int j = jlo; j < jhi; ++j) {
+          double* lap = &lap_(0, j);
+          if (k >= row_levels_[j]) {
+            std::fill(lap + i0_, lap + i1_, 0.0);
+            continue;
+          }
           const double ix2 = 1.0 / (dx(j) * dx(j));
           const double iy2 = 1.0 / (dy(j) * dy(j));
-          for (int i = i0_; i < i1_; ++i) {
-            if (kmask(i, j) == 0) {
-              lap1(i, j) = 0.0;
-              continue;
-            }
-            const double c = lvl(i, j);
-            const double e =
-                kmask.wrap_x(i + 1, j) ? lvl.wrap_x(i + 1, j) : 0.0;
-            const double w2 =
-                kmask.wrap_x(i - 1, j) ? lvl.wrap_x(i - 1, j) : 0.0;
-            const double n2 =
-                (j + 1 < cfg_.ny && kmask(i, j + 1)) ? lvl(i, j + 1) : 0.0;
-            const double s2 =
-                (j > 0 && kmask(i, j - 1)) ? lvl(i, j - 1) : 0.0;
-            lap1(i, j) =
+          const int* lev = lev_row(j);
+          const int* lev_n = lev_row(j + 1);
+          const int* lev_s = lev_row(j - 1);
+          const double* vc = row_of(vel_prev, j, k);
+          const double* vn = row_of(vel_prev, north(j), k);
+          const double* vs = row_of(vel_prev, south(j), k);
+          sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+            const double c = vc[i];
+            const double e = select(k < lev[ie], vc[ie], 0.0);
+            const double w2 = select(k < lev[iw], vc[iw], 0.0);
+            const double n2 = select(k < lev_n[i], vn[i], 0.0);
+            const double s2 = select(k < lev_s[i], vs[i], 0.0);
+            const double l =
                 (e - 2.0 * c + w2) * ix2 + (n2 - 2.0 * c + s2) * iy2;
-          }
+            lap[i] = select(k < lev[i], l, 0.0);
+          });
         }
       });
-      exchange_halo(lap1);
-      // lap2 is read at its own cell only, so each band computes its rows
-      // of it and applies them in one pass (owned rows are all it needs).
+      exchange_halo(lap_);
+      // The no-flux Laplacian of lap_ is read at its own cell only, so each
+      // row computes and applies it in one sweep.
       bands(j0_, j1_, [&](int, int jlo, int jhi) {
-        numerics::laplacian_masked_rows(grid_, lap1, kmask, lap2, jlo, jhi);
         for (int j = jlo; j < jhi; ++j) {
+          if (k >= row_levels_[j]) continue;
           const double d = dx(j);
+          const double inv_dx2 = 1.0 / (dx(j) * dx(j));
+          const double inv_dy2 = 1.0 / (dy(j) * dy(j));
           // Caps keep the explicit (lagged, effective step 2dt) updates
           // monotone on the shrinking polar cells.
           const double cap4 = 0.0025 * d * d * d * d / dt;
           const double a4 = std::min(cfg_.visc4, cap4);
-          for (int i = i0_; i < i1_; ++i)
-            if (wet(i, j, k))
-              tend(i, j, k) += cfg_.visc_h * lap1(i, j) - a4 * lap2(i, j);
+          const double visc_h = cfg_.visc_h;
+          const int* lev = lev_row(j);
+          const int* lev_n = lev_row(j + 1);
+          const int* lev_s = lev_row(j - 1);
+          const double* lc = &lap_(0, j);
+          const double* ln = &lap_(0, north(j));
+          const double* ls = &lap_(0, south(j));
+          double* t = row_of(tend, j, k);
+          sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+            const double fc = lc[i];
+            const double fe = select(k < lev[ie], lc[ie], fc);
+            const double fw = select(k < lev[iw], lc[iw], fc);
+            const double fn = select(k < lev_n[i], ln[i], fc);
+            const double fs = select(k < lev_s[i], ls[i], fc);
+            const double lap2 = (fe - 2.0 * fc + fw) * inv_dx2 +
+                                (fn - 2.0 * fc + fs) * inv_dy2;
+            const double v = t[i] + (visc_h * fc - a4 * lap2);
+            t[i] = select(k < lev[i], v, t[i]);
+          });
         }
       });
     }
@@ -587,137 +720,170 @@ void OceanModel::internal_momentum_step() {
       // Computed on the owned box; the halo ring arrives by exchange.
       bands(j0_, j1_, [&](int, int jlo, int jhi) {
         for (int j = jlo; j < jhi; ++j) {
+          double* dv = &div_(0, j);
+          if (k >= row_levels_[j]) {
+            std::fill(dv + i0_, dv + i1_, 0.0);
+            continue;
+          }
           const double invdx = 1.0 / dx(j);
           const double invdy = 1.0 / dy(j);
-          for (int i = i0_; i < i1_; ++i) {
-            if (!wet(i, j, k)) {
-              divf(i, j) = 0.0;
-              continue;
-            }
-            const int ie = (i + 1) % nx;
-            const int iw = (i + nx - 1) % nx;
-            const double ue =
-                wet(ie, j, k)
-                    ? 0.5 * (up_prev_(i, j, k) + up_prev_(ie, j, k))
-                    : 0.0;
-            const double uw =
-                wet(iw, j, k)
-                    ? 0.5 * (up_prev_(iw, j, k) + up_prev_(i, j, k))
-                    : 0.0;
-            const double vn =
-                (j + 1 < cfg_.ny && wet(i, j + 1, k))
-                    ? 0.5 * (vp_prev_(i, j, k) + vp_prev_(i, j + 1, k))
-                    : 0.0;
-            const double vs =
-                (j - 1 >= 0 && wet(i, j - 1, k))
-                    ? 0.5 * (vp_prev_(i, j - 1, k) + vp_prev_(i, j, k))
-                    : 0.0;
-            divf(i, j) = (ue - uw) * invdx + (vn - vs) * invdy;
-          }
+          const int* lev = lev_row(j);
+          const int* lev_n = lev_row(j + 1);
+          const int* lev_s = lev_row(j - 1);
+          const double* u = row_of(up_prev_, j, k);
+          const double* v = row_of(vp_prev_, j, k);
+          const double* vn = row_of(vp_prev_, north(j), k);
+          const double* vs = row_of(vp_prev_, south(j), k);
+          sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+            const double ue = select(k < lev[ie], 0.5 * (u[i] + u[ie]), 0.0);
+            const double uw = select(k < lev[iw], 0.5 * (u[iw] + u[i]), 0.0);
+            const double vnf = select(k < lev_n[i], 0.5 * (v[i] + vn[i]), 0.0);
+            const double vsf = select(k < lev_s[i], 0.5 * (vs[i] + v[i]), 0.0);
+            const double d = (ue - uw) * invdx + (vnf - vsf) * invdy;
+            dv[i] = select(k < lev[i], d, 0.0);
+          });
         }
       });
-      exchange_halo(divf);
+      exchange_halo(div_);
       bands(j0_, j1_, [&](int, int jlo, int jhi) {
         for (int j = jlo; j < jhi; ++j) {
+          if (k >= row_levels_[j]) continue;
           const double inv2dx = 1.0 / (2.0 * dx(j));
           const double inv2dy = 1.0 / (2.0 * dy(j));
           const double cap = 0.05 * dx(j) * dx(j) / dt;
           const double cdd = std::min(cfg_.div_damp, cap);
-          for (int i = i0_; i < i1_; ++i) {
-            if (!wet(i, j, k)) continue;
-            const int ie = (i + 1) % nx;
-            const int iw = (i + nx - 1) % nx;
-            const double de = wet(ie, j, k) ? divf(ie, j) : divf(i, j);
-            const double dw = wet(iw, j, k) ? divf(iw, j) : divf(i, j);
-            gx_(i, j, k) += cdd * (de - dw) * inv2dx;
-            const double dn =
-                (j + 1 < cfg_.ny && wet(i, j + 1, k)) ? divf(i, j + 1)
-                                                      : divf(i, j);
-            const double ds =
-                (j - 1 >= 0 && wet(i, j - 1, k)) ? divf(i, j - 1)
-                                                 : divf(i, j);
-            gy_(i, j, k) += cdd * (dn - ds) * inv2dy;
-          }
+          const int* lev = lev_row(j);
+          const int* lev_n = lev_row(j + 1);
+          const int* lev_s = lev_row(j - 1);
+          const double* dc = &div_(0, j);
+          const double* dnr = &div_(0, north(j));
+          const double* dsr = &div_(0, south(j));
+          double* gx = row_of(gx_, j, k);
+          double* gy = row_of(gy_, j, k);
+          sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+            const double c = dc[i];
+            const double de = select(k < lev[ie], dc[ie], c);
+            const double dw = select(k < lev[iw], dc[iw], c);
+            const double dn = select(k < lev_n[i], dnr[i], c);
+            const double ds = select(k < lev_s[i], dsr[i], c);
+            const bool wet = k < lev[i];
+            const double ax = gx[i] + cdd * (de - dw) * inv2dx;
+            const double ay = gy[i] + cdd * (dn - ds) * inv2dy;
+            gx[i] = select(wet, ax, gx[i]);
+            gy[i] = select(wet, ay, gy[i]);
+          });
         }
       });
     }
   }
 
   // Leapfrog update: new = prev + 2dt * (PG deviation + Coriolis(n) +
-  // wind deviation + friction(prev)).
-  Field3Dd u_new(up_prev_);
-  Field3Dd v_new(vp_prev_);
-  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+  // wind deviation + friction(prev)). u_new_/v_new_ are scratch: only their
+  // wet cells are ever read, so dry cells are written without a select.
+  const double rho0 = cfg_.rho0;
+  const double rayleigh = cfg_.rayleigh;
+  const double dz0 = vgrid_.dz(0);
+  bands(j0_, j1_, [&](int m, int jlo, int jhi) {
+    MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    double* ax0 = sc.acc(0);  // surface-layer stress term ax / dz(0)
+    double* axh = sc.acc(1);  // depth-mean stress term ax / h
+    double* ay0 = sc.acc(2);
+    double* ayh = sc.acc(3);
     for (int j = jlo; j < jhi; ++j) {
       const double f = 2.0 * earth_omega * std::sin(grid_.lat(j));
-      for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
-        if (lev == 0) continue;
-        const double ice_scale =
-            1.0 - ice_(i, j) + ice_(i, j) / ice_stress_divisor;
-        const double ax = taux_(i, j) * ice_scale / cfg_.rho0;
-        const double ay = tauy_(i, j) * ice_scale / cfg_.rho0;
-        const double h = depth_(i, j);
-        for (int k = 0; k < lev; ++k) {
-          const double wind_x = (k == 0 ? ax / vgrid_.dz(0) : 0.0) - ax / h;
-          const double wind_y = (k == 0 ? ay / vgrid_.dz(0) : 0.0) - ay / h;
-          const double tx = gx_(i, j, k) - fbar_x_(i, j) + wind_x +
-                            f * vp_(i, j, k) -
-                            cfg_.rayleigh * up_prev_(i, j, k);
-          const double ty = gy_(i, j, k) - fbar_y_(i, j) + wind_y -
-                            f * up_(i, j, k) -
-                            cfg_.rayleigh * vp_prev_(i, j, k);
-          u_new(i, j, k) = up_prev_(i, j, k) + dt2 * tx;
-          v_new(i, j, k) = vp_prev_(i, j, k) + dt2 * ty;
-        }
+      const double* ice = &ice_(0, j);
+      const double* tx0 = &taux_(0, j);
+      const double* ty0 = &tauy_(0, j);
+      const double* h = &depth_(0, j);
+      sweep_cells(i0_, i1_, [&](int i) {
+        const double ice_scale = 1.0 - ice[i] + ice[i] / ice_stress_divisor;
+        const double ax = tx0[i] * ice_scale / rho0;
+        const double ay = ty0[i] * ice_scale / rho0;
+        ax0[i] = ax / dz0;
+        axh[i] = ax / h[i];
+        ay0[i] = ay / dz0;
+        ayh[i] = ay / h[i];
+      });
+      const double* fbx = &fbar_x_(0, j);
+      const double* fby = &fbar_y_(0, j);
+      for (int k = 0; k < row_levels_[j]; ++k) {
+        const bool top = k == 0;
+        const double* gx = row_of(gx_, j, k);
+        const double* gy = row_of(gy_, j, k);
+        const double* u = row_of(up_, j, k);
+        const double* v = row_of(vp_, j, k);
+        const double* up = row_of(up_prev_, j, k);
+        const double* vp = row_of(vp_prev_, j, k);
+        double* un = row_of(u_new_, j, k);
+        double* vn = row_of(v_new_, j, k);
+        sweep_cells(i0_, i1_, [&](int i) {
+          const double wind_x = select(top, ax0[i], 0.0) - axh[i];
+          const double wind_y = select(top, ay0[i], 0.0) - ayh[i];
+          const double tx =
+              gx[i] - fbx[i] + wind_x + f * v[i] - rayleigh * up[i];
+          const double ty =
+              gy[i] - fby[i] + wind_y - f * u[i] - rayleigh * vp[i];
+          un[i] = up[i] + dt2 * tx;
+          vn[i] = vp[i] + dt2 * ty;
+        });
       }
     }
   });
 
   // Implicit vertical viscosity on the new level.
-  if (cfg_.enable_vmix) {
-    implicit_vertical(u_new, nu_, dt2);
-    implicit_vertical(v_new, nu_, dt2);
-  }
+  if (cfg_.enable_vmix) implicit_vertical(u_new_, v_new_, nu_, dt2);
 
-  // Wall-normal damping, deep/bottom drag and the hard safety clamp.
+  // Wall-normal damping, deep/bottom drag and the hard safety clamp, in
+  // that order for every cell (dry cells of the scratch levels included).
   const double keep = cfg_.wall_normal_retain;
+  const double max_bc = cfg_.max_baroclinic;
+  const std::size_t plane =
+      static_cast<std::size_t>(nx) * static_cast<std::size_t>(cfg_.ny);
   bands(j0_, j1_, [&](int, int jlo, int jhi) {
     for (int j = jlo; j < jhi; ++j) {
-      for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
-        if (lev == 0) continue;
-        if (keep < 1.0) {
-          for (int k = 0; k < lev; ++k) {
-            if (!wet((i + 1) % nx, j, k) || !wet((i + nx - 1) % nx, j, k))
-              u_new(i, j, k) *= keep;
-            if (j + 1 >= cfg_.ny || j - 1 < 0 || !wet(i, j + 1, k) ||
-                !wet(i, j - 1, k))
-              v_new(i, j, k) *= keep;
-          }
+      const int* lev = lev_row(j);
+      const int* lev_n = lev_row(j + 1);
+      const int* lev_s = lev_row(j - 1);
+      if (keep < 1.0) {
+        for (int k = 0; k < row_levels_[j]; ++k) {
+          double* un = row_of(u_new_, j, k);
+          double* vn = row_of(v_new_, j, k);
+          sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+            const bool wall_u = (lev[ie] <= k) | (lev[iw] <= k);
+            const bool wall_v = (lev_n[i] <= k) | (lev_s[i] <= k);
+            un[i] = select(wall_u, un[i] * keep, un[i]);
+            vn[i] = select(wall_v, vn[i] * keep, vn[i]);
+          });
         }
-        // Frictional abyss: the two deepest layers of the *deviation* flow
-        // are strongly damped (bottom boundary layer + unresolved topographic
-        // form drag); cliff-trapped bottom modes otherwise survive every
-        // interior dissipation mechanism. The barotropic mode has its own
-        // bottom drag — coupling the two through this term would let a noisy
-        // ub manufacture deviation velocity.
-        for (int kb = std::max(0, lev - 2); kb < lev; ++kb) {
-          const double speed =
-              std::sqrt(u_new(i, j, kb) * u_new(i, j, kb) +
-                        v_new(i, j, kb) * v_new(i, j, kb));
+      }
+      // Frictional abyss: the two deepest layers of the *deviation* flow
+      // are strongly damped (bottom boundary layer + unresolved topographic
+      // form drag); cliff-trapped bottom modes otherwise survive every
+      // interior dissipation mechanism. The barotropic mode has its own
+      // bottom drag — coupling the two through this term would let a noisy
+      // ub manufacture deviation velocity.
+      for (int i = i0_; i < i1_; ++i) {
+        const std::size_t at = static_cast<std::size_t>(j) * nx + i;
+        double* uc = u_new_.data() + at;
+        double* vc = v_new_.data() + at;
+        for (int kb = std::max(0, lev[i] - 2); kb < lev[i]; ++kb) {
+          double& ub = uc[kb * plane];
+          double& vb = vc[kb * plane];
+          const double speed = std::sqrt(ub * ub + vb * vb);
           const double fac =
               1.0 / (1.0 + dt2 * (cfg_.deep_drag +
                                   2.5e-3 * speed / vgrid_.dz(kb)));
-          u_new(i, j, kb) *= fac;
-          v_new(i, j, kb) *= fac;
+          ub *= fac;
+          vb *= fac;
         }
-        for (int k = 0; k < lev; ++k) {
-          u_new(i, j, k) = std::clamp(u_new(i, j, k), -cfg_.max_baroclinic,
-                                      cfg_.max_baroclinic);
-          v_new(i, j, k) = std::clamp(v_new(i, j, k), -cfg_.max_baroclinic,
-                                      cfg_.max_baroclinic);
-        }
+      }
+      for (int k = 0; k < row_levels_[j]; ++k) {
+        double* un = row_of(u_new_, j, k);
+        double* vn = row_of(v_new_, j, k);
+        sweep_cells(i0_, i1_, [&](int i) {
+          un[i] = clamp_sel(un[i], -max_bc, max_bc);
+          vn[i] = clamp_sel(vn[i], -max_bc, max_bc);
+        });
       }
     }
   });
@@ -726,17 +892,23 @@ void OceanModel::internal_momentum_step() {
   const double eps = cfg_.asselin;
   bands(j0_, j1_, [&](int, int jlo, int jhi) {
     for (int j = jlo; j < jhi; ++j) {
-      for (int i = i0_; i < i1_; ++i) {
-        for (int k = 0; k < levels_(i, j); ++k) {
-          up_prev_(i, j, k) =
-              up_(i, j, k) +
-              eps * (u_new(i, j, k) - 2.0 * up_(i, j, k) + up_prev_(i, j, k));
-          vp_prev_(i, j, k) =
-              vp_(i, j, k) +
-              eps * (v_new(i, j, k) - 2.0 * vp_(i, j, k) + vp_prev_(i, j, k));
-          up_(i, j, k) = u_new(i, j, k);
-          vp_(i, j, k) = v_new(i, j, k);
-        }
+      const int* lev = lev_row(j);
+      for (int k = 0; k < row_levels_[j]; ++k) {
+        double* u = row_of(up_, j, k);
+        double* v = row_of(vp_, j, k);
+        double* up = row_of(up_prev_, j, k);
+        double* vp = row_of(vp_prev_, j, k);
+        const double* un = row_of(u_new_, j, k);
+        const double* vn = row_of(v_new_, j, k);
+        sweep_cells(i0_, i1_, [&](int i) {
+          const bool wet = k < lev[i];
+          const double fu = u[i] + eps * (un[i] - 2.0 * u[i] + up[i]);
+          const double fv = v[i] + eps * (vn[i] - 2.0 * v[i] + vp[i]);
+          up[i] = select(wet, fu, up[i]);
+          vp[i] = select(wet, fv, vp[i]);
+          u[i] = select(wet, un[i], u[i]);
+          v[i] = select(wet, vn[i], v[i]);
+        });
       }
     }
   });
@@ -767,68 +939,108 @@ void OceanModel::enforce_zero_depth_mean() {
   // barotropic mode so the split stays exact. The previous time level must
   // be de-meaned as well (without a second transfer): a mean left in
   // up_prev_ would be re-injected by the next leapfrog update and pump ub
-  // without bound.
-  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+  // without bound. Each column's sums run k-ascending in per-column
+  // accumulators, level by level.
+  bands(j0_, j1_, [&](int m, int jlo, int jhi) {
+    MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    double* su = sc.acc(0);
+    double* sv = sc.acc(1);
+    double* spu = sc.acc(2);
+    double* spv = sc.acc(3);
     for (int j = jlo; j < jhi; ++j) {
-      for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
-        if (lev == 0) continue;
-        double su = 0.0, sv = 0.0, spu = 0.0, spv = 0.0;
-        for (int k = 0; k < lev; ++k) {
-          su += up_(i, j, k) * vgrid_.dz(k);
-          sv += vp_(i, j, k) * vgrid_.dz(k);
-          spu += up_prev_(i, j, k) * vgrid_.dz(k);
-          spv += vp_prev_(i, j, k) * vgrid_.dz(k);
-        }
-        const double mu = su / depth_(i, j);
-        const double mv = sv / depth_(i, j);
-        const double mpu = spu / depth_(i, j);
-        const double mpv = spv / depth_(i, j);
-        for (int k = 0; k < lev; ++k) {
-          up_(i, j, k) -= mu;
-          vp_(i, j, k) -= mv;
-          up_prev_(i, j, k) -= mpu;
-          vp_prev_(i, j, k) -= mpv;
-        }
-        ub_(i, j) += mu;
-        vb_(i, j) += mv;
+      const int* lev = lev_row(j);
+      const int kmax = row_levels_[j];
+      for (double* a : {su, sv, spu, spv}) std::fill(a + i0_, a + i1_, 0.0);
+      for (int k = 0; k < kmax; ++k) {
+        const double dzk = vgrid_.dz(k);
+        const double* u = row_of(up_, j, k);
+        const double* v = row_of(vp_, j, k);
+        const double* up = row_of(up_prev_, j, k);
+        const double* vp = row_of(vp_prev_, j, k);
+        sweep_cells(i0_, i1_, [&](int i) {
+          const bool wet = k < lev[i];
+          su[i] = select(wet, su[i] + u[i] * dzk, su[i]);
+          sv[i] = select(wet, sv[i] + v[i] * dzk, sv[i]);
+          spu[i] = select(wet, spu[i] + up[i] * dzk, spu[i]);
+          spv[i] = select(wet, spv[i] + vp[i] * dzk, spv[i]);
+        });
       }
+      // The sums become the means (read only where the column is wet).
+      const double* h = &depth_(0, j);
+      sweep_cells(i0_, i1_, [&](int i) {
+        su[i] = su[i] / h[i];
+        sv[i] = sv[i] / h[i];
+        spu[i] = spu[i] / h[i];
+        spv[i] = spv[i] / h[i];
+      });
+      for (int k = 0; k < kmax; ++k) {
+        double* u = row_of(up_, j, k);
+        double* v = row_of(vp_, j, k);
+        double* up = row_of(up_prev_, j, k);
+        double* vp = row_of(vp_prev_, j, k);
+        sweep_cells(i0_, i1_, [&](int i) {
+          const bool wet = k < lev[i];
+          u[i] = select(wet, u[i] - su[i], u[i]);
+          v[i] = select(wet, v[i] - sv[i], v[i]);
+          up[i] = select(wet, up[i] - spu[i], up[i]);
+          vp[i] = select(wet, vp[i] - spv[i], vp[i]);
+        });
+      }
+      double* ub = &ub_(0, j);
+      double* vb = &vb_(0, j);
+      sweep_cells(i0_, i1_, [&](int i) {
+        const bool wet = 0 < lev[i];
+        ub[i] = select(wet, ub[i] + su[i], ub[i]);
+        vb[i] = select(wet, vb[i] + sv[i], vb[i]);
+      });
     }
   });
 }
 
 void OceanModel::index_biharmonic_filter(Field2Dd& f, double eps) {
   const int nx = cfg_.nx;
-  auto index_laplacian = [&](const Field2Dd& src, Field2Dd& dst, int jlo,
-                             int jhi) {
-    for (int j = jlo; j < jhi; ++j) {
-      for (int i = i0_; i < i1_; ++i) {
-        if (mask2d_(i, j) == 0) {
-          dst(i, j) = 0.0;
-          continue;
-        }
-        const double c = src(i, j);
-        double acc = 0.0;
-        if (mask2d_.wrap_x(i + 1, j) != 0) acc += src.wrap_x(i + 1, j) - c;
-        if (mask2d_.wrap_x(i - 1, j) != 0) acc += src.wrap_x(i - 1, j) - c;
-        if (j + 1 < cfg_.ny && mask2d_(i, j + 1) != 0)
-          acc += src(i, j + 1) - c;
-        if (j - 1 >= 0 && mask2d_(i, j - 1) != 0) acc += src(i, j - 1) - c;
-        dst(i, j) = acc;
-      }
-    }
+  // Index-space Laplacian of src along row j: at cell i, the sum of
+  // (neighbour - centre) over wet neighbours (e, w, n, s); 0 on land.
+  auto index_laplacian = [this](const Field2Dd& src, int j) {
+    const int* m = mask_row(j);
+    const int* mn = mask_row(j + 1);
+    const int* ms = mask_row(j - 1);
+    const double* c = &src(0, j);
+    const double* n = &src(0, north(j));
+    const double* s = &src(0, south(j));
+    return [=](int i, int iw, int ie) {
+      const double ci = c[i];
+      double acc = 0.0;
+      acc = select(m[ie] != 0, acc + (c[ie] - ci), acc);
+      acc = select(m[iw] != 0, acc + (c[iw] - ci), acc);
+      acc = select(mn[i] != 0, acc + (n[i] - ci), acc);
+      acc = select(ms[i] != 0, acc + (s[i] - ci), acc);
+      return select(m[i] != 0, acc, 0.0);
+    };
   };
-  Field2Dd lap(nx, cfg_.ny, 0.0), lap2(nx, cfg_.ny, 0.0);
-  bands(j0_, j1_,
-       [&](int, int jlo, int jhi) { index_laplacian(f, lap, jlo, jhi); });
-  exchange_halo(lap);
-  // The update reads lap2 at its own cell only: one pass per band.
+  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
+      double* lap = &lap_(0, j);
+      auto lap_at = index_laplacian(f, j);
+      sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+        lap[i] = lap_at(i, iw, ie);
+      });
+    }
+  });
+  exchange_halo(lap_);
+  // The update reads the second Laplacian at its own cell only: one sweep
+  // per row.
   const double scale = eps / 64.0;
   bands(j0_, j1_, [&](int, int jlo, int jhi) {
-    index_laplacian(lap, lap2, jlo, jhi);
-    for (int j = jlo; j < jhi; ++j)
-      for (int i = i0_; i < i1_; ++i)
-        if (mask2d_(i, j) != 0) f(i, j) -= scale * lap2(i, j);
+    for (int j = jlo; j < jhi; ++j) {
+      const int* m = mask_row(j);
+      double* fr = &f(0, j);
+      auto lap2_at = index_laplacian(lap_, j);
+      sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+        const double v = fr[i] - scale * lap2_at(i, iw, ie);
+        fr[i] = select(m[i] != 0, v, fr[i]);
+      });
+    }
   });
   exchange_halo(f);
 }
@@ -836,6 +1048,28 @@ void OceanModel::index_biharmonic_filter(Field2Dd& f, double eps) {
 void OceanModel::barotropic_subcycle() {
   const int nsub = cfg_.split_barotropic ? cfg_.nsub_baro : 1;
   const double dtb = cfg_.dt_mom / nsub;
+  const int nx = cfg_.nx;
+  const double max_bt = cfg_.max_barotropic;
+  const double drag = cfg_.bottom_drag;
+  // The forcing the substeps hold constant: depth-mean pressure force plus
+  // the surface stress spread over the column.
+  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    for (int j = jlo; j < jhi; ++j) {
+      const double* ice = &ice_(0, j);
+      const double* tx = &taux_(0, j);
+      const double* ty = &tauy_(0, j);
+      const double* h = &depth_(0, j);
+      const double* fbx = &fbar_x_(0, j);
+      const double* fby = &fbar_y_(0, j);
+      double* gx = &baro_fx_(0, j);
+      double* gy = &baro_fy_(0, j);
+      sweep_cells(i0_, i1_, [&](int i) {
+        const double ice_scale = 1.0 - ice[i] + ice[i] / ice_stress_divisor;
+        gx[i] = fbx[i] + tx[i] * ice_scale / (cfg_.rho0 * h[i]);
+        gy[i] = fby[i] + ty[i] * ice_scale / (cfg_.rho0 * h[i]);
+      });
+    }
+  });
   for (int sub = 0; sub < nsub; ++sub) {
     // Momentum: symmetric Coriolis rotation around the forcing update.
     bands(j0_, j1_, [&](int, int jlo, int jhi) {
@@ -845,39 +1079,38 @@ void OceanModel::barotropic_subcycle() {
         const double sn = std::sin(0.5 * f * dtb);
         const double inv2dx = 1.0 / (2.0 * dx(j));
         const double inv2dy = 1.0 / (2.0 * dy(j));
-        for (int i = i0_; i < i1_; ++i) {
-          if (mask2d_(i, j) == 0) continue;
+        const int* m = mask_row(j);
+        const int* mn = mask_row(j + 1);
+        const int* ms = mask_row(j - 1);
+        const double* ec = &eta_(0, j);
+        const double* en = &eta_(0, north(j));
+        const double* es = &eta_(0, south(j));
+        const double* gx = &baro_fx_(0, j);
+        const double* gy = &baro_fy_(0, j);
+        double* u = &ub_(0, j);
+        double* v = &vb_(0, j);
+        sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
           // Ghost-mirror closure at walls for the surface PG.
-          const bool we = mask2d_.wrap_x(i + 1, j) != 0;
-          const bool ww = mask2d_.wrap_x(i - 1, j) != 0;
-          const double ee = we ? eta_.wrap_x(i + 1, j) : eta_(i, j);
-          const double ew = ww ? eta_.wrap_x(i - 1, j) : eta_(i, j);
+          const double c = ec[i];
+          const double ee = select(m[ie] != 0, ec[ie], c);
+          const double ew = select(m[iw] != 0, ec[iw], c);
           const double detadx = (ee - ew) * inv2dx;
-          const bool wn = j + 1 < cfg_.ny && mask2d_(i, j + 1) != 0;
-          const bool ws = j - 1 >= 0 && mask2d_(i, j - 1) != 0;
-          const double en = wn ? eta_(i, j + 1) : eta_(i, j);
-          const double es = ws ? eta_(i, j - 1) : eta_(i, j);
-          const double detady = (en - es) * inv2dy;
-          const double ice_scale =
-              1.0 - ice_(i, j) + ice_(i, j) / ice_stress_divisor;
-          const double h = depth_(i, j);
-          const double gxb = fbar_x_(i, j) +
-                             taux_(i, j) * ice_scale / (cfg_.rho0 * h) -
-                             gravity * detadx;
-          const double gyb = fbar_y_(i, j) +
-                             tauy_(i, j) * ice_scale / (cfg_.rho0 * h) -
-                             gravity * detady;
-          const double u_old = ub_(i, j);
-          const double v_old = vb_(i, j);
+          const double enn = select(mn[i] != 0, en[i], c);
+          const double ess = select(ms[i] != 0, es[i], c);
+          const double detady = (enn - ess) * inv2dy;
+          const double gxb = gx[i] - gravity * detadx;
+          const double gyb = gy[i] - gravity * detady;
+          const double u_old = u[i];
+          const double v_old = v[i];
           double u1 = cs * u_old + sn * v_old;
           double v1 = -sn * u_old + cs * v_old;
-          u1 += dtb * (gxb - cfg_.bottom_drag * u_old);
-          v1 += dtb * (gyb - cfg_.bottom_drag * v_old);
-          ub_(i, j) = std::clamp(cs * u1 + sn * v1, -cfg_.max_barotropic,
-                                 cfg_.max_barotropic);
-          vb_(i, j) = std::clamp(-sn * u1 + cs * v1, -cfg_.max_barotropic,
-                                 cfg_.max_barotropic);
-        }
+          u1 += dtb * (gxb - drag * u_old);
+          v1 += dtb * (gyb - drag * v_old);
+          const double un = clamp_sel(cs * u1 + sn * v1, -max_bt, max_bt);
+          const double vn = clamp_sel(-sn * u1 + cs * v1, -max_bt, max_bt);
+          u[i] = select(m[i] != 0, un, u_old);
+          v[i] = select(m[i] != 0, vn, v_old);
+        });
       }
     });
     // The momentum update touched owned rows only; refresh halos before
@@ -890,14 +1123,18 @@ void OceanModel::barotropic_subcycle() {
       const double keep = cfg_.wall_normal_retain;
       bands(j0_, j1_, [&](int, int jlo, int jhi) {
         for (int j = jlo; j < jhi; ++j) {
-          for (int i = i0_; i < i1_; ++i) {
-            if (mask2d_(i, j) == 0) continue;
-            if (mask2d_.wrap_x(i + 1, j) == 0 || mask2d_.wrap_x(i - 1, j) == 0)
-              ub_(i, j) *= keep;
-            if (j + 1 >= cfg_.ny || j - 1 < 0 || mask2d_(i, j + 1) == 0 ||
-                mask2d_(i, j - 1) == 0)
-              vb_(i, j) *= keep;
-          }
+          const int* m = mask_row(j);
+          const int* mn = mask_row(j + 1);
+          const int* ms = mask_row(j - 1);
+          double* u = &ub_(0, j);
+          double* v = &vb_(0, j);
+          sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+            const bool wet = m[i] != 0;
+            const bool wall_u = (m[ie] == 0) | (m[iw] == 0);
+            const bool wall_v = (mn[i] == 0) | (ms[i] == 0);
+            u[i] = select(wet & wall_u, u[i] * keep, u[i]);
+            v[i] = select(wet & wall_v, v[i] * keep, v[i]);
+          });
         }
       });
     }
@@ -910,33 +1147,48 @@ void OceanModel::barotropic_subcycle() {
     // Continuity, slowed by 1/slow_factor: the external wave speed drops by
     // sqrt(slow_factor) while steady circulation is untouched (the Tobis
     // slowed-barotropic scheme).
-    bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    bands(j0_, j1_, [&](int mb, int jlo, int jhi) {
+      // Zonal face fluxes: face q lies between columns i0 - 1 + q and
+      // i0 + q (wrapped), so each is computed once for both its cells.
+      double* face = scratch_[static_cast<std::size_t>(mb)].acc(0);
       for (int j = jlo; j < jhi; ++j) {
         const double invdx = 1.0 / dx(j);
         const double invdy = 1.0 / dy(j);
-        for (int i = i0_; i < i1_; ++i) {
-          if (mask2d_(i, j) == 0) continue;
-          auto flux_x = [&](int ia, int ib) {
-            if (mask2d_.wrap_x(ia, j) == 0 || mask2d_.wrap_x(ib, j) == 0)
-              return 0.0;
-            const double hf =
-                std::min(depth_.wrap_x(ia, j), depth_.wrap_x(ib, j));
-            return hf * 0.5 * (ub_.wrap_x(ia, j) + ub_.wrap_x(ib, j));
-          };
-          const double fe = flux_x(i, i + 1);
-          const double fwst = flux_x(i - 1, i);
-          double fn = 0.0, fs = 0.0;
-          if (j + 1 < cfg_.ny && mask2d_(i, j + 1) != 0) {
-            const double hf = std::min(depth_(i, j), depth_(i, j + 1));
-            fn = hf * 0.5 * (vb_(i, j) + vb_(i, j + 1));
-          }
-          if (j - 1 >= 0 && mask2d_(i, j - 1) != 0) {
-            const double hf = std::min(depth_(i, j), depth_(i, j - 1));
-            fs = hf * 0.5 * (vb_(i, j) + vb_(i, j - 1));
-          }
+        const int* m = mask_row(j);
+        const int* mn = mask_row(j + 1);
+        const int* ms = mask_row(j - 1);
+        const int jn = north(j);
+        const int js = south(j);
+        const double* h = &depth_(0, j);
+        const double* hn = &depth_(0, jn);
+        const double* hs = &depth_(0, js);
+        const double* u = &ub_(0, j);
+        const double* v = &vb_(0, j);
+        const double* vn = &vb_(0, jn);
+        const double* vs = &vb_(0, js);
+        const double* fw = &fw_(0, j);
+        double* eta = &eta_(0, j);
+        auto flux_x = [&](int ia, int ib) {
+          const double hf = std::min(h[ia], h[ib]);
+          const double fl = hf * 0.5 * (u[ia] + u[ib]);
+          return select((m[ia] == 0) | (m[ib] == 0), 0.0, fl);
+        };
+        const int nc = i1_ - i0_;
+        face[0] = flux_x(i0_ == 0 ? nx - 1 : i0_ - 1, i0_);
+FOAM_IVDEP
+        for (int q = 1; q < nc; ++q) face[q] = flux_x(i0_ + q - 1, i0_ + q);
+        face[nc] = flux_x(i1_ - 1, i1_ == nx ? 0 : i1_);
+        sweep_cells(i0_, i1_, [&](int i) {
+          const double fe = face[i - i0_ + 1];
+          const double fwst = face[i - i0_];
+          const double hfn = std::min(h[i], hn[i]);
+          const double fn = select(mn[i] != 0, hfn * 0.5 * (v[i] + vn[i]), 0.0);
+          const double hfs = std::min(h[i], hs[i]);
+          const double fs = select(ms[i] != 0, hfs * 0.5 * (v[i] + vs[i]), 0.0);
           const double div = (fe - fwst) * invdx + (fn - fs) * invdy;
-          eta_(i, j) += dtb * (-div / cfg_.slow_factor + fw_(i, j));
-        }
+          const double e = eta[i] + dtb * (-div / cfg_.slow_factor + fw[i]);
+          eta[i] = select(m[i] != 0, e, eta[i]);
+        });
       }
     });
     apply_polar_filter_2d(eta_);
@@ -953,23 +1205,32 @@ void OceanModel::barotropic_subcycle() {
 void OceanModel::vertical_mixing_coefficients() {
   // Pacanowski-Philander (1981) Richardson-dependent mixing with the
   // steeper exponent of Peters, Gregg & Toole that improved the model's
-  // west-equatorial-Pacific cold bias (paper §4.2).
+  // west-equatorial-Pacific cold bias (paper §4.2). std::pow keeps this a
+  // per-cell loop; it runs level by level over contiguous rows.
   bands(j0_, j1_, [&](int, int jlo, int jhi) {
     for (int j = jlo; j < jhi; ++j) {
-      for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
-        for (int k = 1; k < lev; ++k) {
-          const double dzi = 0.5 * (vgrid_.dz(k - 1) + vgrid_.dz(k));
-          const double du = up_(i, j, k - 1) - up_(i, j, k);
-          const double dv = vp_(i, j, k - 1) - vp_(i, j, k);
+      const int* lev = lev_row(j);
+      for (int k = 1; k < row_levels_[j]; ++k) {
+        const double dzi = 0.5 * (vgrid_.dz(k - 1) + vgrid_.dz(k));
+        const double* ua = row_of(up_, j, k - 1);
+        const double* ub = row_of(up_, j, k);
+        const double* va = row_of(vp_, j, k - 1);
+        const double* vb = row_of(vp_, j, k);
+        const double* ra = row_of(rho_, j, k - 1);
+        const double* rb = row_of(rho_, j, k);
+        double* nu = row_of(nu_, j, k);
+        double* kappa = row_of(kappa_, j, k);
+        for (int i = i0_; i < i1_; ++i) {
+          if (k >= lev[i]) continue;
+          const double du = ua[i] - ub[i];
+          const double dv = va[i] - vb[i];
           const double shear2 = (du * du + dv * dv) / (dzi * dzi) + 1.0e-10;
-          const double n2 = -gravity * (rho_(i, j, k - 1) - rho_(i, j, k)) /
-                            (cfg_.rho0 * dzi);
+          const double n2 =
+              -gravity * (ra[i] - rb[i]) / (cfg_.rho0 * dzi);
           const double ri = std::max(0.0, n2 / shear2);
           const double denom = std::pow(1.0 + 5.0 * ri, cfg_.ri_exponent);
-          nu_(i, j, k) = cfg_.nu0 / denom + cfg_.nu_b;
-          kappa_(i, j, k) =
-              (cfg_.nu0 / denom) / (1.0 + 5.0 * ri) + cfg_.kappa_b;
+          nu[i] = cfg_.nu0 / denom + cfg_.nu_b;
+          kappa[i] = (cfg_.nu0 / denom) / (1.0 + 5.0 * ri) + cfg_.kappa_b;
         }
       }
     }
@@ -978,75 +1239,100 @@ void OceanModel::vertical_mixing_coefficients() {
 
 void OceanModel::convective_adjustment() {
   if (!cfg_.enable_convect) return;
-  // Full-column pairwise mixing sweep on both leapfrog time levels:
-  // statically unstable neighbours are homogenized (volume-weighted),
-  // repeated until stable.
-  for (int lvl = 0; lvl < 2; ++lvl) {
-    Field3Dd& tt = (lvl == 0) ? t_ : t_prev_;
-    Field3Dd& ss = (lvl == 0) ? s_ : s_prev_;
-    bands(j0_, j1_, [&](int, int jlo, int jhi) {
-      for (int j = jlo; j < jhi; ++j) {
-        for (int i = i0_; i < i1_; ++i) {
-          const int lev = levels_(i, j);
-          if (lev < 2) continue;
-          for (int pass = 0; pass < lev; ++pass) {
-            bool mixed = false;
-            for (int k = 0; k < lev - 1; ++k) {
-              const double r_up =
-                  -cfg_.alpha_t * tt(i, j, k) + cfg_.beta_s * ss(i, j, k);
-              const double r_dn = -cfg_.alpha_t * tt(i, j, k + 1) +
-                                  cfg_.beta_s * ss(i, j, k + 1);
-              if (r_up > r_dn + 1e-12) {  // denser above lighter: mix
-                const double w1 = vgrid_.dz(k);
-                const double w2 = vgrid_.dz(k + 1);
-                const double tm =
-                    (tt(i, j, k) * w1 + tt(i, j, k + 1) * w2) / (w1 + w2);
-                const double sm =
-                    (ss(i, j, k) * w1 + ss(i, j, k + 1) * w2) / (w1 + w2);
-                tt(i, j, k) = tm;
-                tt(i, j, k + 1) = tm;
-                ss(i, j, k) = sm;
-                ss(i, j, k + 1) = sm;
-                mixed = true;
-              }
+  // Full-column pairwise mixing sweep: statically unstable neighbours are
+  // homogenized (volume-weighted), repeated until stable. Per column (a
+  // level-major form keeps sweeping a row until its slowest column
+  // settles), on a contiguous copy of the column.
+  const double alpha = cfg_.alpha_t, beta = cfg_.beta_s;
+  const std::size_t plane =
+      static_cast<std::size_t>(cfg_.nx) * static_cast<std::size_t>(cfg_.ny);
+  bands(j0_, j1_, [&](int m, int jlo, int jhi) {
+    MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    double* tc = sc.tcol.data();
+    double* sc_ = sc.scol.data();
+    for (int j = jlo; j < jhi; ++j) {
+      const int* lev_j = lev_row(j);
+      for (int i = i0_; i < i1_; ++i) {
+        const int lev = lev_j[i];
+        if (lev < 2) continue;
+        const std::size_t at = static_cast<std::size_t>(j) * cfg_.nx + i;
+        double* tt = t_.data() + at;
+        double* ss = s_.data() + at;
+        for (int k = 0; k < lev; ++k) {
+          tc[k] = tt[k * plane];
+          sc_[k] = ss[k * plane];
+        }
+        bool changed = false;
+        for (int pass = 0; pass < lev; ++pass) {
+          bool mixed = false;
+          // Pair k's r_dn is pair k+1's r_up unless pair k mixed.
+          double r_up = -alpha * tc[0] + beta * sc_[0];
+          for (int k = 0; k < lev - 1; ++k) {
+            const double r_dn = -alpha * tc[k + 1] + beta * sc_[k + 1];
+            if (r_up > r_dn + 1e-12) {  // denser above lighter: mix
+              const double w1 = vgrid_.dz(k);
+              const double w2 = vgrid_.dz(k + 1);
+              const double tm = (tc[k] * w1 + tc[k + 1] * w2) / (w1 + w2);
+              const double sm = (sc_[k] * w1 + sc_[k + 1] * w2) / (w1 + w2);
+              tc[k] = tm;
+              tc[k + 1] = tm;
+              sc_[k] = sm;
+              sc_[k + 1] = sm;
+              mixed = true;
+              r_up = -alpha * tm + beta * sm;
+            } else {
+              r_up = r_dn;
             }
-            if (!mixed) break;
           }
+          if (!mixed) break;
+          changed = true;
+        }
+        if (!changed) continue;
+        for (int k = 0; k < lev; ++k) {
+          tt[k * plane] = tc[k];
+          ss[k * plane] = sc_[k];
         }
       }
-    });
-  }
+    }
+  });
 }
 
 void OceanModel::diagnose_w() {
   const int nx = cfg_.nx;
-  bands(j0_, j1_, [&](int, int jlo, int jhi) {
+  const double w_clamp = cfg_.w_clamp;
+  bands(j0_, j1_, [&](int m, int jlo, int jhi) {
+    double* w = scratch_[static_cast<std::size_t>(m)].acc(0);
     for (int j = jlo; j < jhi; ++j) {
       const double invdx = 1.0 / dx(j);
       const double invdy = 1.0 / dy(j);
-      for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
-        double w = 0.0;
-        for (int k = lev - 1; k >= 0; --k) {
-          // From the baroclinic deviation velocities: their depth integral
-          // vanishes, so w closes at the surface; the barotropic divergence
-          // belongs to the (slowed) free surface, not interior upwelling.
-          const int ie = (i + 1) % nx;
-          const int iw = (i + nx - 1) % nx;
-          const double ue =
-              wet(ie, j, k) ? 0.5 * (up_(i, j, k) + up_(ie, j, k)) : 0.0;
-          const double uw =
-              wet(iw, j, k) ? 0.5 * (up_(iw, j, k) + up_(i, j, k)) : 0.0;
-          const double vn = (j + 1 < cfg_.ny && wet(i, j + 1, k))
-                                ? 0.5 * (vp_(i, j, k) + vp_(i, j + 1, k))
-                                : 0.0;
-          const double vs = (j - 1 >= 0 && wet(i, j - 1, k))
-                                ? 0.5 * (vp_(i, j - 1, k) + vp_(i, j, k))
-                                : 0.0;
-          const double div = (ue - uw) * invdx + (vn - vs) * invdy;
-          w += div * vgrid_.dz(k);
-          wtop_(i, j, k) = std::clamp(w, -cfg_.w_clamp, cfg_.w_clamp);
-        }
+      const int* lev = lev_row(j);
+      const int* lev_n = lev_row(j + 1);
+      const int* lev_s = lev_row(j - 1);
+      const int jn = north(j);
+      const int js = south(j);
+      std::fill(w + i0_, w + i1_, 0.0);
+      // Bottom up, each column's integral in its own accumulator.
+      for (int k = row_levels_[j] - 1; k >= 0; --k) {
+        // From the baroclinic deviation velocities: their depth integral
+        // vanishes, so w closes at the surface; the barotropic divergence
+        // belongs to the (slowed) free surface, not interior upwelling.
+        const double dzk = vgrid_.dz(k);
+        const double* u = row_of(up_, j, k);
+        const double* v = row_of(vp_, j, k);
+        const double* vn = row_of(vp_, jn, k);
+        const double* vs = row_of(vp_, js, k);
+        double* wt = row_of(wtop_, j, k);
+        sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+          const double ue = select(k < lev[ie], 0.5 * (u[i] + u[ie]), 0.0);
+          const double uw = select(k < lev[iw], 0.5 * (u[iw] + u[i]), 0.0);
+          const double vnf = select(k < lev_n[i], 0.5 * (v[i] + vn[i]), 0.0);
+          const double vsf = select(k < lev_s[i], 0.5 * (vs[i] + v[i]), 0.0);
+          const double div = (ue - uw) * invdx + (vnf - vsf) * invdy;
+          const bool wet = k < lev[i];
+          const double wk = w[i] + div * dzk;
+          w[i] = select(wet, wk, w[i]);
+          wt[i] = select(wet, clamp_sel(wk, -w_clamp, w_clamp), wt[i]);
+        });
       }
     }
   });
@@ -1055,6 +1341,7 @@ void OceanModel::diagnose_w() {
 void OceanModel::tracer_step() {
   const double dtt = cfg_.dt_mom * cfg_.tracer_every;
   const int nx = cfg_.nx;
+  const int nz = cfg_.nz;
 
   vertical_mixing_coefficients();
   diagnose_w();
@@ -1062,95 +1349,123 @@ void OceanModel::tracer_step() {
   // Forward-in-time, upwind-in-space transport: monotone, so tracer values
   // stay within physical bounds even where the masked/clamped velocity
   // field is discretely divergent (cliff columns). Diffusion is explicit
-  // forward Laplacian.
+  // forward Laplacian. The new level goes to u_new_ (unused until the next
+  // momentum step) and is copied back over the owned box.
+  const bool hadv = cfg_.enable_horiz_adv;
+  const bool vadv = cfg_.enable_vert_adv;
+  const double kappa_h = cfg_.kappa_h;
+  const double heat_den = cfg_.rho0 * cp_sea_water * vgrid_.dz(0);
+  const double dz0 = vgrid_.dz(0);
   for (int pass = 0; pass < 2; ++pass) {
     Field3Dd& q = (pass == 0) ? t_ : s_;
-    Field3Dd q_new(q);
-    bands(j0_, j1_, [&](int, int jlo, int jhi) {
+    Field3Dd& q_new = u_new_;
+    bands(j0_, j1_, [&](int m, int jlo, int jhi) {
+      MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+      double* face = sc.acc(0);  // zonal face q: columns i0-1+q | i0+q
+      double* surf = sc.acc(1);  // surface-layer forcing tendency
       for (int j = jlo; j < jhi; ++j) {
         const double invdx = 1.0 / dx(j);
         const double invdy = 1.0 / dy(j);
-        for (int i = i0_; i < i1_; ++i) {
-          const int lev = levels_(i, j);
-          for (int k = 0; k < lev; ++k) {
-            const int ie = (i + 1) % nx;
-            const int iw = (i + nx - 1) % nx;
-            double tend = 0.0;
-            if (cfg_.enable_horiz_adv) {
-              if (wet(ie, j, k)) {
-                const double uf = 0.5 * (u_total(i, j, k) + u_total(ie, j, k));
-                tend -= uf * (uf > 0.0 ? q(i, j, k) : q(ie, j, k)) * invdx;
-              }
-              if (wet(iw, j, k)) {
-                const double uf = 0.5 * (u_total(iw, j, k) + u_total(i, j, k));
-                tend += uf * (uf > 0.0 ? q(iw, j, k) : q(i, j, k)) * invdx;
-              }
-              if (j + 1 < cfg_.ny && wet(i, j + 1, k)) {
-                const double vf =
-                    0.5 * (v_total(i, j, k) + v_total(i, j + 1, k));
-                tend -= vf * (vf > 0.0 ? q(i, j, k) : q(i, j + 1, k)) * invdy;
-              }
-              if (j - 1 >= 0 && wet(i, j - 1, k)) {
-                const double vf =
-                    0.5 * (v_total(i, j - 1, k) + v_total(i, j, k));
-                tend += vf * (vf > 0.0 ? q(i, j - 1, k) : q(i, j, k)) * invdy;
-              }
-            }
-            if (cfg_.enable_vert_adv) {
-              const double dzk = vgrid_.dz(k);
-              if (k > 0) {
-                const double w = wtop_(i, j, k);
-                tend -= w * (w > 0.0 ? q(i, j, k) : q(i, j, k - 1)) / dzk;
-              }
-              if (k + 1 < lev) {
-                const double w = wtop_(i, j, k + 1);
-                tend += w * (w > 0.0 ? q(i, j, k + 1) : q(i, j, k)) / dzk;
-              }
-            }
-            // Surface forcing in the tendency.
-            if (k == 0 && pass == 0)
-              tend +=
-                  qnet_(i, j) / (cfg_.rho0 * cp_sea_water * vgrid_.dz(0));
-            if (k == 0 && pass == 1)
-              tend -= fw_(i, j) * cfg_.s_ref / vgrid_.dz(0);
-            // Laplacian diffusion (no-flux at land).
-            const double qc = q(i, j, k);
-            const double qe = wet(ie, j, k) ? q(ie, j, k) : qc;
-            const double qw = wet(iw, j, k) ? q(iw, j, k) : qc;
-            const double qn2 = (j + 1 < cfg_.ny && wet(i, j + 1, k))
-                                   ? q(i, j + 1, k)
-                                   : qc;
-            const double qs =
-                (j - 1 >= 0 && wet(i, j - 1, k)) ? q(i, j - 1, k) : qc;
-            tend += cfg_.kappa_h * ((qe - 2.0 * qc + qw) * invdx * invdx +
-                                    (qn2 - 2.0 * qc + qs) * invdy * invdy);
-            q_new(i, j, k) = q(i, j, k) + dtt * tend;
+        const int* lev = lev_row(j);
+        const int* lev_n = lev_row(j + 1);
+        const int* lev_s = lev_row(j - 1);
+        const int jn = north(j);
+        const int js = south(j);
+        const double* ubr = &ub_(0, j);
+        const double* vbc = &vb_(0, j);
+        const double* vbn = &vb_(0, jn);
+        const double* vbs = &vb_(0, js);
+        // Surface forcing: a subtraction is the addition of the negation.
+        if (pass == 0) {
+          const double* qn = &qnet_(0, j);
+          sweep_cells(i0_, i1_, [&](int i) { surf[i] = qn[i] / heat_den; });
+        } else {
+          const double* fw = &fw_(0, j);
+          sweep_cells(i0_, i1_,
+                      [&](int i) { surf[i] = -(fw[i] * cfg_.s_ref / dz0); });
+        }
+        for (int k = 0; k < row_levels_[j]; ++k) {
+          const double dzk = vgrid_.dz(k);
+          const bool above = k > 0;
+          const double* qc = row_of(q, j, k);
+          const double* qn = row_of(q, jn, k);
+          const double* qs = row_of(q, js, k);
+          const double* qu = row_of(q, j, above ? k - 1 : k);
+          const double* qd = row_of(q, j, k + 1 < nz ? k + 1 : k);
+          const double* u = row_of(up_, j, k);
+          const double* v = row_of(vp_, j, k);
+          const double* vn = row_of(vp_, jn, k);
+          const double* vs = row_of(vp_, js, k);
+          const double* wk = row_of(wtop_, j, k);
+          const double* wk1 = row_of(wtop_, j, k + 1 < nz ? k + 1 : k);
+          double* out = row_of(q_new, j, k);
+          if (hadv) {
+            // uf * upwind(q) * invdx across face (ia | ib): the east term of
+            // ia and the west term of ib.
+            auto flux_x = [&](int ia, int ib) {
+              const double uf =
+                  0.5 * ((u[ia] + ubr[ia]) + (u[ib] + ubr[ib]));
+              return uf * select(uf > 0.0, qc[ia], qc[ib]) * invdx;
+            };
+            const int nc = i1_ - i0_;
+            face[0] = flux_x(i0_ == 0 ? nx - 1 : i0_ - 1, i0_);
+FOAM_IVDEP
+            for (int f = 1; f < nc; ++f) face[f] = flux_x(i0_ + f - 1, i0_ + f);
+            face[nc] = flux_x(i1_ - 1, i1_ == nx ? 0 : i1_);
           }
+          sweep_row(i0_, i1_, nx, [&](int i, int iw, int ie) {
+            const double c = qc[i];
+            double tend = 0.0;
+            // Horizontal advection (the zonal terms from the face fluxes).
+            tend = select(hadv & (k < lev[ie]), tend - face[i - i0_ + 1], tend);
+            tend = select(hadv & (k < lev[iw]), tend + face[i - i0_], tend);
+            const double vfn = 0.5 * ((v[i] + vbc[i]) + (vn[i] + vbn[i]));
+            const double fn = vfn * select(vfn > 0.0, c, qn[i]) * invdy;
+            tend = select(hadv & (k < lev_n[i]), tend - fn, tend);
+            const double vfs = 0.5 * ((vs[i] + vbs[i]) + (v[i] + vbc[i]));
+            const double fs = vfs * select(vfs > 0.0, qs[i], c) * invdy;
+            tend = select(hadv & (k < lev_s[i]), tend + fs, tend);
+            // Vertical advection through the top and bottom interfaces.
+            const double w = wk[i];
+            const double fu = w * select(w > 0.0, c, qu[i]) / dzk;
+            tend = select(vadv & above, tend - fu, tend);
+            const double w1 = wk1[i];
+            const double fd = w1 * select(w1 > 0.0, qd[i], c) / dzk;
+            tend = select(vadv & (k + 1 < lev[i]), tend + fd, tend);
+            // Surface forcing.
+            tend = select(above, tend, tend + surf[i]);
+            // Laplacian diffusion (no-flux at land).
+            const double qe = select(k < lev[ie], qc[ie], c);
+            const double qw = select(k < lev[iw], qc[iw], c);
+            const double qn2 = select(k < lev_n[i], qn[i], c);
+            const double qs2 = select(k < lev_s[i], qs[i], c);
+            tend += kappa_h * ((qe - 2.0 * c + qw) * invdx * invdx +
+                               (qn2 - 2.0 * c + qs2) * invdy * invdy);
+            out[i] = select(k < lev[i], c + dtt * tend, c);
+          });
         }
       }
     });
-    q = std::move(q_new);
+    bands(j0_, j1_, [&](int, int jlo, int jhi) {
+      for (int j = jlo; j < jhi; ++j)
+        for (int k = 0; k < row_levels_[j]; ++k)
+          std::copy(row_of(q_new, j, k) + i0_, row_of(q_new, j, k) + i1_,
+                    row_of(q, j, k) + i0_);
+    });
   }
-  // Keep the (unused) previous tracer level coherent for diagnostics.
-  t_prev_ = t_;
-  s_prev_ = s_;
-  have_tracer_prev_ = true;
 
   // Implicit vertical diffusion of the new level.
-  if (cfg_.enable_vmix) {
-    implicit_vertical(t_, kappa_, dtt);
-    implicit_vertical(s_, kappa_, dtt);
-  }
+  if (cfg_.enable_vmix) implicit_vertical(t_, s_, kappa_, dtt);
 
-  // Sea-ice freeze clamp on both time levels (paper: clamp at -1.92 C);
-  // the deficit becomes frazil-ice heat the coupler turns into ice growth.
-  const double dz0 = vgrid_.dz(0);
+  // Sea-ice freeze clamp (paper: clamp at -1.92 C); the deficit becomes
+  // frazil-ice heat the coupler turns into ice growth.
+  const double dz_top = vgrid_.dz(0);
   for (int j = j0_; j < j1_; ++j) {
     for (int i = i0_; i < i1_; ++i) {
       if (mask2d_(i, j) == 0) continue;
       if (t_(i, j, 0) < sea_ice_freeze_c) {
         const double deficit = (sea_ice_freeze_c - t_(i, j, 0)) * cfg_.rho0 *
-                               cp_sea_water * dz0;
+                               cp_sea_water * dz_top;
         frazil_heat_ += deficit;
         frazil_cell_(i, j) += deficit;
         t_(i, j, 0) = sea_ice_freeze_c;
@@ -1162,13 +1477,9 @@ void OceanModel::tracer_step() {
   if (cfg_.enable_ts_filter) {
     apply_polar_filter_3d(t_);
     apply_polar_filter_3d(s_);
-    apply_polar_filter_3d(t_prev_);
-    apply_polar_filter_3d(s_prev_);
   }
   exchange_halo(t_);
   exchange_halo(s_);
-  exchange_halo(t_prev_);
-  exchange_halo(s_prev_);
 
   double wet_cells = 0.0;
   for (int j = j0_; j < j1_; ++j)
@@ -1201,21 +1512,33 @@ void OceanModel::filter_rows_distributed(
     std::vector<double>& full, int nslots,
     const std::function<int(int)>& j_of,
     const std::function<void(int, int*)>& fill_mask) {
+  constexpr int L = numerics::PolarFourierFilter::kLanes;
   const int P = row_comm_->size();
   const int rr = row_comm_->rank();
+  const int nx = cfg_.nx;
   // Round-robin slot ownership balances the filter work across the
   // process row — this is the whole point of decomposing in x: the polar
   // ranks' filter load, which caps the row decomposition's scaling,
   // divides by px instead of being repeated on every rank.
-  // This rank's q-th slot is rr + q * P; its slots split over the team.
+  // This rank's q-th slot is rr + q * P; its slots split over the team and
+  // each member filters its share kLanes rows at a time.
   const int mine = (nslots - rr + P - 1) / P;
   par::for_chunks(team_, mine, [&](int m, int qlo, int qhi) {
     MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
-    for (int q = qlo; q < qhi; ++q) {
-      const int s = rr + q * P;
-      fill_mask(s, sc.mask.data());
-      filter_.filter_row(full.data() + static_cast<std::size_t>(s) * cfg_.nx,
-                         j_of(s), sc.mask.data(), sc.filter_ws);
+    double* rows[L];
+    int js[L];
+    const int* masks[L];
+    for (int g = qlo; g < qhi; g += L) {
+      const int nl = std::min(L, qhi - g);
+      for (int l = 0; l < nl; ++l) {
+        const int s = rr + (g + l) * P;
+        int* mk = sc.masks.data() + static_cast<std::size_t>(l) * nx;
+        fill_mask(s, mk);
+        rows[l] = full.data() + static_cast<std::size_t>(s) * nx;
+        js[l] = j_of(s);
+        masks[l] = mk;
+      }
+      filter_.filter_rows(rows, js, masks, nl, sc.filter_ws);
     }
   });
   // Re-share the filtered rows (one gatherv + bcast for the batch): rank
@@ -1241,6 +1564,7 @@ void OceanModel::filter_rows_distributed(
 }
 
 void OceanModel::apply_polar_filter_2d(Field2Dd& f) {
+  constexpr int L = numerics::PolarFourierFilter::kLanes;
   const std::vector<int>& rows = polar_rows_;
   // Ranks sharing a process row share the j-range, so this early return
   // (and the collective gather below) stays aligned across the row comm.
@@ -1249,9 +1573,18 @@ void OceanModel::apply_polar_filter_2d(Field2Dd& f) {
     const int nrows = static_cast<int>(rows.size());
     par::for_chunks(team_, nrows, [&](int m, int lo, int hi) {
       MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
-      for (int r = lo; r < hi; ++r) {
-        const int j = rows[static_cast<std::size_t>(r)];
-        filter_.filter_row(&f(0, j), j, &mask2d_(0, j), sc.filter_ws);
+      double* ptr[L];
+      int js[L];
+      const int* masks[L];
+      for (int g = lo; g < hi; g += L) {
+        const int nl = std::min(L, hi - g);
+        for (int l = 0; l < nl; ++l) {
+          const int j = rows[static_cast<std::size_t>(g + l)];
+          ptr[l] = &f(0, j);
+          js[l] = j;
+          masks[l] = &mask2d_(0, j);
+        }
+        filter_.filter_rows(ptr, js, masks, nl, sc.filter_ws);
       }
     });
     return;
@@ -1281,20 +1614,41 @@ void OceanModel::apply_polar_filter_2d(Field2Dd& f) {
 }
 
 void OceanModel::apply_polar_filter_3d(Field3Dd& f) {
+  constexpr int L = numerics::PolarFourierFilter::kLanes;
   const std::vector<int>& rows = polar_rows_;
   if (rows.empty()) return;  // no polar rows owned by this process row
+  const int nx = cfg_.nx;
+  const int nrows = static_cast<int>(rows.size());
+  // Per-level wet mask: columns dry at this depth are treated as land so
+  // their placeholder values never contaminate wet cells.
+  auto fill_mask = [&](int k, int j, int* m) {
+    const int* lev = &levels_(0, j);
+    for (int i = 0; i < nx; ++i) m[i] = k < lev[i] ? 1 : 0;
+  };
   if (row_comm_ == nullptr) {  // full rows are local (px == 1 or serial)
-    // (level, polar row) slots, level-major; each is filtered on its own.
-    const int nrows = static_cast<int>(rows.size());
+    // (level, polar row) slots, level-major, kLanes at a time. A slot whose
+    // row has no wet cell at its level is left alone, as filter_row would.
     par::for_chunks(team_, cfg_.nz * nrows, [&](int m, int lo, int hi) {
       MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+      double* ptr[L];
+      int js[L];
+      const int* masks[L];
+      int nl = 0;
       for (int slot = lo; slot < hi; ++slot) {
         const int k = slot / nrows;
         const int j = rows[static_cast<std::size_t>(slot % nrows)];
-        // Per-level wet mask: columns dry at this depth are treated as land
-        // so their placeholder values never contaminate wet cells.
-        for (int i = 0; i < cfg_.nx; ++i) sc.mask[i] = wet(i, j, k) ? 1 : 0;
-        filter_.filter_row(&f(0, j, k), j, sc.mask.data(), sc.filter_ws);
+        if (k < row_levels_[j]) {
+          int* mk = sc.masks.data() + static_cast<std::size_t>(nl) * nx;
+          fill_mask(k, j, mk);
+          ptr[nl] = row_of(f, j, k);
+          js[nl] = j;
+          masks[nl] = mk;
+          ++nl;
+        }
+        if (nl == L || (nl > 0 && slot + 1 == hi)) {
+          filter_.filter_rows(ptr, js, masks, nl, sc.filter_ws);
+          nl = 0;
+        }
       }
     });
     return;
@@ -1314,20 +1668,19 @@ void OceanModel::apply_polar_filter_3d(Field3Dd& f) {
   }
   std::vector<double> full = row_gather_full(mine, static_cast<int>(nslots));
   // Slot order matches the pack above: level-major, owned polar rows inner.
-  const int nrows = static_cast<int>(rows.size());
   filter_rows_distributed(
       full, static_cast<int>(nslots),
       [&](int slot) { return rows[static_cast<std::size_t>(slot % nrows)]; },
       [&](int slot, int* m) {
-        const int j = rows[static_cast<std::size_t>(slot % nrows)];
-        const int k = slot / nrows;
-        for (int i = 0; i < cfg_.nx; ++i) m[i] = wet(i, j, k) ? 1 : 0;
+        fill_mask(slot / nrows, rows[static_cast<std::size_t>(slot % nrows)],
+                  m);
       });
   s = 0;
   for (int k = 0; k < cfg_.nz; ++k) {
     for (const int j : rows) {
+      const int* lev = &levels_(0, j);
       for (int i = i0_; i < i1_; ++i)
-        if (wet(i, j, k)) f(i, j, k) = full[s * cfg_.nx + i];
+        if (k < lev[i]) f(i, j, k) = full[s * cfg_.nx + i];
       ++s;
     }
   }
@@ -1456,8 +1809,6 @@ void OceanModel::save_state(HistoryWriter& out,
                             const std::string& prefix) const {
   out.write(prefix + ".t", t_);
   out.write(prefix + ".s", s_);
-  out.write(prefix + ".t_prev", t_prev_);
-  out.write(prefix + ".s_prev", s_prev_);
   out.write(prefix + ".up", up_);
   out.write(prefix + ".vp", vp_);
   out.write(prefix + ".up_prev", up_prev_);
@@ -1472,8 +1823,6 @@ void OceanModel::save_state(HistoryWriter& out,
   out.write(prefix + ".kappa", kappa_);
   out.write_scalar(prefix + ".steps", static_cast<double>(steps_));
   out.write_scalar(prefix + ".have_mom_prev", have_mom_prev_ ? 1.0 : 0.0);
-  out.write_scalar(prefix + ".have_tracer_prev",
-                   have_tracer_prev_ ? 1.0 : 0.0);
   out.write_scalar(prefix + ".frazil_heat", frazil_heat_);
 }
 
@@ -1481,8 +1830,6 @@ void OceanModel::load_state(const HistoryReader& in,
                             const std::string& prefix) {
   copy_into(in.find(prefix + ".t"), t_);
   copy_into(in.find(prefix + ".s"), s_);
-  copy_into(in.find(prefix + ".t_prev"), t_prev_);
-  copy_into(in.find(prefix + ".s_prev"), s_prev_);
   copy_into(in.find(prefix + ".up"), up_);
   copy_into(in.find(prefix + ".vp"), vp_);
   copy_into(in.find(prefix + ".up_prev"), up_prev_);
@@ -1496,8 +1843,6 @@ void OceanModel::load_state(const HistoryReader& in,
   steps_ =
       static_cast<std::int64_t>(in.find(prefix + ".steps").data[0]);
   have_mom_prev_ = in.find(prefix + ".have_mom_prev").data[0] != 0.0;
-  have_tracer_prev_ =
-      in.find(prefix + ".have_tracer_prev").data[0] != 0.0;
   frazil_heat_ = in.find(prefix + ".frazil_heat").data[0];
 }
 

@@ -18,9 +18,11 @@
 ///  * the fast 2-D barotropic subsystem *split* from the internal mode and
 ///    subcycled forward-backward with a short step while the internal ocean
 ///    takes a long one;
-///  * an even longer leapfrog step for the advective/diffusive (tracer)
-///    processes, with centered advection so the internal-wave coupling
-///    between momentum and buoyancy stays neutral.
+///  * an even longer step for the advective/diffusive (tracer) processes:
+///    forward-in-time, upwind-in-space transport (monotone, so tracers stay
+///    within physical bounds where the masked velocity field is discretely
+///    divergent), implicit vertical diffusion and convective adjustment.
+///    The tracers carry one time level; only the momentum leapfrogs.
 ///
 /// Parallelization: the domain is distributed in balanced contiguous boxes
 /// over a px * py Cartesian rank grid (par::Decomp2D; px = 1 reproduces the
@@ -32,6 +34,12 @@
 /// process row, filter them cooperatively (a balanced share per rank), and
 /// write back the owned segments. With comm == nullptr the model runs
 /// serially.
+///
+/// The sweeps run over row pointers (see DESIGN.md, "Ocean sweeps"): level
+/// by level within each latitude row, the wrap columns peeled, land tested
+/// by selects on the column's level count. Every output element keeps the
+/// exact operation sequence of the per-cell formulation, so the state is
+/// bitwise independent of loop order, vector width and team size.
 
 #include <cstdint>
 #include <functional>
@@ -163,13 +171,29 @@ class OceanModel {
   const par::Decomp2D& decomp() const { return decomp_; }
 
  private:
-  bool wet(int i, int j, int k) const { return levels_(i, j) > k; }
   /// Run body(member, jlo, jhi) over rows [lo, hi) in contiguous bands,
   /// one per team member (the whole range inline without a team).
   template <typename Body>
   void bands(int lo, int hi, Body&& body);
   double dx(int j) const { return grid_.dx(j); }
   double dy(int j) const { return grid_.dy(j); }
+  /// Level counts of row j; a row outside the domain reads as all land.
+  const int* lev_row(int j) const {
+    return j >= 0 && j < cfg_.ny ? &levels_(0, j) : dry_row_.data();
+  }
+  /// Wet flags of row j (mask2d_); all land outside the domain.
+  const int* mask_row(int j) const {
+    return j >= 0 && j < cfg_.ny ? &mask2d_(0, j) : dry_row_.data();
+  }
+  /// The rows a stencil at row j reads north / south values from: j + 1 and
+  /// j - 1, or j itself beyond the walls, where the neighbour's level
+  /// counts read as land and the value is always selected away.
+  int north(int j) const { return j + 1 < cfg_.ny ? j + 1 : j; }
+  int south(int j) const { return j > 0 ? j - 1 : j; }
+  /// Run body(lo, hi) over the columns the extended-range loops visit: the
+  /// owned ones, plus the wrapped halo column on each side when px > 1.
+  template <typename Body>
+  void ext_columns(Body&& body) const;
 
   void exchange_halo(Field2Dd& f);
   void exchange_halo(Field3Dd& f);
@@ -205,9 +229,10 @@ class OceanModel {
   /// Vertical velocity at layer-top interfaces from the baroclinic
   /// deviation velocities (positive up); fills wtop_.
   void diagnose_w();
-  /// Implicit vertical diffusion solve of one 3-D field with the given
-  /// interface coefficient field over time dt.
-  void implicit_vertical(Field3Dd& f, const Field3Dd& coeff, double dt);
+  /// Implicit vertical diffusion solve of two 3-D fields sharing the
+  /// interface coefficient field over time dt: one matrix per column.
+  void implicit_vertical(Field3Dd& fa, Field3Dd& fb, const Field3Dd& coeff,
+                         double dt);
 
   OceanConfig cfg_;
   const numerics::MercatorGrid& grid_;
@@ -221,9 +246,18 @@ class OceanModel {
   /// construction / set_team so the band sweeps never allocate.
   struct MemberScratch {
     MemberScratch(const numerics::PolarFourierFilter& filter, int nx, int nz);
+    /// Per-column accumulators of one grid row: kAccs rows of nx + 1.
+    static constexpr int kAccs = 4;
+    double* acc(int s) {
+      return accs.data() + static_cast<std::size_t>(s) * acc_stride;
+    }
     numerics::PolarFourierFilter::Workspace filter_ws;
-    std::vector<int> mask;                   // one row's wet flags (nx)
-    std::vector<double> la, lb, lc, ld, cp;  // one column's tridiagonal
+    std::vector<int> masks;  // kLanes rows of wet flags (nx each)
+    std::size_t acc_stride;
+    std::vector<double> accs;
+    // One column: tridiagonal, its factors, two interleaved right-hand
+    // sides; convection's T/S copies.
+    std::vector<double> la, lb, lc, cp, den, rhs, tcol, scol;
   };
   std::vector<MemberScratch> scratch_;
   par::Team* team_ = nullptr;
@@ -234,28 +268,40 @@ class OceanModel {
   int j1_ = 0;
   int i0_ = 0;  // owned columns [i0, i1)
   int i1_ = 0;
-  /// Columns visited by extended-range loops: owned columns plus (when
-  /// px > 1) the wrapped halo column on each side.
-  std::vector<int> xext_;
+  /// The wrapped halo columns extended-range loops add when px > 1 (-1:
+  /// none).
+  int ext_w_ = -1, ext_e_ = -1;
+  /// Deepest level count of each row (rows are skipped below it).
+  std::vector<int> row_levels_;
+  /// nx zeros: the level counts of a row beyond the domain walls.
+  std::vector<int> dry_row_;
+  /// dz(k) * (interface spacing above / below k): the vertical diffusion
+  /// matrix's denominators.
+  std::vector<double> vdiff_up_, vdiff_dn_;
   /// Owned rows poleward of the filter latitude, ascending.
   std::vector<int> polar_rows_;
   /// Communicator over the ranks sharing this process row (key = pi), used
   /// by the polar-filter row gather; null when px == 1.
   std::unique_ptr<par::Comm> row_comm_;
 
-  // State (leapfrog: current and previous levels).
+  // State (momentum leapfrog: current and previous levels).
   Field3Dd up_, vp_;            // baroclinic deviation velocity [m/s]
   Field3Dd up_prev_, vp_prev_;  // previous time level
   Field3Dd t_, s_;              // temperature [C], salinity [psu]
-  Field3Dd t_prev_, s_prev_;    // previous tracer time level
   Field2Dd eta_;                // free surface [m]
   Field2Dd ub_, vb_;            // barotropic velocity [m/s]
   bool have_mom_prev_ = false;
-  bool have_tracer_prev_ = false;
 
   // Work arrays.
   Field3Dd rho_, pbc_, nu_, kappa_, gx_, gy_, wtop_;
   Field2Dd fbar_x_, fbar_y_;
+  /// The leapfrog's new level; the tracer step's new level in between.
+  Field3Dd u_new_, v_new_;
+  /// One level's Laplacian (momentum friction) or a barotropic field's
+  /// index Laplacian (index filter), and one level's divergence.
+  Field2Dd lap_, div_;
+  /// The barotropic substeps' constant forcing: fbar + surface stress / h.
+  Field2Dd baro_fx_, baro_fy_;
 
   // Forcing.
   Field2Dd taux_, tauy_, qnet_, fw_, ice_;

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "base/error.hpp"
+#include "base/history.hpp"
 #include "foam/coupled.hpp"
 #include "par/fault.hpp"
 
@@ -147,6 +149,85 @@ TEST(Restart, ResumeBitwiseTwoDOceanLayout) {
     EXPECT_EQ(read_file_bytes(ckpt_shard_path(pa, 2, r)),
               read_file_bytes(ckpt_shard_path(pb, 2, r)))
         << "day-2 state of rank " << r << " diverged after a 2-D resume";
+}
+
+/// Rewrite the history file at \p path with extra records: each record
+/// named in \p after is followed by the records listed with its name.
+void rewrite_with_records(
+    const std::string& path,
+    const std::vector<std::pair<std::string, std::vector<HistoryRecord>>>&
+        after) {
+  const std::vector<HistoryRecord> recs = HistoryReader(path).records();
+  HistoryWriter out(path);
+  auto put = [&](const HistoryRecord& r) {
+    if (r.dims.size() == 3) {
+      Field3Dd f(r.dims[0], r.dims[1], r.dims[2]);
+      std::copy(r.data.begin(), r.data.end(), f.vec().begin());
+      out.write(r.name, f);
+    } else if (r.dims.size() == 2) {
+      Field2Dd f(r.dims[0], r.dims[1]);
+      std::copy(r.data.begin(), r.data.end(), f.vec().begin());
+      out.write(r.name, f);
+    } else if (r.dims.empty()) {
+      out.write_scalar(r.name, r.data.at(0));
+    } else {
+      out.write_series(r.name, r.data);
+    }
+  };
+  for (const HistoryRecord& r : recs) {
+    put(r);
+    for (const auto& [name, extra] : after)
+      if (name == r.name)
+        for (const HistoryRecord& e : extra) put(e);
+  }
+  out.close();
+}
+
+TEST(Restart, ShardWithLegacyPrevTracerRecordsResumesBitwise) {
+  // Shards written while the ocean still kept an (unused) previous tracer
+  // level carry foam.ocean.t_prev, .s_prev and .have_tracer_prev.
+  // load_state finds records by name, so such a shard still resumes to the
+  // uninterrupted run's bits.
+  const FoamConfig cfg = FoamConfig::testing();
+  const RankLayout layout = RankLayout::rows(2, 1);
+  const std::string pa = testing::TempDir() + "/rsLegacyA";
+  const std::string pb = testing::TempDir() + "/rsLegacyB";
+  const int nranks = layout.world_size();
+  par::run(nranks, [&](par::Comm& world) {
+    run_coupled_parallel(world, mk_opts(layout, true, pa, 1.0, false), cfg,
+                         2.0);
+  });
+  par::run(nranks, [&](par::Comm& world) {
+    run_coupled_parallel(world, mk_opts(layout, true, pb, 1.0, false), cfg,
+                         1.0);
+  });
+  ASSERT_EQ(ckpt_latest_day(pb), 1);
+  int legacy_shards = 0;
+  for (int r = 0; r < nranks; ++r) {
+    const std::string path = ckpt_shard_path(pb, 1, r);
+    const HistoryReader in(path);
+    if (!in.has("foam.ocean.t")) continue;
+    HistoryRecord t_prev = in.find("foam.ocean.t");
+    HistoryRecord s_prev = in.find("foam.ocean.s");
+    t_prev.name = "foam.ocean.t_prev";
+    s_prev.name = "foam.ocean.s_prev";
+    const HistoryRecord have{"foam.ocean.have_tracer_prev", {}, {1.0}};
+    rewrite_with_records(path, {{"foam.ocean.s", {t_prev, s_prev}},
+                                {"foam.ocean.have_mom_prev", {have}}});
+    ASSERT_TRUE(HistoryReader(path).has("foam.ocean.t_prev"));
+    ++legacy_shards;
+  }
+  ASSERT_EQ(legacy_shards, layout.ocean_ranks());
+  par::run(nranks, [&](par::Comm& world) {
+    run_coupled_parallel(world, mk_opts(layout, true, pb, 1.0, true), cfg,
+                         2.0);
+  });
+  ASSERT_EQ(ckpt_latest_day(pb), 2);
+  for (int r = 0; r < nranks; ++r)
+    EXPECT_EQ(read_file_bytes(ckpt_shard_path(pa, 2, r)),
+              read_file_bytes(ckpt_shard_path(pb, 2, r)))
+        << "day-2 state of rank " << r
+        << " diverged after resuming from a legacy shard";
 }
 
 TEST(Restart, KillAbortsWithDiagnosticAndResumeMatchesFaultFreeRun) {

@@ -95,6 +95,46 @@ std::vector<double> rows_inverse(const fn::FftPlan& plan, const cplx* spec,
 
 }  // namespace
 
+TEST(FftPlan, LanesMatchForwardInverseBitwise) {
+  // kLanes independent rows through forward_lanes/inverse_lanes equal
+  // forward()/inverse() row by row, bit for bit.
+  constexpr int L = fn::FftPlan::kLanes;
+  for (const int n : {1, 2, 3, 5, 12, 35, 36, 45, 48, 101, 128}) {
+    const fn::FftPlan plan(n);
+    std::vector<double> re(static_cast<std::size_t>(n) * L);
+    std::vector<double> im(re.size());
+    std::vector<double> lw(plan.lanes_workspace_size());
+    std::vector<cplx> work(plan.workspace_size());
+    std::vector<std::vector<cplx>> rows(L);
+    for (int l = 0; l < L; ++l) {
+      rows[l] = random_complex(n, 77u * n + l);
+      for (int i = 0; i < n; ++i) {
+        re[static_cast<std::size_t>(i) * L + l] = rows[l][i].real();
+        im[static_cast<std::size_t>(i) * L + l] = rows[l][i].imag();
+      }
+    }
+    for (const bool fwd : {true, false}) {
+      if (fwd)
+        plan.forward_lanes(re.data(), im.data(), lw.data());
+      else
+        plan.inverse_lanes(re.data(), im.data(), lw.data());
+      for (int l = 0; l < L; ++l) {
+        if (fwd)
+          plan.forward(rows[l].data(), work.data());
+        else
+          plan.inverse(rows[l].data(), work.data());
+        for (int i = 0; i < n; ++i) {
+          const std::size_t at = static_cast<std::size_t>(i) * L + l;
+          ASSERT_EQ(bits(re[at]), bits(rows[l][i].real()))
+              << "n=" << n << " lane=" << l << " i=" << i << " fwd=" << fwd;
+          ASSERT_EQ(bits(im[at]), bits(rows[l][i].imag()))
+              << "n=" << n << " lane=" << l << " i=" << i << " fwd=" << fwd;
+        }
+      }
+    }
+  }
+}
+
 TEST(FftPlan, RealRoundTripEvenAndOdd) {
   for (const int n : {2, 4, 6, 7, 9, 15, 48, 63, 96}) {
     const fn::FftPlan plan(n);
@@ -144,13 +184,24 @@ TEST(FftPlan, Parseval) {
 
 namespace {
 
+// GCC 12's SLP "addsub" pattern fuses the (re, im) pair of a std::complex
+// product into one vfmaddsub when the target has FMA, despite
+// -ffp-contract=off; the library keeps its complex-row kernel out of the
+// vectorizer for that reason, and the oracle must too, or an FMA-capable
+// -march moves the oracle's bits instead of the plan's.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__FMA__)
+#define ORACLE_NO_FUSED_ADDSUB __attribute__((optimize("no-tree-vectorize")))
+#else
+#define ORACLE_NO_FUSED_ADDSUB
+#endif
+
 cplx real_twiddle(int k, int n) {
   const double ang = -foam::constants::two_pi * k / n;
   return cplx(std::cos(ang), std::sin(ang));
 }
 
-std::vector<cplx> oracle_forward_real(const std::vector<double>& x,
-                                      int nkeep, double scale) {
+ORACLE_NO_FUSED_ADDSUB std::vector<cplx> oracle_forward_real(
+    const std::vector<double>& x, int nkeep, double scale) {
   const int n = static_cast<int>(x.size());
   std::vector<cplx> spec;
   if (n % 2 != 0) {
@@ -174,8 +225,8 @@ std::vector<cplx> oracle_forward_real(const std::vector<double>& x,
   return spec;
 }
 
-std::vector<double> oracle_inverse_real(const cplx* fm, int nkeep, int n,
-                                        double scale) {
+ORACLE_NO_FUSED_ADDSUB std::vector<double> oracle_inverse_real(
+    const cplx* fm, int nkeep, int n, double scale) {
   std::vector<cplx> spec(n / 2 + 1, cplx(0.0, 0.0));
   for (int k = 0; k < nkeep; ++k) spec[k] = fm[k] * scale;
   if (n % 2 != 0) return fn::Fft(n).inverse_real(spec);

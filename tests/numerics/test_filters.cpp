@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <vector>
@@ -213,6 +215,53 @@ TEST_P(PolarFilterOracle, AllLandRowUntouched) {
   const std::vector<int> land(nx, 0);
   filter.filter_row(row.data(), j, land.data(), ws);
   for (int i = 0; i < nx; ++i) EXPECT_EQ(row[i], orig[i]) << "i=" << i;
+}
+
+TEST_P(PolarFilterOracle, FilterRowsMatchReferenceBitwise) {
+  // Batches of 1..kLanes rows (short batches are padded), with masked,
+  // all-land and unmasked rows of different latitudes side by side: every
+  // row equals the reference formulation, whatever batch it rides in.
+  constexpr int L = PolarFourierFilter::kLanes;
+  const int nx = GetParam();
+  MercatorGrid grid(nx, 32, 78.0);
+  PolarFourierFilter filter(grid, 60.0);
+  PolarFourierFilter::Workspace ws(filter);
+  std::vector<int> polar;
+  for (int j = 0; j < grid.nlat(); ++j)
+    if (filter.is_polar_row(j)) polar.push_back(j);
+  ASSERT_FALSE(polar.empty());
+  std::mt19937 rng(static_cast<unsigned>(nx) + 7u);
+  std::uniform_real_distribution<double> value(-2.0, 30.0);
+  std::bernoulli_distribution wet(0.7);
+  const std::vector<int> all_ocean(nx, 1);
+  for (int nrows = 1; nrows <= L; ++nrows) {
+    std::vector<std::vector<double>> got(nrows), expect(nrows);
+    std::vector<std::vector<int>> mask(nrows);
+    double* rows[L];
+    int js[L];
+    const int* masks[L];
+    for (int r = 0; r < nrows; ++r) {
+      got[r].resize(nx);
+      mask[r].resize(nx);
+      for (int i = 0; i < nx; ++i) {
+        got[r][i] = value(rng);
+        mask[r][i] = wet(rng) ? 1 : 0;
+      }
+      if (r == 1) std::fill(mask[r].begin(), mask[r].end(), 0);
+      js[r] = polar[static_cast<std::size_t>(r) % polar.size()];
+      rows[r] = got[r].data();
+      masks[r] = r == 2 ? nullptr : mask[r].data();
+      expect[r] = reference_filter_row(filter, js[r], got[r],
+                                       r == 2 ? all_ocean : mask[r]);
+    }
+    filter.filter_rows(rows, js, masks, nrows, ws);
+    for (int r = 0; r < nrows; ++r)
+      for (int i = 0; i < nx; ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[r][i]),
+                  std::bit_cast<std::uint64_t>(expect[r][i]))
+            << "nx=" << nx << " batch=" << nrows << " row=" << r
+            << " i=" << i;
+  }
 }
 
 // Even lengths of the model grids plus one odd length (the odd-n spectrum
