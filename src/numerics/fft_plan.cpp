@@ -58,17 +58,6 @@ inline void mac_lanes(cplx w, const double* __restrict xr,
 
 }  // namespace
 
-// GCC 12's SLP "addsub" pattern fuses the (re, im) pair of cmul into one
-// vfmaddsub/vfmsubadd when the target has FMA, even under -ffp-contract=off,
-// which changes the bits of the complex-row kernel. On such targets that
-// kernel stays out of the vectorizer. (The lane kernels apply one operation
-// to every lane and never match the pattern.)
-#if defined(__GNUC__) && !defined(__clang__) && defined(__FMA__)
-#define FOAM_NO_FUSED_ADDSUB __attribute__((optimize("no-tree-vectorize")))
-#else
-#define FOAM_NO_FUSED_ADDSUB
-#endif
-
 FftPlan::FftPlan(int n) : FftPlan(n, /*build_real_path=*/true) {}
 
 FftPlan::FftPlan(int n, bool build_real_path) : n_(n) {
@@ -148,59 +137,14 @@ void FftPlan::build() {
   }
 }
 
-FOAM_NO_FUSED_ADDSUB void FftPlan::run(cplx* data, cplx* work,
-                                       const cplx* tw_all) const {
-  if (n_ == 1) return;
-  // Gather into the workspace in leaf order, then combine stage by stage,
-  // ping-ponging between work and data. Stage count == factor count, so the
-  // result lands in data when the factor count is odd; one memcpy otherwise.
-  for (int i = 0; i < n_; ++i) work[i] = data[perm_[i]];
-  cplx* src = work;
-  cplx* dst = data;
-  for (const Stage& st : stages_) {
-    const cplx* tw = tw_all + st.tw_offset;
-    const int p = st.p, m = st.m, count = st.count;
-    if (p == 2) {
-      // Radix-2 butterfly. Both outputs use their own tabulated twiddle
-      // (tw(1, q+m) == -tw(1, q) only mathematically: the tables hold
-      // cos/sin evaluated at each index, and bitwise identity with the
-      // reference recursion requires multiplying by the same values).
-      const cplx* tw1 = tw + count;
-      for (int base = 0; base < n_; base += count) {
-        const cplx* s0 = src + base;
-        cplx* d0 = dst + base;
-        for (int q = 0; q < m; ++q) {
-          const cplx a = s0[q];
-          const cplx b = s0[m + q];
-          d0[q] = a + cmul(tw1[q], b);
-          d0[m + q] = a + cmul(tw1[m + q], b);
-        }
-      }
-    } else {
-      for (int base = 0; base < n_; base += count) {
-        const cplx* s0 = src + base;
-        cplx* d0 = dst + base;
-        for (int q = 0; q < m; ++q) {
-          for (int s = 0; s < p; ++s) {
-            const int k = q + s * m;
-            cplx acc(0.0, 0.0);
-            for (int r = 0; r < p; ++r)
-              acc += cmul(tw[r * count + k], s0[r * m + q]);
-            d0[k] = acc;
-          }
-        }
-      }
-    }
-    std::swap(src, dst);
-  }
-  // Result is in src after the final swap.
-  if (src != data) std::memcpy(data, src, sizeof(cplx) * n_);
-}
-
 bool FftPlan::run_lanes(double* are, double* aim, double* bre, double* bim,
                         const cplx* tw_all) const {
-  // The stages of run(), each complex point widened to kLanes doubles per
-  // part: point i of lane l lives at [i*L + l].
+  // Bottom-up over the factor stages, each complex point widened to kLanes
+  // doubles per part: point i of lane l lives at [i*L + l]. Radix 2 gives
+  // both outputs their own tabulated twiddle (tw(1, q+m) == -tw(1, q) only
+  // mathematically: bitwise identity with the reference recursion requires
+  // multiplying by the same cos/sin values); other radices sum the p
+  // products in the recursion's r order.
   double *sr = are, *si = aim, *dr = bre, *di = bim;
   for (const Stage& st : stages_) {
     const cplx* tw = tw_all + st.tw_offset;
@@ -239,16 +183,6 @@ bool FftPlan::run_lanes(double* are, double* aim, double* bre, double* bim,
   return sr == bre;
 }
 
-void FftPlan::forward(cplx* data, cplx* work) const {
-  run(data, work, stage_tw_.data());
-}
-
-void FftPlan::inverse(cplx* data, cplx* work) const {
-  run(data, work, stage_tw_inv_.data());
-  const double inv = 1.0 / n_;
-  for (int i = 0; i < n_; ++i) data[i] = rmul(inv, data[i]);
-}
-
 void FftPlan::run_rows(double* re, double* im, double* work,
                        const cplx* tw) const {
   if (n_ == 1) return;
@@ -274,7 +208,7 @@ void FftPlan::forward_lanes(double* re, double* im, double* work) const {
 
 void FftPlan::inverse_lanes(double* re, double* im, double* work) const {
   run_rows(re, im, work, stage_tw_inv_.data());
-  // inverse()'s rmul(inv, z), part by part.
+  // Fft::inverse()'s 1/N scaling, part by part.
   const double inv = 1.0 / n_;
   const std::size_t plane = static_cast<std::size_t>(n_) * L;
   for (std::size_t at = 0; at < plane; ++at) {

@@ -12,34 +12,35 @@
 /// (bottom-up over the factor stages, ping-ponging between two buffers)
 /// with **no allocation**.
 ///
-/// Two kernels, one per transform:
+/// One lane kernel behind two pairs of entry points:
 ///
-///  * forward()/inverse() — one complex row. Same butterfly sums in the
-///    same order as the reference recursion, so they agree with
-///    Fft::forward()/inverse() bitwise. forward_lanes()/inverse_lanes() run
-///    kLanes such rows at once (the ocean polar filter), each lane with
-///    exactly the single row's operations.
+///  * forward_lanes()/inverse_lanes() — kLanes complex rows at once (the
+///    ocean polar filter). Each lane performs the same butterfly sums in
+///    the same order as the reference recursion, so every lane agrees with
+///    Fft::forward()/inverse() bitwise.
 ///  * forward_real_rows()/inverse_real_rows() — many real rows at once (the
 ///    spectral engine). Even N runs the N/2-point complex plan plus an O(N)
 ///    split post-pass, half the butterflies of the reference path; odd N
-///    falls back to the full complex plan. kLanes rows are interleaved as
-///    split re/im arrays indexed [point][lane], so each butterfly is a
-///    fixed-length lane loop the compiler vectorizes at the baseline ISA.
-///    Each lane performs exactly the operations of a single-row transform
-///    (scale and truncation included), so the result of a row does not
-///    depend on the batch it rides in. A tail group of fewer than kLanes
-///    rows is padded by repeating its last row; only real rows are written.
+///    falls back to the full complex plan. A tail group of fewer than
+///    kLanes rows is padded by repeating its last row; only real rows are
+///    written.
+///
+/// Both keep kLanes rows interleaved as split re/im arrays indexed
+/// [point][lane], so each butterfly is a fixed-length lane loop the
+/// compiler vectorizes at the baseline ISA. Each lane performs exactly the
+/// operations of a single-row transform (scale and truncation included),
+/// so the result of a row does not depend on the batch it rides in.
 ///
 /// Bits. Every complex product is written out as
 /// (ar*br - ai*bi, ar*bi + ai*br): the same two products and sum GCC emits
 /// for std::complex operator*, minus its C99 Annex G NaN check and
 /// __muldc3 fallback. Finite results are therefore bitwise equal to the
-/// std::complex formulation. The library is built with -ffp-contract=off,
-/// and on FMA targets the complex-row kernel is kept out of GCC's
-/// vectorizer (whose addsub pattern fuses a product pair regardless), so
-/// an FMA-capable -march cannot fuse these products either. A non-finite
-/// input now gives NaN where Annex G would have recovered an infinity; it
-/// still gives a non-finite output.
+/// std::complex formulation. The library is built with -ffp-contract=off.
+/// GCC 12's SLP addsub pattern can still fuse a (re, im) product pair on an
+/// FMA-capable -march; the butterfly lane loops apply one operation to
+/// every lane and never match it, and the oracle tests run in an
+/// x86-64-v3 build as well. A non-finite input gives NaN where Annex G
+/// would have recovered an infinity; it still gives a non-finite output.
 ///
 /// Thread safety: a plan is immutable after construction and may be shared
 /// freely; workspaces and scratch belong to the caller (one per thread).
@@ -55,33 +56,26 @@ namespace foam::numerics {
 
 class FftPlan {
  public:
-  /// Rows interleaved per pass of the *_real_rows transforms.
+  /// Rows interleaved per pass of the lane and real-rows transforms.
   static constexpr int kLanes = 8;
 
   explicit FftPlan(int n);
 
   int size() const { return n_; }
 
-  /// Complex workspace elements forward()/inverse() need.
-  std::size_t workspace_size() const { return static_cast<std::size_t>(n_); }
-
-  /// Unnormalized in-place forward DFT. \p work: >= workspace_size() elems.
-  void forward(std::complex<double>* data, std::complex<double>* work) const;
-  /// Normalized (1/N) in-place inverse DFT.
-  void inverse(std::complex<double>* data, std::complex<double>* work) const;
-
   /// Doubles of workspace forward_lanes()/inverse_lanes() need.
   std::size_t lanes_workspace_size() const {
     return 2 * static_cast<std::size_t>(n_) * kLanes;
   }
 
-  /// forward() of kLanes independent complex rows at once, in place. The
-  /// rows are split into a real and an imaginary plane of n*kLanes doubles,
-  /// point i of lane l at [i*kLanes + l] (natural point order). Each lane's
-  /// result is bitwise forward()'s for that row. \p work: >=
-  /// lanes_workspace_size() doubles.
+  /// Unnormalized in-place forward DFT of kLanes independent complex rows.
+  /// The rows are split into a real and an imaginary plane of n*kLanes
+  /// doubles, point i of lane l at [i*kLanes + l] (natural point order).
+  /// Each lane's result is bitwise Fft::forward()'s for that row. \p work:
+  /// >= lanes_workspace_size() doubles.
   void forward_lanes(double* re, double* im, double* work) const;
-  /// inverse() of kLanes rows in the layout of forward_lanes().
+  /// Normalized (1/N) inverse of kLanes rows in the layout of
+  /// forward_lanes(); each lane bitwise Fft::inverse()'s.
   void inverse_lanes(double* re, double* im, double* work) const;
 
   /// Doubles of scratch the *_real_rows transforms need.
@@ -105,12 +99,9 @@ class FftPlan {
  private:
   FftPlan(int n, bool build_real_path);
   void build();
-  /// Complex-row kernel: digit-reversal gather into \p work, then the
-  /// stages with twiddle table \p tw (stage_tw_ or stage_tw_inv_).
-  void run(std::complex<double>* data, std::complex<double>* work,
-           const std::complex<double>* tw) const;
-  /// run() over kLanes rows: digit-reversal gather of the [point][lane]
-  /// planes into \p work, then run_lanes(), the result back in (re, im).
+  /// Digit-reversal gather of the [point][lane] planes into \p work, then
+  /// run_lanes() with twiddle table \p tw (stage_tw_ or stage_tw_inv_), the
+  /// result back in (re, im).
   void run_rows(double* re, double* im, double* work,
                 const std::complex<double>* tw) const;
   /// Lane kernel over leaf-ordered [point][lane] input in (are, aim),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 
 #include "base/error.hpp"
@@ -87,6 +89,43 @@ TEST(Tridiag, ImplicitDiffusionIsConservativeAndStable) {
   }
   EXPECT_NEAR(sum_after, sum_before, 1e-10);
   EXPECT_LT(maxv, 10.0);
+}
+
+TEST(Tridiag, PairedSolveMatchesSingleSolvesBitwise) {
+  // tridiag_factor + tridiag_solve2 (the ocean's paired vertical solves)
+  // give each interleaved right-hand side exactly solve_tridiag's bits.
+  std::mt19937 rng(29);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<double> scratch;
+  for (int n = 1; n <= 30; ++n) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> a(n), b(n), c(n), d0(n), d1(n);
+      for (int i = 0; i < n; ++i) {
+        a[i] = (i > 0) ? dist(rng) : 0.0;
+        c[i] = (i < n - 1) ? dist(rng) : 0.0;
+        b[i] = 3.0 + std::abs(dist(rng));
+        d0[i] = dist(rng);
+        d1[i] = 1e3 * dist(rng);
+      }
+      std::vector<double> x(2 * n), cp(n), den(n);
+      for (int i = 0; i < n; ++i) {
+        x[2 * i] = d0[i];
+        x[2 * i + 1] = d1[i];
+      }
+      tridiag_factor(a.data(), b.data(), c.data(), n, cp.data(), den.data());
+      tridiag_solve2(a.data(), cp.data(), den.data(), n, x.data());
+      solve_tridiag(a, b, c, d0, scratch);
+      solve_tridiag(a, b, c, d1, scratch);
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(x[2 * i]),
+                  std::bit_cast<std::uint64_t>(d0[i]))
+            << "n " << n << " trial " << trial << " row " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(x[2 * i + 1]),
+                  std::bit_cast<std::uint64_t>(d1[i]))
+            << "n " << n << " trial " << trial << " row " << i;
+      }
+    }
+  }
 }
 
 TEST(Tridiag, SizeMismatchThrows) {
