@@ -22,6 +22,36 @@ std::vector<double> sigma_levels(int nlev) {
   return sig;
 }
 
+LevelTable::LevelTable(int nlev, double ps_pa)
+    : ps(ps_pa), sigma(sigma_levels(nlev)) {
+  p.resize(nlev);
+  to_theta.resize(nlev);
+  from_theta.resize(nlev);
+  log_pref_p.resize(nlev);
+  for (int k = 0; k < nlev; ++k) {
+    p[k] = sigma[k] * ps;
+    to_theta[k] = std::pow(c::p_ref / p[k], c::kappa);
+    from_theta[k] = std::pow(p[k] / c::p_ref, c::kappa);
+    log_pref_p[k] = std::log(c::p_ref / p[k]);
+  }
+}
+
+namespace {
+
+/// A table is only valid for columns of its own surface pressure and level
+/// count; anything else would be read at the wrong pressures.
+int checked_levels(const LevelTable& lev, const Column& col) {
+  const int nlev = static_cast<int>(col.t.size());
+  FOAM_REQUIRE(col.ps == lev.ps && nlev == lev.nlev() &&
+                   col.q.size() == col.t.size(),
+               "column (ps " << col.ps << " Pa, " << nlev
+                             << " levels) on a level table for ps " << lev.ps
+                             << " Pa, " << lev.nlev() << " levels");
+  return nlev;
+}
+
+}  // namespace
+
 double saturation_q(double t_k, double p_pa) {
   const double t_c = t_k - 273.15;
   const double es = 610.78 * std::exp(17.27 * t_c / (t_c + 237.3));
@@ -54,12 +84,14 @@ double ocean_roughness_ccm3(double wind_speed) {
   return std::max(1.5e-5, 0.018 * ustar2 / c::gravity);
 }
 
-std::vector<double> radiation_heating(const AtmConfig& cfg, const Column& col,
-                                      const Surface& sfc, double cos_zenith,
-                                      ColumnFluxes& fluxes) {
-  const int nlev = static_cast<int>(col.t.size());
-  const auto sig = sigma_levels(nlev);
-  std::vector<double> heat(nlev, 0.0);
+void radiation_heating(const AtmConfig& cfg, const LevelTable& lev,
+                       const Column& col, const Surface& sfc,
+                       double cos_zenith, std::span<double> heat,
+                       ColumnFluxes& fluxes) {
+  const int nlev = checked_levels(lev, col);
+  FOAM_REQUIRE(static_cast<int>(heat.size()) == nlev,
+               "heat size " << heat.size());
+  std::fill(heat.begin(), heat.end(), 0.0);
 
   // --- shortwave -------------------------------------------------------
   const double s0 = c::solar_constant * std::max(0.0, cos_zenith);
@@ -67,7 +99,7 @@ std::vector<double> radiation_heating(const AtmConfig& cfg, const Column& col,
   double rh_mid = 0.0;
   int nmid = 0;
   for (int k = nlev / 3; k < nlev; ++k) {
-    const double p = sig[k] * col.ps;
+    const double p = lev.p[k];
     rh_mid += std::min(1.2, col.q[k] / std::max(1e-9, saturation_q(col.t[k], p)));
     ++nmid;
   }
@@ -124,25 +156,21 @@ std::vector<double> radiation_heating(const AtmConfig& cfg, const Column& col,
     const double cool = 2.2 / 86400.0;  // K/s scale
     heat[k] -= cool * std::clamp((col.t[k] - 200.0) / 90.0, 0.2, 1.4);
   }
-  return heat;
 }
 
-double moist_convection(const AtmConfig& cfg, Column& col, double dt) {
-  const int nlev = static_cast<int>(col.t.size());
-  const auto sig = sigma_levels(nlev);
+double moist_convection(const AtmConfig& cfg, const LevelTable& lev,
+                        Column& col, double dt) {
+  const int nlev = checked_levels(lev, col);
   double rain = 0.0;
 
   // --- Hack-style shallow/middle moist adjustment (CCM2 and CCM3) ------
   // Sweep adjacent level pairs: when a lifted lower level is buoyant and
   // saturated, mix and rain out the excess moisture.
   for (int k = nlev - 1; k > 0; --k) {
-    const double p_lo = sig[k] * col.ps;
-    const double p_up = sig[k - 1] * col.ps;
+    const double p_lo = lev.p[k];
     // Dry static energy check with moisture contribution.
-    const double theta_lo =
-        col.t[k] * std::pow(c::p_ref / p_lo, c::kappa);
-    const double theta_up =
-        col.t[k - 1] * std::pow(c::p_ref / p_up, c::kappa);
+    const double theta_lo = col.t[k] * lev.to_theta[k];
+    const double theta_up = col.t[k - 1] * lev.to_theta[k - 1];
     const double qsat_lo = saturation_q(col.t[k], p_lo);
     const double buoyant =
         theta_lo + (c::latent_vap / c::cp_dry) * col.q[k] * 0.35 -
@@ -150,8 +178,8 @@ double moist_convection(const AtmConfig& cfg, Column& col, double dt) {
     if (buoyant > 0.3 && col.q[k] > 0.85 * qsat_lo) {
       // Mix the pair and condense the supersaturation produced.
       const double tm = 0.5 * (theta_lo + theta_up);
-      col.t[k] = tm * std::pow(p_lo / c::p_ref, c::kappa);
-      col.t[k - 1] = tm * std::pow(p_up / c::p_ref, c::kappa);
+      col.t[k] = tm * lev.from_theta[k];
+      col.t[k - 1] = tm * lev.from_theta[k - 1];
       const double qm = 0.5 * (col.q[k] + col.q[k - 1]);
       col.q[k] = qm;
       col.q[k - 1] = qm;
@@ -169,13 +197,11 @@ double moist_convection(const AtmConfig& cfg, Column& col, double dt) {
     // saturation moist static energy.
     const int kb = nlev - 1;
     const int km = nlev / 2;
-    const double p_b = sig[kb] * col.ps;
-    const double p_m = sig[km] * col.ps;
     const double h_b = c::cp_dry * col.t[kb] + c::latent_vap * col.q[kb] +
-                       c::r_dry * col.t[kb] * std::log(c::p_ref / p_b);
+                       c::r_dry * col.t[kb] * lev.log_pref_p[kb];
     const double h_m_sat = c::cp_dry * col.t[km] +
-                           c::latent_vap * saturation_q(col.t[km], p_m) +
-                           c::r_dry * col.t[km] * std::log(c::p_ref / p_m);
+                           c::latent_vap * saturation_q(col.t[km], lev.p[km]) +
+                           c::r_dry * col.t[km] * lev.log_pref_p[km];
     const double cape_proxy = (h_b - h_m_sat) / c::cp_dry;  // [K]
     if (cape_proxy > 1.0) {
       // Consume CAPE over a fixed adjustment time: move moisture from the
@@ -197,14 +223,12 @@ double moist_convection(const AtmConfig& cfg, Column& col, double dt) {
   return rain;
 }
 
-double large_scale_condensation(const AtmConfig& cfg, Column& col,
-                                double dt) {
-  const int nlev = static_cast<int>(col.t.size());
-  const auto sig = sigma_levels(nlev);
+double large_scale_condensation(const AtmConfig& cfg, const LevelTable& lev,
+                                Column& col, double dt) {
+  const int nlev = checked_levels(lev, col);
   double rain = 0.0;
   for (int k = 0; k < nlev; ++k) {
-    const double p = sig[k] * col.ps;
-    const double qsat = saturation_q(col.t[k], p);
+    const double qsat = saturation_q(col.t[k], lev.p[k]);
     if (col.q[k] > qsat) {
       const double dq = col.q[k] - qsat;
       col.q[k] = qsat;
@@ -214,9 +238,8 @@ double large_scale_condensation(const AtmConfig& cfg, Column& col,
       // the subsaturated layers below.
       if (cfg.physics == PhysicsVersion::kCcm3) {
         for (int kk = k + 1; kk < nlev && flux > 0.0; ++kk) {
-          const double pk = sig[kk] * col.ps;
-          const double deficit =
-              std::max(0.0, 0.8 * saturation_q(col.t[kk], pk) - col.q[kk]);
+          const double deficit = std::max(
+              0.0, 0.8 * saturation_q(col.t[kk], lev.p[kk]) - col.q[kk]);
           const double evap =
               std::min(flux * 0.25,
                        deficit * col.ps / (nlev * c::gravity) / dt);
@@ -232,12 +255,11 @@ double large_scale_condensation(const AtmConfig& cfg, Column& col,
   return rain;
 }
 
-ColumnFluxes step_column_physics(const AtmConfig& cfg, Column& col,
-                                 const Surface& sfc,
-                                 const std::vector<double>& rad_heat,
+ColumnFluxes step_column_physics(const AtmConfig& cfg, const LevelTable& lev,
+                                 Column& col, const Surface& sfc,
+                                 std::span<const double> rad_heat,
                                  double u_sfc, double v_sfc, double dt) {
-  const int nlev = static_cast<int>(col.t.size());
-  const auto sig = sigma_levels(nlev);
+  const int nlev = checked_levels(lev, col);
   ColumnFluxes fluxes;
 
   // Apply the cached radiative heating rates every step.
@@ -247,7 +269,7 @@ ColumnFluxes step_column_physics(const AtmConfig& cfg, Column& col,
 
   // --- surface fluxes ----------------------------------------------------
   const int kb = nlev - 1;
-  const double p_b = sig[kb] * col.ps;
+  const double p_b = lev.p[kb];
   const double rho = p_b / (c::r_dry * col.t[kb]);
   const double wind =
       std::max(1.0, std::sqrt(u_sfc * u_sfc + v_sfc * v_sfc));
@@ -280,13 +302,13 @@ ColumnFluxes step_column_physics(const AtmConfig& cfg, Column& col,
   col.q[kb] += fluxes.evaporation * dt / mass_b;
 
   // --- boundary layer: implicit vertical diffusion of t (as potential
-  // temperature) and q with a PBL-depth-limited K profile ---------------
+  // temperature, held in col.t meanwhile) and q with a PBL-depth-limited
+  // K profile --------------------------------------------------------------
   {
     const double k_pbl = 12.0 * std::clamp(1.0 - 4.0 * std::max(0.0, ri),
                                            0.05, 2.0);
-    std::vector<double> theta(nlev);
-    for (int k = 0; k < nlev; ++k)
-      theta[k] = col.t[k] * std::pow(c::p_ref / (sig[k] * col.ps), c::kappa);
+    std::vector<double>& theta = col.t;  // converted in place and back
+    for (int k = 0; k < nlev; ++k) theta[k] *= lev.to_theta[k];
     const double dz_proxy = 800.0;  // layer thickness proxy [m]
     const double r = k_pbl * dt / (dz_proxy * dz_proxy);
     // Simple implicit tri-diagonal over the lowest third of the column.
@@ -302,13 +324,12 @@ ColumnFluxes step_column_physics(const AtmConfig& cfg, Column& col,
         col.q[k - 1] -= mix * dq;
       }
     }
-    for (int k = 0; k < nlev; ++k)
-      col.t[k] = theta[k] * std::pow(sig[k] * col.ps / c::p_ref, c::kappa);
+    for (int k = 0; k < nlev; ++k) theta[k] *= lev.from_theta[k];
   }
 
   // --- moist processes ----------------------------------------------------
-  double rain = moist_convection(cfg, col, dt);
-  rain += large_scale_condensation(cfg, col, dt);
+  double rain = moist_convection(cfg, lev, col, dt);
+  rain += large_scale_condensation(cfg, lev, col, dt);
   // Snow when the lower troposphere is below freezing.
   if (col.t[nlev - 2] < c::t_melt) {
     fluxes.precip_snow = rain;

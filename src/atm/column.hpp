@@ -22,11 +22,15 @@
 /// information (the property that makes CCM physics embarrassingly
 /// parallel, paper §4.1).
 
+#include <span>
 #include <vector>
 
 #include "atm/config.hpp"
 
 namespace foam::atm {
+
+/// Surface pressure of a column unless set otherwise [Pa].
+inline constexpr double kDefaultSurfacePressure = 1.0e5;
 
 /// Sigma coordinate: level k = 0 is the model top. Midpoint values.
 std::vector<double> sigma_levels(int nlev);
@@ -36,7 +40,25 @@ std::vector<double> sigma_levels(int nlev);
 struct Column {
   std::vector<double> t;  ///< temperature per level [K]
   std::vector<double> q;  ///< specific humidity per level [kg/kg]
-  double ps = 1.0e5;      ///< surface pressure [Pa]
+  double ps = kDefaultSurfacePressure;  ///< surface pressure [Pa]
+};
+
+/// The pressure-only factors of every level for columns of one surface
+/// pressure, built once instead of per column. Each entry is the very
+/// std::pow / std::log call the column code made on sig[k] * ps, so a
+/// column computes the same bits from the table as without it. The column
+/// functions reject (FOAM_REQUIRE) a column whose ps or level count differs
+/// from the table's.
+struct LevelTable {
+  explicit LevelTable(int nlev, double ps = kDefaultSurfacePressure);
+  int nlev() const { return static_cast<int>(sigma.size()); }
+
+  double ps;                        ///< surface pressure the table is for
+  std::vector<double> sigma;        ///< sigma_levels(nlev)
+  std::vector<double> p;            ///< sigma[k] * ps [Pa]
+  std::vector<double> to_theta;     ///< (p_ref / p)^kappa
+  std::vector<double> from_theta;   ///< (p / p_ref)^kappa
+  std::vector<double> log_pref_p;   ///< log(p_ref / p)
 };
 
 /// Properties of the underlying surface, provided by the coupler.
@@ -78,31 +100,34 @@ double bulk_transfer_coefficient(double z_ref, double z0, double ri_bulk);
 /// with a smooth-flow floor); CCM2 uses a constant.
 double ocean_roughness_ccm3(double wind_speed);
 
-/// One physics step for one column. Updates t and q in place and returns
-/// the surface/TOA fluxes. \p rad_heat is the cached radiative heating
-/// rate [K/s per level] (recomputed by the model on the radiation period,
-/// applied every step — the CCM practice behind the twice-daily "long
-/// steps" of Fig. 2); \p cos_zenith the current solar zenith cosine and
-/// \p u_sfc / v_sfc the near-surface winds.
-ColumnFluxes step_column_physics(const AtmConfig& cfg, Column& col,
-                                 const Surface& sfc,
-                                 const std::vector<double>& rad_heat,
+/// One physics step for one column on the levels \p lev. Updates t and q
+/// in place and returns the surface/TOA fluxes. \p rad_heat is the cached
+/// radiative heating rate [K/s per level] (recomputed by the model on the
+/// radiation period, applied every step — the CCM practice behind the
+/// twice-daily "long steps" of Fig. 2) and \p u_sfc / v_sfc the
+/// near-surface winds. Allocates nothing.
+ColumnFluxes step_column_physics(const AtmConfig& cfg, const LevelTable& lev,
+                                 Column& col, const Surface& sfc,
+                                 std::span<const double> rad_heat,
                                  double u_sfc, double v_sfc, double dt);
 
-/// Radiation only (called on the radiation period): computes heating rates
-/// and returns them [K/s per level] plus the surface/TOA radiative terms in
-/// the flux struct. Exposed separately for tests.
-std::vector<double> radiation_heating(const AtmConfig& cfg, const Column& col,
-                                      const Surface& sfc, double cos_zenith,
-                                      ColumnFluxes& fluxes);
+/// Radiation only (called on the radiation period): writes the heating
+/// rates [K/s per level] into \p heat and the surface/TOA radiative terms
+/// into \p fluxes. Exposed separately for tests. Allocates nothing.
+void radiation_heating(const AtmConfig& cfg, const LevelTable& lev,
+                       const Column& col, const Surface& sfc,
+                       double cos_zenith, std::span<double> heat,
+                       ColumnFluxes& fluxes);
 
 /// Moist convection: CCM2-style moist adjustment, optionally (CCM3) with
 /// deep CAPE-consuming convection and stratiform-precip evaporation.
 /// Returns rain rate [kg/m^2/s]. Exposed for tests.
-double moist_convection(const AtmConfig& cfg, Column& col, double dt);
+double moist_convection(const AtmConfig& cfg, const LevelTable& lev,
+                        Column& col, double dt);
 
 /// Large-scale (stratiform) condensation with CCM3 evaporation of falling
 /// precipitation. Returns rain rate [kg/m^2/s].
-double large_scale_condensation(const AtmConfig& cfg, Column& col, double dt);
+double large_scale_condensation(const AtmConfig& cfg, const LevelTable& lev,
+                                Column& col, double dt);
 
 }  // namespace foam::atm

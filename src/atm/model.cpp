@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "base/constants.hpp"
 #include "data/earth.hpp"
 #include "par/decomp.hpp"
+#include "par/team.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace foam::atm {
@@ -42,6 +44,7 @@ AtmosphereModel::AtmosphereModel(const AtmConfig& cfg, par::Comm* comm)
                    : contiguous_rows(0, cfg.nlat)),
       pst_(st_, my_lats_),
       dyn_(cfg_, st_, my_lats_),
+      levels_(cfg.nlev),
       t3_(cfg.nlon, cfg.nlat, cfg.nlev, 260.0),
       q3_(cfg.nlon, cfg.nlat, cfg.nlev, 1e-3),
       rad_heat_(cfg.nlon, cfg.nlat, cfg.nlev, 0.0),
@@ -52,6 +55,21 @@ AtmosphereModel::AtmosphereModel(const AtmConfig& cfg, par::Comm* comm)
   j1_ = my_lats_.back() + 1;
   FOAM_REQUIRE(static_cast<int>(my_lats_.size()) == j1_ - j0_,
                "rows not contiguous");
+  set_team(nullptr);
+}
+
+AtmosphereModel::MemberScratch::MemberScratch(int nlev,
+                                              std::size_t advect_size)
+    : heat(nlev), t_next(advect_size), q_next(advect_size) {
+  col.t.resize(nlev);
+  col.q.resize(nlev);
+}
+
+template <typename Body>
+void AtmosphereModel::row_chunks(Body&& body) {
+  par::for_chunks(team_, j1_ - j0_, [&](int m, int lo, int hi) {
+    body(m, j0_ + lo, j0_ + hi);
+  });
 }
 
 void AtmosphereModel::init_default(unsigned seed) {
@@ -82,6 +100,16 @@ void AtmosphereModel::set_team(par::Team* team) {
   team_ = team;
   pst_.set_team(team);
   dyn_.set_team(team);
+  // Member 0's chunk is the largest (block_range gives remainders to the
+  // lowest members), so every member's advected rows fit its size.
+  const int members = team != nullptr ? team->size() : 1;
+  const std::size_t rows = static_cast<std::size_t>(
+      par::Team::chunk(j1_ - j0_, members, 0).count());
+  scratch_.clear();
+  scratch_.reserve(static_cast<std::size_t>(members));
+  for (int m = 0; m < members; ++m)
+    scratch_.emplace_back(cfg_.nlev, rows * static_cast<std::size_t>(
+                                                cfg_.nlon * cfg_.nlev));
 }
 
 void AtmosphereModel::reset_flux_accumulation() {
@@ -128,46 +156,67 @@ void AtmosphereModel::advect_tracers() {
   const int nx = cfg_.nlon;
   exchange_halo(t3_);
   exchange_halo(q3_);
-  Field3Dd tn(t3_), qn(q3_);
-  for (int k = 0; k < cfg_.nlev; ++k) {
-    // Dynamical level carrying this physics level.
-    const int l = std::min(cfg_.ndyn - 1, k * cfg_.ndyn / cfg_.nlev);
-    const auto& uu = dyn_.u(l);
-    const auto& vv = dyn_.v(l);
-    for (int j = j0_; j < j1_; ++j) {
-      const double dxj =
-          c::earth_radius * std::cos(grid_.lat(j)) * c::two_pi / nx;
-      const double dyj = c::pi * c::earth_radius / cfg_.nlat;
-      // CFL clamp for the polar rows (effective zonal resolution shrinks;
-      // the wind used for transport is capped — the grid analogue of the
-      // spectral model's polar treatment).
-      const double umax = 0.8 * dxj / dt;
-      const double vmax = 0.8 * dyj / dt;
-      for (int i = 0; i < nx; ++i) {
-        const double ua = std::clamp(uu(i, j), -umax, umax);
-        const double va = std::clamp(vv(i, j), -vmax, vmax);
-        for (Field3Dd* fp : {&t3_, &q3_}) {
-          Field3Dd& f = *fp;
-          Field3Dd& out = (fp == &t3_) ? tn : qn;
-          double tend = 0.0;
-          // Upwind in both directions.
-          if (ua > 0.0) {
-            tend -= ua * (f(i, j, k) - f.wrap_x(i - 1, j, k)) / dxj;
-          } else {
-            tend -= ua * (f.wrap_x(i + 1, j, k) - f(i, j, k)) / dxj;
-          }
-          if (va > 0.0 && j - 1 >= 0) {
-            tend -= va * (f(i, j, k) - f(i, j - 1, k)) / dyj;
-          } else if (va < 0.0 && j + 1 < cfg_.nlat) {
-            tend -= va * (f(i, j + 1, k) - f(i, j, k)) / dyj;
-          }
-          out(i, j, k) = f(i, j, k) + dt * tend;
+  // Upwind differences read rows j - 1 and j + 1, which another member may
+  // own: each member writes its rows' new values into its own buffers, and
+  // a second pass over the same chunks copies them back once every member
+  // has finished reading. Buffer layout: [k][j - lo][i].
+  row_chunks([&](int m, int lo, int hi) {
+    MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    const int rows = hi - lo;
+    for (int k = 0; k < cfg_.nlev; ++k) {
+      // Dynamical level carrying this physics level.
+      const int l = std::min(cfg_.ndyn - 1, k * cfg_.ndyn / cfg_.nlev);
+      const auto& uu = dyn_.u(l);
+      const auto& vv = dyn_.v(l);
+      for (int j = lo; j < hi; ++j) {
+        const double dxj =
+            c::earth_radius * std::cos(grid_.lat(j)) * c::two_pi / nx;
+        const double dyj = c::pi * c::earth_radius / cfg_.nlat;
+        // CFL clamp for the polar rows (effective zonal resolution shrinks;
+        // the wind used for transport is capped — the grid analogue of the
+        // spectral model's polar treatment).
+        const double umax = 0.8 * dxj / dt;
+        const double vmax = 0.8 * dyj / dt;
+        const std::size_t at =
+            (static_cast<std::size_t>(k) * rows + (j - lo)) * nx;
+        double* t_out = sc.t_next.data() + at;
+        double* q_out = sc.q_next.data() + at;
+        for (int i = 0; i < nx; ++i) {
+          const double ua = std::clamp(uu(i, j), -umax, umax);
+          const double va = std::clamp(vv(i, j), -vmax, vmax);
+          const auto upwind = [&](const Field3Dd& f) {
+            double tend = 0.0;
+            // Upwind in both directions.
+            if (ua > 0.0) {
+              tend -= ua * (f(i, j, k) - f.wrap_x(i - 1, j, k)) / dxj;
+            } else {
+              tend -= ua * (f.wrap_x(i + 1, j, k) - f(i, j, k)) / dxj;
+            }
+            if (va > 0.0 && j - 1 >= 0) {
+              tend -= va * (f(i, j, k) - f(i, j - 1, k)) / dyj;
+            } else if (va < 0.0 && j + 1 < cfg_.nlat) {
+              tend -= va * (f(i, j + 1, k) - f(i, j, k)) / dyj;
+            }
+            return f(i, j, k) + dt * tend;
+          };
+          t_out[i] = upwind(t3_);
+          q_out[i] = upwind(q3_);
         }
       }
     }
-  }
-  t3_ = std::move(tn);
-  q3_ = std::move(qn);
+  });
+  row_chunks([&](int m, int lo, int hi) {
+    const MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    const int rows = hi - lo;
+    const std::size_t bytes = static_cast<std::size_t>(nx) * sizeof(double);
+    for (int k = 0; k < cfg_.nlev; ++k)
+      for (int j = lo; j < hi; ++j) {
+        const std::size_t at =
+            (static_cast<std::size_t>(k) * rows + (j - lo)) * nx;
+        std::memcpy(&t3_(0, j, k), sc.t_next.data() + at, bytes);
+        std::memcpy(&q3_(0, j, k), sc.q_next.data() + at, bytes);
+      }
+  });
 }
 
 double AtmosphereModel::cos_zenith_at(int i, int j,
@@ -180,33 +229,38 @@ double AtmosphereModel::cos_zenith_at(int i, int j,
   return q / c::solar_constant;
 }
 
-void AtmosphereModel::update_radiation_cache(const ModelTime& now) {
-  Column col;
-  col.t.resize(cfg_.nlev);
-  col.q.resize(cfg_.nlev);
-  for (int j = j0_; j < j1_; ++j) {
-    for (int i = 0; i < cfg_.nlon; ++i) {
-      for (int k = 0; k < cfg_.nlev; ++k) {
-        col.t[k] = t3_(i, j, k);
-        col.q[k] = q3_(i, j, k);
-      }
-      Surface s;
-      s.tsurf = sfc_.tsurf(i, j);
-      s.albedo = sfc_.albedo(i, j);
-      s.roughness = sfc_.roughness(i, j);
-      s.wetness = sfc_.wetness(i, j);
-      s.is_ocean = sfc_.is_ocean(i, j) != 0;
-      s.is_ice = sfc_.is_ice(i, j) != 0;
-      ColumnFluxes rf;
-      const auto heat =
-          radiation_heating(cfg_, col, s, cos_zenith_at(i, j, now), rf);
-      for (int k = 0; k < cfg_.nlev; ++k) rad_heat_(i, j, k) = heat[k];
-      // Cache the radiative surface fluxes in flux_last_ (per-step flux
-      // accumulation adds them below).
-      flux_last_.sw_sfc(i, j) = rf.sw_absorbed_sfc;
-      flux_last_.lw_down(i, j) = rf.lw_down_sfc;
-    }
+void AtmosphereModel::load_column(int i, int j, Column& col,
+                                  Surface& s) const {
+  for (int k = 0; k < cfg_.nlev; ++k) {
+    col.t[k] = t3_(i, j, k);
+    col.q[k] = q3_(i, j, k);
   }
+  s.tsurf = sfc_.tsurf(i, j);
+  s.albedo = sfc_.albedo(i, j);
+  s.roughness = sfc_.roughness(i, j);
+  s.wetness = sfc_.wetness(i, j);
+  s.is_ocean = sfc_.is_ocean(i, j) != 0;
+  s.is_ice = sfc_.is_ice(i, j) != 0;
+}
+
+void AtmosphereModel::update_radiation_cache(const ModelTime& now) {
+  row_chunks([&](int m, int lo, int hi) {
+    MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    for (int j = lo; j < hi; ++j) {
+      for (int i = 0; i < cfg_.nlon; ++i) {
+        Surface s;
+        load_column(i, j, sc.col, s);
+        ColumnFluxes rf;
+        radiation_heating(cfg_, levels_, sc.col, s, cos_zenith_at(i, j, now),
+                          sc.heat, rf);
+        for (int k = 0; k < cfg_.nlev; ++k) rad_heat_(i, j, k) = sc.heat[k];
+        // Cache the radiative surface fluxes in flux_last_ (per-step flux
+        // accumulation adds them below).
+        flux_last_.sw_sfc(i, j) = rf.sw_absorbed_sfc;
+        flux_last_.lw_down(i, j) = rf.lw_down_sfc;
+      }
+    }
+  });
   // Extra cost of a radiation step (the "particularly long atmosphere
   // steps" of Fig. 2).
   work_points_ += 6.0 * static_cast<double>(j1_ - j0_) * cfg_.nlon *
@@ -246,52 +300,43 @@ void AtmosphereModel::update_thermal_jet(par::Comm* comm) {
 
 void AtmosphereModel::run_physics(const ModelTime& now) {
   (void)now;
-  Column col;
-  col.t.resize(cfg_.nlev);
-  col.q.resize(cfg_.nlev);
-  std::vector<double> heat(cfg_.nlev);
   const auto& us = u_sfc();
   const auto& vs = v_sfc();
-  for (int j = j0_; j < j1_; ++j) {
-    for (int i = 0; i < cfg_.nlon; ++i) {
-      for (int k = 0; k < cfg_.nlev; ++k) {
-        col.t[k] = t3_(i, j, k);
-        col.q[k] = q3_(i, j, k);
-        heat[k] = rad_heat_(i, j, k);
+  row_chunks([&](int m, int lo, int hi) {
+    MemberScratch& sc = scratch_[static_cast<std::size_t>(m)];
+    Column& col = sc.col;
+    for (int j = lo; j < hi; ++j) {
+      for (int i = 0; i < cfg_.nlon; ++i) {
+        Surface s;
+        load_column(i, j, col, s);
+        for (int k = 0; k < cfg_.nlev; ++k) sc.heat[k] = rad_heat_(i, j, k);
+        const ColumnFluxes f = step_column_physics(
+            cfg_, levels_, col, s, sc.heat, us(i, j), vs(i, j), cfg_.dt);
+        for (int k = 0; k < cfg_.nlev; ++k) {
+          // Physical-range guards: excursions beyond these are numerical.
+          t3_(i, j, k) = std::clamp(col.t[k], 170.0, 330.0);
+          q3_(i, j, k) = std::clamp(col.q[k], 0.0, 0.04);
+        }
+        flux_last_.sensible(i, j) = f.sensible;
+        flux_last_.latent(i, j) = f.latent;
+        flux_last_.evaporation(i, j) = f.evaporation;
+        flux_last_.rain(i, j) = f.precip_rain;
+        flux_last_.snow(i, j) = f.precip_snow;
+        flux_last_.taux(i, j) = f.taux;
+        flux_last_.tauy(i, j) = f.tauy;
+        // Accumulate for the coupler.
+        flux_accum_.sw_sfc(i, j) += flux_last_.sw_sfc(i, j);
+        flux_accum_.lw_down(i, j) += flux_last_.lw_down(i, j);
+        flux_accum_.sensible(i, j) += f.sensible;
+        flux_accum_.latent(i, j) += f.latent;
+        flux_accum_.evaporation(i, j) += f.evaporation;
+        flux_accum_.rain(i, j) += f.precip_rain;
+        flux_accum_.snow(i, j) += f.precip_snow;
+        flux_accum_.taux(i, j) += f.taux;
+        flux_accum_.tauy(i, j) += f.tauy;
       }
-      Surface s;
-      s.tsurf = sfc_.tsurf(i, j);
-      s.albedo = sfc_.albedo(i, j);
-      s.roughness = sfc_.roughness(i, j);
-      s.wetness = sfc_.wetness(i, j);
-      s.is_ocean = sfc_.is_ocean(i, j) != 0;
-      s.is_ice = sfc_.is_ice(i, j) != 0;
-      const ColumnFluxes f = step_column_physics(cfg_, col, s, heat,
-                                                 us(i, j), vs(i, j), cfg_.dt);
-      for (int k = 0; k < cfg_.nlev; ++k) {
-        // Physical-range guards: excursions beyond these are numerical.
-        t3_(i, j, k) = std::clamp(col.t[k], 170.0, 330.0);
-        q3_(i, j, k) = std::clamp(col.q[k], 0.0, 0.04);
-      }
-      flux_last_.sensible(i, j) = f.sensible;
-      flux_last_.latent(i, j) = f.latent;
-      flux_last_.evaporation(i, j) = f.evaporation;
-      flux_last_.rain(i, j) = f.precip_rain;
-      flux_last_.snow(i, j) = f.precip_snow;
-      flux_last_.taux(i, j) = f.taux;
-      flux_last_.tauy(i, j) = f.tauy;
-      // Accumulate for the coupler.
-      flux_accum_.sw_sfc(i, j) += flux_last_.sw_sfc(i, j);
-      flux_accum_.lw_down(i, j) += flux_last_.lw_down(i, j);
-      flux_accum_.sensible(i, j) += f.sensible;
-      flux_accum_.latent(i, j) += f.latent;
-      flux_accum_.evaporation(i, j) += f.evaporation;
-      flux_accum_.rain(i, j) += f.precip_rain;
-      flux_accum_.snow(i, j) += f.precip_snow;
-      flux_accum_.taux(i, j) += f.taux;
-      flux_accum_.tauy(i, j) += f.tauy;
     }
-  }
+  });
   ++flux_steps_;
   work_points_ += 2.0 * static_cast<double>(j1_ - j0_) * cfg_.nlon *
                   cfg_.nlev;

@@ -91,7 +91,8 @@ class AtmosphereModel {
   void step(const ModelTime& now);
 
   /// Split the spectral batches (dynamics and the emulated full-core
-  /// transforms) by field over \p team; null runs them on the calling
+  /// transforms) by field and the grid-point phase (physics, radiation,
+  /// advection) by latitude row over \p team; null runs them on the calling
   /// thread alone. Bitwise identical either way. The team must outlive its
   /// use here.
   void set_team(par::Team* team);
@@ -110,6 +111,8 @@ class AtmosphereModel {
   /// Temperature [K] / specific humidity of level k (k = 0 top).
   const Field3Dd& temperature() const { return t3_; }
   const Field3Dd& moisture() const { return q3_; }
+  /// Cached radiative heating rate [K/s] of level k.
+  const Field3Dd& radiative_heating() const { return rad_heat_; }
   /// Near-surface winds [m/s] (lowest dynamical level).
   const Field2Dd& u_sfc() const { return dyn_.u(cfg_.ndyn - 1); }
   const Field2Dd& v_sfc() const { return dyn_.v(cfg_.ndyn - 1); }
@@ -135,6 +138,21 @@ class AtmosphereModel {
   void update_radiation_cache(const ModelTime& now);
   void update_thermal_jet(par::Comm* comm);
   double cos_zenith_at(int i, int j, const ModelTime& now) const;
+  /// The one column of (i, j) in \p col and its surface in \p s.
+  void load_column(int i, int j, Column& col, Surface& s) const;
+
+  /// One team member's scratch, sized once (constructor, set_team) so no
+  /// team body allocates: a column, its heating rates, and the advected
+  /// values of the member's latitude rows (its largest chunk).
+  struct MemberScratch {
+    MemberScratch(int nlev, std::size_t advect_size);
+    Column col;
+    std::vector<double> heat;
+    std::vector<double> t_next, q_next;
+  };
+  /// Run body(member, j_lo, j_hi) over the owned rows, split on the team.
+  template <typename Body>
+  void row_chunks(Body&& body);
 
   AtmConfig cfg_;
   par::Comm* comm_;
@@ -148,6 +166,8 @@ class AtmosphereModel {
   par::Team* team_ = nullptr;
   int j0_ = 0, j1_ = 0;  // contiguous owned range
   SpectralDynamics dyn_;
+  LevelTable levels_;  // every column runs at kDefaultSurfacePressure
+  std::vector<MemberScratch> scratch_;  // one per team member
 
   Field3Dd t3_, q3_;        // temperature [K], moisture [kg/kg]
   Field3Dd rad_heat_;       // cached radiative heating [K/s]

@@ -13,13 +13,15 @@ using constants::sea_ice_freeze_c;
 using constants::solar_constant;
 using constants::two_pi;
 
-namespace {
-
 double wrap_lon(double lon) {
+  // fmod returns an already wrapped longitude exactly, so skip it there.
+  if (lon >= 0.0 && lon < 360.0) return lon;
   double l = std::fmod(lon, 360.0);
   if (l < 0.0) l += 360.0;
   return l;
 }
+
+namespace {
 
 /// True if lon (wrapped) lies in [lo, hi], where the interval may cross 0.
 bool lon_in(double lon, double lo, double hi) {

@@ -36,6 +36,10 @@ enum class SoilType : int {
   kDesert = 4,
 };
 
+/// Longitude [deg] wrapped into [0, 360): bitwise the result of
+/// fmod(lon, 360) plus 360 when that is negative (-0.0 stays -0.0).
+double wrap_lon(double lon);
+
 /// True where the point is on one of the procedural continents.
 bool is_land(double lat_deg, double lon_deg);
 

@@ -343,9 +343,11 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
   // Threads inside this rank: the rank thread plus its helpers. Helpers
   // only run the models' batched kernels; every message, span and counter
   // stays on this thread. The bits do not depend on the team size.
+  const par::TeamHelpers auto_helpers =
+      par::auto_team_helpers(par::usable_cpus(), n_atm, n_ocean, opts.overlap);
   const int helpers =
       opts.helpers_per_rank == ParallelRunOptions::kAutoHelpers
-          ? par::auto_team_helpers(par::usable_cpus(), world.size())
+          ? (is_atm ? auto_helpers.atm : auto_helpers.ocean)
           : opts.helpers_per_rank;
   FOAM_REQUIRE(helpers >= 0 && helpers < par::kMaxTeamMembers,
                "helpers_per_rank=" << opts.helpers_per_rank << " (0.."

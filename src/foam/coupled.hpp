@@ -262,11 +262,14 @@ struct ParallelRunOptions {
   telemetry::ObservabilityOptions observe =
       telemetry::ObservabilityOptions::from_env();
   /// Helper threads per rank for its in-rank par::Team, which splits the
-  /// spectral batches by field and the ocean sweeps by row band. The
-  /// default, kAutoHelpers, takes par::auto_team_helpers(par::usable_cpus(),
-  /// world size): the spare CPUs shared between the ranks. Tests set it to
-  /// pin a size (0 .. par::kMaxTeamMembers - 1); the bits never depend on
-  /// it. CoupledFoam has no team.
+  /// atmosphere's spectral batches by field and its grid-point phase
+  /// (physics, radiation, advection) by latitude row, and the ocean sweeps
+  /// by row band. The default, kAutoHelpers, takes par::auto_team_helpers(
+  /// par::usable_cpus(), n_atm, n_ocean, overlap): with overlap the spare
+  /// CPUs go to the atmosphere ranks first (the critical path) and the
+  /// ocean ranks share the rest; blocking runs share them evenly. Tests set
+  /// it to pin one size for every rank (0 .. par::kMaxTeamMembers - 1); the
+  /// bits never depend on it. CoupledFoam has no team.
   static constexpr int kAutoHelpers = -1;
   int helpers_per_rank = kAutoHelpers;
 };

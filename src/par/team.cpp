@@ -35,10 +35,21 @@ int usable_cpus() {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
-int auto_team_helpers(int cpus, int world_size) {
-  FOAM_REQUIRE(world_size > 0, "world size " << world_size);
-  const int spare = std::max(0, cpus - world_size) / world_size;
-  return std::min(spare, kMaxTeamMembers - 1);
+TeamHelpers auto_team_helpers(int cpus, int n_atm, int n_ocean,
+                              bool overlap) {
+  FOAM_REQUIRE(n_atm >= 0 && n_ocean >= 0 && n_atm + n_ocean > 0,
+               "ranks " << n_atm << "+" << n_ocean);
+  const int world = n_atm + n_ocean;
+  const int spare = std::max(0, cpus - world);
+  const auto share = [](int cpus_left, int ranks) {
+    return ranks == 0 ? 0 : std::min(cpus_left / ranks, kMaxTeamMembers - 1);
+  };
+  if (!overlap) {
+    const int even = share(spare, world);
+    return {even, even};
+  }
+  const int atm = share(spare, n_atm);
+  return {atm, share(spare - atm * n_atm, n_ocean)};
 }
 
 Team::Team(int members)

@@ -48,11 +48,21 @@ int usable_cpus();
 /// carry only 3 fields, so a bigger team would leave members idle there.
 inline constexpr int kMaxTeamMembers = 4;
 
-/// Helpers per rank when the caller does not say: the CPUs left after one
-/// per rank thread, shared evenly between the ranks, capped so a team has
-/// at most kMaxTeamMembers members. 1+1 ranks on 4 CPUs get 1 helper each;
-/// 10 ranks on 4 CPUs get none.
-int auto_team_helpers(int cpus, int world_size);
+/// Helpers per rank of each component of a coupled run.
+struct TeamHelpers {
+  int atm = 0;
+  int ocean = 0;
+};
+
+/// Helpers per rank when the caller does not say, from the CPUs left after
+/// one per rank thread, each rank capped at kMaxTeamMembers - 1 helpers.
+/// With \p overlap the two components compute at the same time and the
+/// overlap hides the ocean, so the atmosphere ranks share the spare CPUs
+/// first and the ocean ranks share what is left: 1+1 on 4 CPUs gives the
+/// atmosphere 2 helpers and the ocean none. Blocking runs share them evenly
+/// (1 each there). 8+2x4 on 4 CPUs gets none on either side. Throws unless
+/// \p n_atm, \p n_ocean >= 0 and n_atm + n_ocean > 0.
+TeamHelpers auto_team_helpers(int cpus, int n_atm, int n_ocean, bool overlap);
 
 /// One PAUSE-class instruction: tells the core this is a spin-wait.
 inline void cpu_relax() {

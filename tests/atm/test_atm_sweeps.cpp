@@ -37,16 +37,13 @@ TEST_P(LevelCountSweep, TenDaysOfPhysicsBounded) {
   Column col = standard_column(nlev, 295.0);
   Surface sfc;
   sfc.tsurf = 293.0;
+  const LevelTable lev(nlev);
   ColumnFluxes rad_fluxes;
+  std::vector<double> cached(nlev);
   for (int step = 0; step < 480; ++step) {  // 10 days of 30-min steps
-    std::vector<double> heat;
     if (step % 24 == 0)
-      heat = radiation_heating(cfg, col, sfc, 0.35, rad_fluxes);
-    static std::vector<double> cached;
-    if (!heat.empty()) cached = heat;
-    if (static_cast<int>(cached.size()) != nlev)
-      cached.assign(nlev, 0.0);
-    step_column_physics(cfg, col, sfc, cached, 5.0, 1.0, 1800.0);
+      radiation_heating(cfg, lev, col, sfc, 0.35, cached, rad_fluxes);
+    step_column_physics(cfg, lev, col, sfc, cached, 5.0, 1.0, 1800.0);
   }
   for (int k = 0; k < nlev; ++k) {
     EXPECT_GT(col.t[k], 150.0) << "nlev=" << nlev << " k=" << k;
@@ -77,7 +74,8 @@ TEST_P(SurfaceTypeSweep, FluxesPhysicalForEverySurface) {
   sfc.roughness = is_ice ? 5e-4 : (is_ocean ? 1e-4 : 0.05);
   std::vector<double> rad(18, 0.0);
   const ColumnFluxes f =
-      step_column_physics(cfg, col, sfc, rad, 5.0, -2.0, 1800.0);
+      step_column_physics(cfg, LevelTable(18), col, sfc, rad, 5.0, -2.0,
+                          1800.0);
   EXPECT_TRUE(std::isfinite(f.sensible));
   EXPECT_TRUE(std::isfinite(f.latent));
   EXPECT_GE(f.evaporation, 0.0);
@@ -115,8 +113,10 @@ TEST_P(Co2Sweep, GreenhouseMonotone) {
   sfc.tsurf = 289.0;
   ColumnFluxes f_lo, f_hi;
   Column a = col, b = col;
-  radiation_heating(lo_cfg, a, sfc, 0.3, f_lo);
-  radiation_heating(hi_cfg, b, sfc, 0.3, f_hi);
+  const LevelTable lev(18);
+  std::vector<double> heat(18);
+  radiation_heating(lo_cfg, lev, a, sfc, 0.3, heat, f_lo);
+  radiation_heating(hi_cfg, lev, b, sfc, 0.3, heat, f_hi);
   EXPECT_GT(f_hi.lw_down_sfc, f_lo.lw_down_sfc);
   EXPECT_LT(f_hi.olr, f_lo.olr + 1e-9);
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "base/constants.hpp"
+#include "base/error.hpp"
 
 namespace foam::atm {
 namespace {
@@ -24,12 +25,59 @@ Column tropical_column(int nlev = 18) {
   return col;
 }
 
+const LevelTable kLevels(18);
+
+/// Radiation of \p col on its own level table; returns the heating rates.
+std::vector<double> radiate(const AtmConfig& cfg, const Column& col,
+                            const Surface& sfc, double cos_zenith,
+                            ColumnFluxes& fluxes) {
+  const LevelTable lev(static_cast<int>(col.t.size()), col.ps);
+  std::vector<double> heat(col.t.size());
+  radiation_heating(cfg, lev, col, sfc, cos_zenith, heat, fluxes);
+  return heat;
+}
+
 TEST(SigmaLevels, MonotoneTopToSurface) {
   const auto sig = sigma_levels(18);
   ASSERT_EQ(sig.size(), 18u);
   EXPECT_LT(sig.front(), 0.05);
   EXPECT_GT(sig.back(), 0.9);
   for (std::size_t k = 1; k < sig.size(); ++k) EXPECT_GT(sig[k], sig[k - 1]);
+}
+
+TEST(LevelTable, EntriesAreTheColumnCodesOwnCalls) {
+  for (const double ps : {kDefaultSurfacePressure, 0.97e5}) {
+    const LevelTable lev(18, ps);
+    const auto sig = sigma_levels(18);
+    ASSERT_EQ(lev.nlev(), 18);
+    EXPECT_EQ(lev.ps, ps);
+    for (int k = 0; k < 18; ++k) {
+      EXPECT_EQ(lev.sigma[k], sig[k]);
+      EXPECT_EQ(lev.p[k], sig[k] * ps);
+      EXPECT_EQ(lev.to_theta[k], std::pow(c::p_ref / (sig[k] * ps), c::kappa));
+      EXPECT_EQ(lev.from_theta[k], std::pow(sig[k] * ps / c::p_ref, c::kappa));
+      EXPECT_EQ(lev.log_pref_p[k], std::log(c::p_ref / (sig[k] * ps)));
+    }
+  }
+}
+
+TEST(LevelTable, ColumnOfAnotherPressureOrDepthIsRejected) {
+  AtmConfig cfg;
+  Surface sfc;
+  std::vector<double> rad(18, 0.0);
+  Column col = tropical_column();
+  col.ps = 0.97e5;
+  EXPECT_THROW(moist_convection(cfg, kLevels, col, 1800.0), Error);
+  EXPECT_THROW(large_scale_condensation(cfg, kLevels, col, 1800.0), Error);
+  EXPECT_THROW(
+      step_column_physics(cfg, kLevels, col, sfc, rad, 5.0, 0.0, 1800.0),
+      Error);
+  ColumnFluxes f;
+  EXPECT_THROW(radiation_heating(cfg, kLevels, col, sfc, 0.4, rad, f), Error);
+  EXPECT_NO_THROW(
+      moist_convection(cfg, LevelTable(18, col.ps), col, 1800.0));
+  Column shallow = tropical_column(10);
+  EXPECT_THROW(large_scale_condensation(cfg, kLevels, shallow, 1800.0), Error);
 }
 
 TEST(SaturationQ, KnownValuesAndMonotonicity) {
@@ -67,9 +115,9 @@ TEST(Radiation, GreenhouseResponseToCo2) {
   sfc.tsurf = 300.0;
   ColumnFluxes f1, f4;
   cfg.co2_factor = 1.0;
-  radiation_heating(cfg, col, sfc, 0.4, f1);
+  radiate(cfg, col, sfc, 0.4, f1);
   cfg.co2_factor = 4.0;
-  radiation_heating(cfg, col, sfc, 0.4, f4);
+  radiate(cfg, col, sfc, 0.4, f4);
   // More CO2: more downward longwave, less OLR (greenhouse).
   EXPECT_GT(f4.lw_down_sfc, f1.lw_down_sfc);
   EXPECT_LT(f4.olr, f1.olr);
@@ -82,7 +130,7 @@ TEST(Radiation, EnergeticallyPlausible) {
   sfc.tsurf = 300.0;
   sfc.albedo = 0.07;
   ColumnFluxes f;
-  radiation_heating(cfg, col, sfc, 0.4, f);
+  radiate(cfg, col, sfc, 0.4, f);
   EXPECT_GT(f.sw_absorbed_sfc, 100.0);
   EXPECT_LT(f.sw_absorbed_sfc, 450.0);
   EXPECT_GT(f.lw_down_sfc, 200.0);
@@ -93,7 +141,7 @@ TEST(Radiation, EnergeticallyPlausible) {
   Surface icy = sfc;
   icy.albedo = 0.65;
   ColumnFluxes fi;
-  radiation_heating(cfg, col, icy, 0.4, fi);
+  radiate(cfg, col, icy, 0.4, fi);
   EXPECT_LT(fi.sw_absorbed_sfc, f.sw_absorbed_sfc);
 }
 
@@ -102,7 +150,7 @@ TEST(Radiation, NightHasNoShortwave) {
   Column col = tropical_column();
   Surface sfc;
   ColumnFluxes f;
-  radiation_heating(cfg, col, sfc, 0.0, f);
+  radiate(cfg, col, sfc, 0.0, f);
   EXPECT_DOUBLE_EQ(f.sw_absorbed_sfc, 0.0);
   EXPECT_GT(f.lw_down_sfc, 0.0);  // longwave continues
 }
@@ -122,8 +170,8 @@ TEST(Convection, Ccm3DeepConvectionRainsMoreInWarmPoolConditions) {
     // Load the boundary layer with moisture (post-evaporation state).
     a.q.back() = 0.9 * saturation_q(a.t.back(), 0.97e5);
     b.q.back() = a.q.back();
-    rain2 += moist_convection(ccm2, a, 1800.0);
-    rain3 += moist_convection(ccm3, b, 1800.0);
+    rain2 += moist_convection(ccm2, kLevels, a, 1800.0);
+    rain3 += moist_convection(ccm3, kLevels, b, 1800.0);
   }
   EXPECT_GT(rain3, rain2 * 1.2);
 }
@@ -134,7 +182,7 @@ TEST(Convection, StabilizesAnUnstableColumn) {
   // Make the boundary layer explosively buoyant.
   col.t.back() += 8.0;
   col.q.back() = saturation_q(col.t.back(), 0.97e5);
-  const double rain = moist_convection(cfg, col, 1800.0);
+  const double rain = moist_convection(cfg, kLevels, col, 1800.0);
   EXPECT_GE(rain, 0.0);
   for (const double qv : col.q) EXPECT_GE(qv, -1e-12);
   for (const double tv : col.t) {
@@ -150,7 +198,7 @@ TEST(Condensation, RemovesSupersaturationAndWarms) {
   const auto sig = sigma_levels(18);
   col.q[k] = 1.4 * saturation_q(col.t[k], sig[k] * col.ps);
   const double t_before = col.t[k];
-  const double rain = large_scale_condensation(cfg, col, 1800.0);
+  const double rain = large_scale_condensation(cfg, kLevels, col, 1800.0);
   EXPECT_GT(rain, 0.0);
   EXPECT_GT(col.t[k], t_before);  // latent heating
   EXPECT_LE(col.q[k],
@@ -173,8 +221,8 @@ TEST(Condensation, Ccm3EvaporatesFallingRain) {
   };
   Column a = make();
   Column b = make();
-  const double r2 = large_scale_condensation(ccm2, a, 1800.0);
-  const double r3 = large_scale_condensation(ccm3, b, 1800.0);
+  const double r2 = large_scale_condensation(ccm2, kLevels, a, 1800.0);
+  const double r3 = large_scale_condensation(ccm3, kLevels, b, 1800.0);
   EXPECT_LT(r3, r2);
   // The evaporated water moistens the sub-cloud layers.
   EXPECT_GT(b.q[8], a.q[8]);
@@ -188,7 +236,7 @@ TEST(ColumnStep, FluxesPhysicalOverWarmOcean) {
   sfc.is_ocean = true;
   std::vector<double> rad(18, 0.0);
   const ColumnFluxes f =
-      step_column_physics(cfg, col, sfc, rad, 6.0, 1.0, 1800.0);
+      step_column_physics(cfg, kLevels, col, sfc, rad, 6.0, 1.0, 1800.0);
   EXPECT_GT(f.latent, 0.0);
   EXPECT_LT(f.latent, 600.0);
   EXPECT_GT(f.evaporation, 0.0);
@@ -209,8 +257,10 @@ TEST(ColumnStep, WetnessLimitsEvaporation) {
   Surface dry = wet;
   dry.wetness = 0.1;
   std::vector<double> rad(18, 0.0);
-  const auto fw = step_column_physics(cfg, a, wet, rad, 5.0, 0.0, 1800.0);
-  const auto fd = step_column_physics(cfg, b, dry, rad, 5.0, 0.0, 1800.0);
+  const auto fw =
+      step_column_physics(cfg, kLevels, a, wet, rad, 5.0, 0.0, 1800.0);
+  const auto fd =
+      step_column_physics(cfg, kLevels, b, dry, rad, 5.0, 0.0, 1800.0);
   EXPECT_NEAR(fd.evaporation, 0.1 * fw.evaporation,
               0.05 * fw.evaporation + 1e-9);
 }
@@ -225,7 +275,8 @@ TEST(ColumnStep, SnowWhenCold) {
   Surface sfc;
   sfc.tsurf = 255.0;
   std::vector<double> rad(18, 0.0);
-  const auto f = step_column_physics(cfg, col, sfc, rad, 4.0, 0.0, 1800.0);
+  const auto f =
+      step_column_physics(cfg, kLevels, col, sfc, rad, 4.0, 0.0, 1800.0);
   EXPECT_GT(f.precip_snow, 0.0);
   EXPECT_DOUBLE_EQ(f.precip_rain, 0.0);
 }

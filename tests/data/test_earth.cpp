@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "base/constants.hpp"
 #include "numerics/grid.hpp"
@@ -22,6 +25,36 @@ TEST(Earth, BasinTopology) {
   EXPECT_TRUE(is_land(50.0, 100.0)) << "Eurasia";
   EXPECT_FALSE(is_land(0.0, 200.0)) << "equatorial Pacific";
   EXPECT_FALSE(is_land(-30.0, 75.0)) << "Indian Ocean";
+}
+
+TEST(Earth, WrapLonMatchesFmodBitwise) {
+  const auto fmod_form = [](double lon) {
+    double l = std::fmod(lon, 360.0);
+    if (l < 0.0) l += 360.0;
+    return l;
+  };
+  std::vector<double> lons = {-0.0,
+                              0.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              std::nextafter(360.0, 0.0),
+                              360.0,
+                              std::nextafter(360.0, 720.0),
+                              -std::numeric_limits<double>::denorm_min(),
+                              -1e-300,
+                              -360.0,
+                              -359.75,
+                              -720.5,
+                              720.0,
+                              725.25,
+                              1e6 + 0.1,
+                              -1e6 - 0.1};
+  for (double lon = -1000.0; lon <= 1000.0; lon += 0.37) lons.push_back(lon);
+  for (const double lon : lons) {
+    const double got = wrap_lon(lon);
+    const double want = fmod_form(lon);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << "lon " << lon << ": " << got << " vs " << want;
+  }
 }
 
 TEST(Earth, NorthernBasinsAreDistinct) {

@@ -1,6 +1,7 @@
 #include "foam/coupled.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cmath>
@@ -730,6 +731,53 @@ TEST(ParallelCoupled, HelpersDoNotChangeBits) {
     EXPECT_EQ(file_bytes(ckpt_shard_path(cut, 2, r)),
               file_bytes(ckpt_shard_path(ref, 2, r)))
         << "day-2 shard of rank " << r << " after a 2-helper checkpoint";
+}
+
+TEST(ParallelCoupled, AutoHelpersGoToTheAtmosphereWhenOverlapped) {
+  // Pinned to 4 CPUs, the 1+1 overlapped run sizes its teams itself: the
+  // 2 spare CPUs both go to the atmosphere (3 members), the ocean rank runs
+  // alone, and the SST is the 0-helper run's to the byte.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  if (CPU_COUNT(&saved) < 4)
+    GTEST_SKIP() << "needs 4 usable CPUs, this process has "
+                 << CPU_COUNT(&saved);
+  cpu_set_t four;
+  CPU_ZERO(&four);
+  for (int cpu = 0, n = 0; n < 4; ++cpu)
+    if (CPU_ISSET(cpu, &saved)) {
+      CPU_SET(cpu, &four);
+      ++n;
+    }
+  const RankLayout layout = RankLayout::rows(1, 1);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(four), &four), 0);
+  std::vector<double> members(layout.world_size(), -1.0);
+  Field2Dd sst;
+  par::run(layout.world_size(), [&](par::Comm& world) {
+    ParallelRunOptions opts;
+    opts.layout = layout;
+    opts.overlap = true;
+    opts.capture_timelines = false;
+    opts.verify = {};
+    opts.fault = {};
+    const auto res = run_coupled_parallel(world, opts, cfg_for_helpers(), 1.0);
+    if (world.rank() == layout.atm_ranks) sst = res.final_sst;
+    if (world.rank() == 0)
+      for (int r = 0; r < world.size(); ++r)
+        for (const auto& [name, value] : res.metrics[r])
+          if (name == "team.members") members[r] = value;
+  });
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(members[0], 3.0) << "atmosphere rank";
+  EXPECT_EQ(members[1], 1.0) << "ocean rank";
+  const Field2Dd ref = helpers_run(layout, true, 0,
+                                   testing::TempDir() + "/auto_helpers_ref",
+                                   1.0);
+  ASSERT_GT(ref.size(), 0u);
+  ASSERT_EQ(sst.size(), ref.size());
+  EXPECT_EQ(std::memcmp(sst.data(), ref.data(), ref.size() * sizeof(double)),
+            0);
 }
 
 }  // namespace

@@ -161,12 +161,38 @@ TEST(Team, RejectsBadMemberCounts) {
 }
 
 TEST(TeamSizing, AutoHelpersShareSpareCpus) {
-  EXPECT_EQ(auto_team_helpers(4, 2), 1);   // 1+1 on 4 vCPUs
-  EXPECT_EQ(auto_team_helpers(4, 10), 0);  // 8+2x1 and up
-  EXPECT_EQ(auto_team_helpers(4, 4), 0);
-  EXPECT_EQ(auto_team_helpers(64, 2), kMaxTeamMembers - 1);  // capped
-  EXPECT_EQ(auto_team_helpers(1, 1), 0);
-  EXPECT_THROW(auto_team_helpers(4, 0), Error);
+  struct Case {
+    int cpus, n_atm, n_ocean;
+    bool overlap;
+    int atm, ocean;
+  };
+  constexpr int cap = kMaxTeamMembers - 1;
+  const Case cases[] = {
+      {4, 1, 1, true, 2, 0},      // 1+1 overlap on 4 vCPUs: all to the atm
+      {4, 1, 1, false, 1, 1},     // blocking: shared evenly
+      {4, 8, 8, true, 0, 0},      // 8+2x4: no spare CPU
+      {4, 8, 8, false, 0, 0},
+      {4, 8, 2, true, 0, 0},      // 8+2x1
+      {6, 1, 1, true, 3, 1},      // atm capped, the rest to the ocean
+      {6, 2, 1, true, 1, 1},      // 3 spare: 1 per atm rank, 1 left
+      {5, 2, 1, true, 1, 0},      // 2 spare: 1 per atm rank, none left
+      {64, 1, 1, true, cap, cap},
+      {64, 1, 1, false, cap, cap},
+      {64, 4, 8, true, cap, cap},
+      {1, 1, 0, true, 0, 0},      // fewer CPUs than ranks
+      {3, 0, 1, true, 0, 2},      // no atmosphere ranks
+  };
+  for (const Case& c : cases) {
+    const TeamHelpers h =
+        auto_team_helpers(c.cpus, c.n_atm, c.n_ocean, c.overlap);
+    EXPECT_EQ(h.atm, c.atm) << c.cpus << " cpus, " << c.n_atm << "+"
+                            << c.n_ocean << (c.overlap ? " overlap" : "");
+    EXPECT_EQ(h.ocean, c.ocean) << c.cpus << " cpus, " << c.n_atm << "+"
+                                << c.n_ocean << (c.overlap ? " overlap" : "");
+  }
+  EXPECT_THROW(auto_team_helpers(4, 0, 0, true), Error);  // world = 0
+  EXPECT_THROW(auto_team_helpers(4, 0, 0, false), Error);
+  EXPECT_THROW(auto_team_helpers(4, -1, 2, true), Error);
 }
 
 TEST(TeamSizing, UsableCpusFollowsTheAffinityMask) {
