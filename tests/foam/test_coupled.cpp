@@ -600,7 +600,9 @@ TEST(ParallelCoupled, MultiRankOceanDayMatchesSingleOceanBitwise) {
   // The decomposition-independence contract of the 2-D ocean: a coupled
   // day on any ocean rank grid gathers to the same SST, bit for bit, as
   // the single-ocean-rank run — in both exchange modes, with the
-  // MPI-semantics auditor reporting zero findings throughout.
+  // MPI-semantics auditor reporting zero findings throughout. No team
+  // helpers anywhere, so only the ocean decomposition moves between runs
+  // (HelpersDoNotChangeBits covers the helper counts).
   FoamConfig cfg = FoamConfig::testing();
   for (const bool overlap : {false, true}) {
     Field2Dd ref;
@@ -608,6 +610,7 @@ TEST(ParallelCoupled, MultiRankOceanDayMatchesSingleOceanBitwise) {
       ParallelRunOptions opts;
       opts.layout = RankLayout::rows(2, 1);
       opts.overlap = overlap;
+      opts.helpers_per_rank = 0;
       opts.capture_timelines = false;
       opts.verify = {};
       opts.verify.mode = par::VerifyMode::kAudit;
@@ -626,6 +629,7 @@ TEST(ParallelCoupled, MultiRankOceanDayMatchesSingleOceanBitwise) {
         ParallelRunOptions opts;
         opts.layout = layout;
         opts.overlap = overlap;
+        opts.helpers_per_rank = 0;
         opts.capture_timelines = false;
         opts.verify = {};
         opts.verify.mode = par::VerifyMode::kAudit;

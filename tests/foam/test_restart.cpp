@@ -44,14 +44,18 @@ std::vector<char> read_file_bytes(const std::string& path) {
   return bytes;
 }
 
-/// Driver options with everything explicit: no env-driven fault plans and
-/// no timeline capture (the tests compare state, not telemetry).
+/// Driver options with everything explicit: no env-driven fault plans, no
+/// timeline capture (the tests compare state, not telemetry) and no team
+/// helpers, so the host's CPU count does not pick the threads each rank
+/// runs (ParallelCoupled.HelpersDoNotChangeBits covers checkpoints and
+/// resumes across helper counts).
 ParallelRunOptions mk_opts(const RankLayout& layout, bool overlap,
                            const std::string& prefix, double every_days,
                            bool resume) {
   ParallelRunOptions o;
   o.layout = layout;
   o.overlap = overlap;
+  o.helpers_per_rank = 0;
   o.capture_timelines = false;
   o.verify = {};
   o.fault = {};
