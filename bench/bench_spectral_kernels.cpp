@@ -1,12 +1,15 @@
-// Spectral-transform kernel bench: reference scalar loops vs the plan-based
-// engine (allocation-free real FFT, parity-folded Legendre panels, batched
+// Spectral-transform kernel bench: the reference scalar loops (the test
+// oracle in tests/oracle/spectral_oracle.hpp) vs the plan-based engine
+// (allocation-free real FFT, parity-folded Legendre panels, batched
 // multi-field passes), at the paper's R15 resolution and at R31.
 //
 // Reported per (resolution, implementation, shape): ns per transform and
 // effective GFLOP/s (flops counted against the reference algorithm, so the
 // engine's folding shows up as higher effective throughput rather than a
 // smaller flop count). The batched rows transform a 15-field stack — the
-// level count of the emulated full 18-level core (nlev - ndyn) — per pass.
+// level count of the emulated full 18-level core (nlev - ndyn) — per pass;
+// the reference has no batch kernel, so its batched rows loop its
+// single-field calls.
 // An FFT-only row times the lane-batched real FFT on its own, in ns per
 // 48-point latitude row, at batch 1 and batch 600.
 //
@@ -19,17 +22,19 @@
 #include <cmath>
 #include <complex>
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "numerics/spectral.hpp"
+#include "oracle/spectral_oracle.hpp"
 
 using foam::Field2Dd;
 using foam::numerics::GaussianGrid;
 using foam::numerics::SpectralField;
-using foam::numerics::SpectralMode;
 using foam::numerics::SpectralTransform;
 using foam::numerics::SpectralWorkspace;
+using foam::oracle::SpectralOracle;
 
 namespace {
 
@@ -100,7 +105,9 @@ void run_case(const Case& c, foam::bench::BenchJson& out,
               double* r15_batched_speedup, double* worst_agreement) {
   const int batch = 15;  // emulated level stack (nlev - ndyn)
   GaussianGrid grid(c.nlon, c.nlat);
-  SpectralTransform st(grid, c.mmax, SpectralMode::kReference);
+  const SpectralTransform st(grid, c.mmax);
+  const SpectralOracle ref(grid, c.mmax);
+  const std::vector<int>& all = ref.all_lats();
   SpectralWorkspace ws;
 
   std::vector<Field2Dd> fields;
@@ -110,12 +117,10 @@ void run_case(const Case& c, foam::bench::BenchJson& out,
 
   // --- correctness gate: engine vs reference on every entry point ------
   double worst = 0.0;
-  st.set_mode(SpectralMode::kReference);
-  const SpectralField s_ref = st.analyze(fields[0]);
-  const Field2Dd g_ref = st.synthesize(s_ref);
-  const SpectralField d_ref = st.analyze_div(fields[0], fields[1]);
-  const SpectralField c_ref = st.analyze_curl(fields[0], fields[1]);
-  st.set_mode(SpectralMode::kEngine);
+  const SpectralField s_ref = ref.analyze(fields[0]);
+  const Field2Dd g_ref = ref.synthesize(s_ref);
+  const SpectralField d_ref = ref.analyze_div(fields[0], fields[1], all);
+  const SpectralField c_ref = ref.analyze_curl(fields[0], fields[1], all);
   worst = std::max(worst, rel_diff(s_ref, st.analyze(fields[0], ws)));
   worst = std::max(worst, rel_diff(g_ref, st.synthesize(s_ref, ws)));
   worst = std::max(worst, rel_diff(d_ref, st.analyze_div(fields[0],
@@ -142,40 +147,61 @@ void run_case(const Case& c, foam::bench::BenchJson& out,
   std::vector<const SpectralField*> s_ptrs;
   std::vector<Field2Dd> grids(batch, Field2Dd(c.nlon, c.nlat));
   std::vector<Field2Dd*> g_ptrs;
-  st.set_mode(SpectralMode::kReference);
-  for (int l = 0; l < batch; ++l) specs.push_back(st.analyze(fields[l]));
+  for (int l = 0; l < batch; ++l) specs.push_back(ref.analyze(fields[l]));
   for (auto& s : specs) s_ptrs.push_back(&s);
   for (auto& g : grids) g_ptrs.push_back(&g);
 
+  // Per implementation: single analyze, single synthesize, and the
+  // batched pair over the whole stack.
   struct Shape {
     const char* mode;
-    SpectralMode m;
+    std::function<void()> analyze, synthesize, analyze_batch,
+        synthesize_batch;
   };
-  double ns_ref_batched = 0.0, ns_eng_batched = 0.0;
-  for (const Shape& sh :
-       {Shape{"reference", SpectralMode::kReference},
-        Shape{"engine", SpectralMode::kEngine}}) {
-    st.set_mode(sh.m);
-    const double ns_an = ns_per_call([&] {
-      volatile double sink = st.analyze(fields[0], ws).at(1, 1).real();
-      (void)sink;
-    });
-    const double ns_sy = ns_per_call([&] {
-      volatile double sink = st.synthesize(specs[0], ws)(0, 0);
-      (void)sink;
-    });
-    const double ns_ban = ns_per_call([&] {
-                            volatile double sink =
-                                st.analyze_batch(f_ptrs, ws)[0].at(1, 1).real();
-                            (void)sink;
-                          }) /
-                          batch;
-    const double ns_bsy = ns_per_call([&] {
-                            st.synthesize_batch(s_ptrs, g_ptrs, ws);
-                          }) /
-                          batch;
-    if (sh.m == SpectralMode::kReference) ns_ref_batched = ns_ban + ns_bsy;
-    if (sh.m == SpectralMode::kEngine) ns_eng_batched = ns_ban + ns_bsy;
+  const Shape shapes[] = {
+      {"reference",
+       [&] {
+         volatile double sink = ref.analyze(fields[0]).at(1, 1).real();
+         (void)sink;
+       },
+       [&] {
+         volatile double sink = ref.synthesize(specs[0])(0, 0);
+         (void)sink;
+       },
+       [&] {
+         std::vector<SpectralField> out(batch);
+         for (int l = 0; l < batch; ++l) out[l] = ref.analyze(*f_ptrs[l]);
+         volatile double sink = out[0].at(1, 1).real();
+         (void)sink;
+       },
+       [&] {
+         for (int l = 0; l < batch; ++l)
+           *g_ptrs[l] = ref.synthesize(*s_ptrs[l]);
+       }},
+      {"engine",
+       [&] {
+         volatile double sink = st.analyze(fields[0], ws).at(1, 1).real();
+         (void)sink;
+       },
+       [&] {
+         volatile double sink = st.synthesize(specs[0], ws)(0, 0);
+         (void)sink;
+       },
+       [&] {
+         volatile double sink =
+             st.analyze_batch(f_ptrs, ws)[0].at(1, 1).real();
+         (void)sink;
+       },
+       [&] { st.synthesize_batch(s_ptrs, g_ptrs, ws); }},
+  };
+  double ns_batched[2] = {0.0, 0.0};
+  for (int si = 0; si < 2; ++si) {
+    const Shape& sh = shapes[si];
+    const double ns_an = ns_per_call(sh.analyze);
+    const double ns_sy = ns_per_call(sh.synthesize);
+    const double ns_ban = ns_per_call(sh.analyze_batch) / batch;
+    const double ns_bsy = ns_per_call(sh.synthesize_batch) / batch;
+    ns_batched[si] = ns_ban + ns_bsy;
     std::printf(
         "%s %-9s analyze %9.0f ns (%5.2f GFLOP/s)  synthesize %9.0f ns "
         "(%5.2f GFLOP/s)  batched[%d] analyze %9.0f ns  synthesize %9.0f "
@@ -204,7 +230,7 @@ void run_case(const Case& c, foam::bench::BenchJson& out,
     out.add("synthesize_gflops", flops / ns_bsy, "GFLOP/s",
             with_shape("batched"));
   }
-  const double speedup = ns_ref_batched / ns_eng_batched;
+  const double speedup = ns_batched[0] / ns_batched[1];
   std::printf("%s batched analyze+synthesize speedup: %.2fx engine over "
               "reference\n\n",
               c.name, speedup);

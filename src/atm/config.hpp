@@ -30,13 +30,6 @@ struct AtmConfig {
 
   PhysicsVersion physics = PhysicsVersion::kCcm3;
 
-  /// Spectral transform implementation: true selects the plan-based engine
-  /// (allocation-free real FFT, parity-folded Legendre panels, batched
-  /// multi-field passes); false selects the reference scalar loops. The two
-  /// agree to <= 1e-12 relative — the toggle exists for A/B timing and
-  /// regression hunting.
-  bool spectral_engine = true;
-
   /// del^4 spectral dissipation e-folding time on the smallest scale [s]
   /// ("recommended values for the diffusion coefficient" for R15 CCM2).
   double tau_del4 = 8.0 * 3600.0;

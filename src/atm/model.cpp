@@ -30,9 +30,7 @@ AtmosphereModel::AtmosphereModel(const AtmConfig& cfg, par::Comm* comm)
     : cfg_(cfg),
       comm_(comm),
       grid_(cfg.nlon, cfg.nlat),
-      st_(grid_, cfg.mmax,
-          cfg.spectral_engine ? numerics::SpectralMode::kEngine
-                              : numerics::SpectralMode::kReference),
+      st_(grid_, cfg.mmax),
       my_lats_((comm != nullptr)
                    ? contiguous_rows(
                          par::block_range(cfg.nlat, comm->size(),

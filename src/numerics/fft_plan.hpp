@@ -3,14 +3,14 @@
 /// \file fft_plan.hpp
 /// Plan-based iterative mixed-radix FFT — the transform engine's kernel.
 ///
-/// The reference Fft (fft.hpp) recurses with a fresh std::vector at every
-/// level and runs real transforms through the full n-point complex path.
-/// FftPlan is the production replacement: the constructor factorizes N,
-/// builds the digit-reversal permutation and per-stage twiddle tables once
-/// (a forward table and its conjugate for the inverse, so no butterfly
-/// tests a sign), and every transform afterwards runs iteratively
-/// (bottom-up over the factor stages, ping-ponging between two buffers)
-/// with **no allocation**.
+/// The reference recursion (Fft, kept as the test oracle in
+/// tests/oracle/fft.hpp) allocates a fresh std::vector at every level and
+/// runs real transforms through the full n-point complex path. FftPlan is
+/// the model's FFT: the constructor factorizes N, builds the digit-reversal
+/// permutation and per-stage twiddle tables once (a forward table and its
+/// conjugate for the inverse, so no butterfly tests a sign), and every
+/// transform afterwards runs iteratively (bottom-up over the factor stages,
+/// ping-ponging between two buffers) with **no allocation**.
 ///
 /// One lane kernel behind two pairs of entry points:
 ///

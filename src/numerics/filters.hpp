@@ -29,10 +29,10 @@ namespace foam::numerics {
 ///
 /// Rows run through one FftPlan's complex lane transforms, up to kLanes
 /// rows per call, with the attenuation factors tabulated at construction,
-/// so filtering allocates nothing. Each lane repeats the reference Fft's
-/// butterflies in the same order, which keeps every row bitwise equal to
-/// the reference formulation Fft::forward_real -> scale ->
-/// Fft::inverse_real. (The plan's real rows API runs the half-length split
+/// so filtering allocates nothing. Each lane repeats the butterflies of the
+/// reference recursion (the test oracle Fft, tests/oracle/fft.hpp) in the
+/// same order, which keeps every row bitwise equal to the reference
+/// formulation Fft::forward_real -> scale -> Fft::inverse_real. (The plan's real rows API runs the half-length split
 /// path, which agrees with that formulation only to rounding, so it is not
 /// used here.)
 class PolarFourierFilter {

@@ -17,13 +17,32 @@ namespace {
 /// simulated day would cost a few percent, so sizes are accounted here,
 /// once per batch call. plan_rows counts latitude rows pushed through the
 /// cached FFT plan — the plan-reuse analogue of a cache-hit counter.
-void note_batch(bool engine, std::size_t fields, std::size_t rows) {
+void note_batch(std::size_t fields, std::size_t rows) {
   if (telemetry::current() == nullptr) return;
-  telemetry::count(engine ? "spectral.engine_batches"
-                          : "spectral.reference_batches");
+  telemetry::count("spectral.engine_batches");
   telemetry::observe("spectral.batch_fields", static_cast<double>(fields));
   telemetry::count("spectral.plan_rows",
                    static_cast<std::uint64_t>(rows) * fields);
+}
+
+/// i m times z, written out as the complex product GCC emits for
+/// `cplx(0, m) * z` on baseline x86-64: (0 z_re - m z_im, 0 z_im + m z_re),
+/// without the C99 Annex G NaN fallback (a non-finite input still gives a
+/// non-finite output). The 0.0 * terms stay: dropping them can flip the
+/// sign of a zero, and the pinned digests hash bits.
+///
+/// On an FMA-capable -march, GCC's SLP addsub pattern fuses such a
+/// (re, im) pair of products and sums into one vfmaddsub despite
+/// -ffp-contract=off, whether the product is spelled with std::complex or
+/// not. The empty asm makes the four products opaque to the vectorizer, so
+/// each is rounded on its own on every target; it emits no instruction.
+cplx times_im(double m, cplx z) {
+  double re0 = 0.0 * z.real(), re1 = m * z.imag();
+  double im0 = 0.0 * z.imag(), im1 = m * z.real();
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  asm("" : "+x"(re0), "+x"(re1), "+x"(im0), "+x"(im1));
+#endif
+  return {re0 - re1, im0 + im1};
 }
 
 }  // namespace
@@ -59,13 +78,10 @@ double SpectralField::power() const {
   return sum;
 }
 
-SpectralTransform::SpectralTransform(const GaussianGrid& grid, int mmax,
-                                     SpectralMode mode)
+SpectralTransform::SpectralTransform(const GaussianGrid& grid, int mmax)
     : grid_(grid),
       mmax_(mmax),
       kmax_(mmax + 1),
-      mode_(mode),
-      fft_(grid.nlon()),
       plan_(grid.nlon()),
       table_(mmax, /*kmax=*/mmax + 1, grid.mus()) {
   FOAM_REQUIRE(mmax >= 1, "mmax=" << mmax);
@@ -110,30 +126,6 @@ SpectralTransform::LatPairing SpectralTransform::make_pairing(
     }
   }
   return lp;
-}
-
-// ---------------------------------------------------------------------------
-// Reference row transforms
-
-void SpectralTransform::fourier_row(const Field2Dd& f, int j,
-                                    std::vector<cplx>& fm) const {
-  const int nlon = grid_.nlon();
-  std::vector<double> row(nlon);
-  for (int i = 0; i < nlon; ++i) row[i] = f(i, j);
-  std::vector<cplx> spec = fft_.forward_real(row);
-  fm.resize(mmax_ + 1);
-  const double inv_n = 1.0 / nlon;
-  for (int m = 0; m <= mmax_; ++m) fm[m] = spec[m] * inv_n;
-}
-
-void SpectralTransform::inv_fourier_row(const std::vector<cplx>& fm,
-                                        Field2Dd& f, int j) const {
-  const int nlon = grid_.nlon();
-  std::vector<cplx> spec(nlon / 2 + 1, cplx(0.0, 0.0));
-  for (int m = 0; m <= mmax_; ++m)
-    spec[m] = fm[m] * static_cast<double>(nlon);
-  std::vector<double> row = fft_.inverse_real(spec);
-  for (int i = 0; i < nlon; ++i) f(i, j) = row[i];
 }
 
 // ---------------------------------------------------------------------------
@@ -324,11 +316,11 @@ void SpectralTransform::analyze_vec_fields(const LatPairing& lp, bool curl,
       cplx* he = ws.fold_he.data() + static_cast<std::size_t>(f) * nm;
       cplx* ho = ws.fold_ho.data() + static_cast<std::size_t>(f) * nm;
       for (int m = 0; m < nm; ++m) {
-        const cplx im(0.0, static_cast<double>(m));
         if (!curl) {
           // div: s += (i m A_m) wj P - (B_m wj) H. With H's (-1)^{k+1}
           // parity the even-k H term sees the *odd* fold and vice versa.
-          const cplx iaS = im * fm_a[m] * wj, iaN = im * fm_b[m] * wj;
+          const cplx iaS = times_im(m, fm_a[m]) * wj;
+          const cplx iaN = times_im(m, fm_b[m]) * wj;
           const cplx bS = fm_c[m] * wj, bN = fm_d[m] * wj;
           pe[m] = iaS + iaN;
           po[m] = iaS - iaN;
@@ -336,7 +328,8 @@ void SpectralTransform::analyze_vec_fields(const LatPairing& lp, bool curl,
           ho[m] = -(bS + bN);
         } else {
           // curl: s += (i m B_m) wj P + (A_m wj) H.
-          const cplx ibS = im * fm_c[m] * wj, ibN = im * fm_d[m] * wj;
+          const cplx ibS = times_im(m, fm_c[m]) * wj;
+          const cplx ibN = times_im(m, fm_d[m]) * wj;
           const cplx aS = fm_a[m] * wj, aN = fm_b[m] * wj;
           pe[m] = ibS + ibN;
           po[m] = ibS - ibN;
@@ -378,13 +371,12 @@ void SpectralTransform::analyze_vec_fields(const LatPairing& lp, bool curl,
       const cplx* fm_c = fm + nm;  // B
       cplx* s = out[f].data();
       for (int m = 0; m < nm; ++m) {
-        const cplx im(0.0, static_cast<double>(m));
         cplx cp, ch;
         if (!curl) {
-          cp = im * fm_a[m] * wj;
+          cp = times_im(m, fm_a[m]) * wj;
           ch = -fm_c[m] * wj;
         } else {
-          cp = im * fm_c[m] * wj;
+          cp = times_im(m, fm_c[m]) * wj;
           ch = fm_a[m] * wj;
         }
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
@@ -419,7 +411,6 @@ void SpectralTransform::uv_fields(const LatPairing& lp, Spectra psis,
       cplx* fm_c = fm + 2 * nm;
       cplx* fm_d = fm + 3 * nm;
       for (int m = 0; m < nm; ++m) {
-        const cplx im(0.0, static_cast<double>(m));
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         const double* hm = H + static_cast<std::size_t>(m) * kmax_;
         const cplx* psm = psi + static_cast<std::size_t>(m) * kmax_;
@@ -449,10 +440,10 @@ void SpectralTransform::uv_fields(const LatPairing& lp, Spectra psis,
           Ce += psm[k] * pm[k];
           De += csm[k] * hm[k];
         }
-        Ae *= im;
-        Ao *= im;
-        Ce *= im;
-        Co *= im;
+        Ae = times_im(m, Ae);
+        Ao = times_im(m, Ao);
+        Ce = times_im(m, Ce);
+        Co = times_im(m, Co);
         fm_a[m] = inv_a * (Ae + Ao - Be - Bo);
         fm_b[m] = inv_a * (Ae - Ao + Be - Bo);
         fm_c[m] = inv_a * (Ce + Co + De + Do);
@@ -471,15 +462,14 @@ void SpectralTransform::uv_fields(const LatPairing& lp, Spectra psis,
       const cplx* psi = psis[f]->data();
       const cplx* chi = chis[f]->data();
       for (int m = 0; m < nm; ++m) {
-        const cplx im(0.0, static_cast<double>(m));
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         const double* hm = H + static_cast<std::size_t>(m) * kmax_;
         const cplx* psm = psi + static_cast<std::size_t>(m) * kmax_;
         const cplx* csm = chi + static_cast<std::size_t>(m) * kmax_;
         cplx u(0.0, 0.0), v(0.0, 0.0);
         for (int k = 0; k < kmax_; ++k) {
-          u += im * csm[k] * pm[k] - psm[k] * hm[k];
-          v += im * psm[k] * pm[k] + csm[k] * hm[k];
+          u += times_im(m, csm[k]) * pm[k] - psm[k] * hm[k];
+          v += times_im(m, psm[k]) * pm[k] + csm[k] * hm[k];
         }
         fm[m] = u * inv_a;
         fm[nm + m] = v * inv_a;
@@ -561,23 +551,9 @@ SpectralField SpectralTransform::analyze(const Field2Dd& f,
                                          SpectralWorkspace& ws) const {
   FOAM_REQUIRE(f.nx() == grid_.nlon() && f.ny() == grid_.nlat(),
                "field shape " << f.nx() << "x" << f.ny());
-  SpectralField s(mmax_, kmax_);
-  if (mode_ == SpectralMode::kEngine) {
-    std::vector<SpectralField> out(1);
-    out[0] = std::move(s);
-    analyze_fields(pairing_, std::array{&f}, out, ws);
-    return std::move(out[0]);
-  }
-  std::vector<cplx> fm;
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    fourier_row(f, j, fm);
-    const double wj = 0.5 * grid_.gauss_weight(j);
-    for (int m = 0; m <= mmax_; ++m) {
-      const cplx wfm = wj * fm[m];
-      for (int k = 0; k < kmax_; ++k) s.at(m, k) += wfm * table_.p(m, k, j);
-    }
-  }
-  return s;
+  std::vector<SpectralField> out(1, SpectralField(mmax_, kmax_));
+  analyze_fields(pairing_, std::array{&f}, out, ws);
+  return std::move(out[0]);
 }
 
 Field2Dd SpectralTransform::synthesize(const SpectralField& s) const {
@@ -589,80 +565,26 @@ Field2Dd SpectralTransform::synthesize(const SpectralField& s,
                                        SpectralWorkspace& ws) const {
   FOAM_REQUIRE(s.mmax() == mmax_ && s.kmax() == kmax_, "truncation mismatch");
   Field2Dd f(grid_.nlon(), grid_.nlat());
-  if (mode_ == SpectralMode::kEngine) {
-    synthesize_fields(pairing_, std::array{&s}, std::array{&f}, ws);
-    return f;
-  }
-  std::vector<cplx> fm(mmax_ + 1);
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    for (int m = 0; m <= mmax_; ++m) {
-      cplx acc(0.0, 0.0);
-      for (int k = 0; k < kmax_; ++k) acc += s.at(m, k) * table_.p(m, k, j);
-      fm[m] = acc;
-    }
-    inv_fourier_row(fm, f, j);
-  }
+  synthesize_fields(pairing_, std::array{&s}, std::array{&f}, ws);
   return f;
 }
 
 SpectralField SpectralTransform::analyze_div(const Field2Dd& A,
                                              const Field2Dd& B) const {
-  if (mode_ == SpectralMode::kEngine) {
-    SpectralWorkspace ws;
-    std::vector<SpectralField> out(1);
-    out[0] = SpectralField(mmax_, kmax_);
-    analyze_vec_fields(pairing_, /*curl=*/false, std::array{&A},
-                       std::array{&B}, out, ws);
-    return std::move(out[0]);
-  }
-  SpectralField s(mmax_, kmax_);
-  std::vector<cplx> am, bm;
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    fourier_row(A, j, am);
-    fourier_row(B, j, bm);
-    const double mu = grid_.mu(j);
-    const double one_minus_mu2 = 1.0 - mu * mu;
-    const double wj =
-        0.5 * grid_.gauss_weight(j) / (earth_radius * one_minus_mu2);
-    for (int m = 0; m <= mmax_; ++m) {
-      const cplx ia = cplx(0.0, static_cast<double>(m)) * am[m] * wj;
-      const cplx b = bm[m] * wj;
-      for (int k = 0; k < kmax_; ++k) {
-        s.at(m, k) += ia * table_.p(m, k, j) - b * table_.h(m, k, j);
-      }
-    }
-  }
-  return s;
+  SpectralWorkspace ws;
+  std::vector<SpectralField> out(1, SpectralField(mmax_, kmax_));
+  analyze_vec_fields(pairing_, /*curl=*/false, std::array{&A},
+                     std::array{&B}, out, ws);
+  return std::move(out[0]);
 }
 
 SpectralField SpectralTransform::analyze_curl(const Field2Dd& A,
                                               const Field2Dd& B) const {
-  if (mode_ == SpectralMode::kEngine) {
-    SpectralWorkspace ws;
-    std::vector<SpectralField> out(1);
-    out[0] = SpectralField(mmax_, kmax_);
-    analyze_vec_fields(pairing_, /*curl=*/true, std::array{&A},
-                       std::array{&B}, out, ws);
-    return std::move(out[0]);
-  }
-  SpectralField s(mmax_, kmax_);
-  std::vector<cplx> am, bm;
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    fourier_row(A, j, am);
-    fourier_row(B, j, bm);
-    const double mu = grid_.mu(j);
-    const double one_minus_mu2 = 1.0 - mu * mu;
-    const double wj =
-        0.5 * grid_.gauss_weight(j) / (earth_radius * one_minus_mu2);
-    for (int m = 0; m <= mmax_; ++m) {
-      const cplx ib = cplx(0.0, static_cast<double>(m)) * bm[m] * wj;
-      const cplx a = am[m] * wj;
-      for (int k = 0; k < kmax_; ++k) {
-        s.at(m, k) += ib * table_.p(m, k, j) + a * table_.h(m, k, j);
-      }
-    }
-  }
-  return s;
+  SpectralWorkspace ws;
+  std::vector<SpectralField> out(1, SpectralField(mmax_, kmax_));
+  analyze_vec_fields(pairing_, /*curl=*/true, std::array{&A},
+                     std::array{&B}, out, ws);
+  return std::move(out[0]);
 }
 
 void SpectralTransform::uv_from_psi_chi(const SpectralField& psi,
@@ -674,30 +596,9 @@ void SpectralTransform::uv_from_psi_chi(const SpectralField& psi,
     U = Field2Dd(grid_.nlon(), grid_.nlat());
   if (V.nx() != grid_.nlon() || V.ny() != grid_.nlat())
     V = Field2Dd(grid_.nlon(), grid_.nlat());
-  if (mode_ == SpectralMode::kEngine) {
-    SpectralWorkspace ws;
-    uv_fields(pairing_, std::array{&psi}, std::array{&chi}, std::array{&U},
-              std::array{&V}, ws);
-    return;
-  }
-  std::vector<cplx> um(mmax_ + 1), vm(mmax_ + 1);
-  const double inv_a = 1.0 / earth_radius;
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    for (int m = 0; m <= mmax_; ++m) {
-      const cplx im(0.0, static_cast<double>(m));
-      cplx u(0.0, 0.0), v(0.0, 0.0);
-      for (int k = 0; k < kmax_; ++k) {
-        const double p = table_.p(m, k, j);
-        const double h = table_.h(m, k, j);
-        u += im * chi.at(m, k) * p - psi.at(m, k) * h;
-        v += im * psi.at(m, k) * p + chi.at(m, k) * h;
-      }
-      um[m] = u * inv_a;
-      vm[m] = v * inv_a;
-    }
-    inv_fourier_row(um, U, j);
-    inv_fourier_row(vm, V, j);
-  }
+  SpectralWorkspace ws;
+  uv_fields(pairing_, std::array{&psi}, std::array{&chi}, std::array{&U},
+            std::array{&V}, ws);
 }
 
 // ---------------------------------------------------------------------------
@@ -707,15 +608,10 @@ std::vector<SpectralField> SpectralTransform::analyze_batch(
     const std::vector<const Field2Dd*>& fs, SpectralWorkspace& ws,
     par::Team* team) const {
   FOAM_TRACE_SCOPE("spectral.analyze_batch");
-  note_batch(mode_ == SpectralMode::kEngine, fs.size(),
-             static_cast<std::size_t>(grid_.nlat()));
+  note_batch(fs.size(), static_cast<std::size_t>(grid_.nlat()));
   std::vector<SpectralField> out(fs.size());
   for (auto& s : out) s = SpectralField(mmax_, kmax_);
-  if (mode_ == SpectralMode::kEngine) {
-    engine_analyze(pairing_, fs, out, ws, team);
-  } else {
-    for (std::size_t f = 0; f < fs.size(); ++f) out[f] = analyze(*fs[f]);
-  }
+  engine_analyze(pairing_, fs, out, ws, team);
   return out;
 }
 
@@ -725,17 +621,12 @@ void SpectralTransform::synthesize_batch(
     par::Team* team) const {
   FOAM_REQUIRE(ss.size() == outs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.synthesize_batch");
-  note_batch(mode_ == SpectralMode::kEngine, ss.size(),
-             static_cast<std::size_t>(grid_.nlat()));
+  note_batch(ss.size(), static_cast<std::size_t>(grid_.nlat()));
   for (auto* g : outs) {
     if (g->nx() != grid_.nlon() || g->ny() != grid_.nlat())
       *g = Field2Dd(grid_.nlon(), grid_.nlat());
   }
-  if (mode_ == SpectralMode::kEngine) {
-    engine_synthesize(pairing_, ss, outs, ws, team);
-  } else {
-    for (std::size_t f = 0; f < ss.size(); ++f) *outs[f] = synthesize(*ss[f]);
-  }
+  engine_synthesize(pairing_, ss, outs, ws, team);
 }
 
 std::vector<SpectralField> SpectralTransform::analyze_div_batch(
@@ -744,16 +635,10 @@ std::vector<SpectralField> SpectralTransform::analyze_div_batch(
     par::Team* team) const {
   FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.analyze_div_batch");
-  note_batch(mode_ == SpectralMode::kEngine, As.size(),
-             static_cast<std::size_t>(grid_.nlat()));
+  note_batch(As.size(), static_cast<std::size_t>(grid_.nlat()));
   std::vector<SpectralField> out(As.size());
   for (auto& s : out) s = SpectralField(mmax_, kmax_);
-  if (mode_ == SpectralMode::kEngine) {
-    engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws, team);
-  } else {
-    for (std::size_t f = 0; f < As.size(); ++f)
-      out[f] = analyze_div(*As[f], *Bs[f]);
-  }
+  engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws, team);
   return out;
 }
 
@@ -763,16 +648,10 @@ std::vector<SpectralField> SpectralTransform::analyze_curl_batch(
     par::Team* team) const {
   FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.analyze_curl_batch");
-  note_batch(mode_ == SpectralMode::kEngine, As.size(),
-             static_cast<std::size_t>(grid_.nlat()));
+  note_batch(As.size(), static_cast<std::size_t>(grid_.nlat()));
   std::vector<SpectralField> out(As.size());
   for (auto& s : out) s = SpectralField(mmax_, kmax_);
-  if (mode_ == SpectralMode::kEngine) {
-    engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws, team);
-  } else {
-    for (std::size_t f = 0; f < As.size(); ++f)
-      out[f] = analyze_curl(*As[f], *Bs[f]);
-  }
+  engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws, team);
   return out;
 }
 
@@ -785,20 +664,14 @@ void SpectralTransform::uv_from_psi_chi_batch(
                    psis.size() == Vs.size(),
                "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.uv_batch");
-  note_batch(mode_ == SpectralMode::kEngine, psis.size(),
-             static_cast<std::size_t>(grid_.nlat()));
+  note_batch(psis.size(), static_cast<std::size_t>(grid_.nlat()));
   for (std::size_t f = 0; f < Us.size(); ++f) {
     if (Us[f]->nx() != grid_.nlon() || Us[f]->ny() != grid_.nlat())
       *Us[f] = Field2Dd(grid_.nlon(), grid_.nlat());
     if (Vs[f]->nx() != grid_.nlon() || Vs[f]->ny() != grid_.nlat())
       *Vs[f] = Field2Dd(grid_.nlon(), grid_.nlat());
   }
-  if (mode_ == SpectralMode::kEngine) {
-    engine_uv(pairing_, psis, chis, Us, Vs, ws, team);
-  } else {
-    for (std::size_t f = 0; f < psis.size(); ++f)
-      uv_from_psi_chi(*psis[f], *chis[f], *Us[f], *Vs[f]);
-  }
+  engine_uv(pairing_, psis, chis, Us, Vs, ws, team);
 }
 
 double SpectralTransform::laplacian_eigenvalue(int n) const {
@@ -843,17 +716,6 @@ ParSpectralTransform::ParSpectralTransform(const SpectralTransform& serial,
   pairing_ = SpectralTransform::make_pairing(serial_.grid(), my_lats_);
 }
 
-void ParSpectralTransform::allreduce_spectral(par::Comm& comm,
-                                              SpectralField& s) const {
-  FOAM_TRACE_SCOPE("spectral.allreduce");
-  // Reduce directly over the coefficient storage viewed as doubles — the
-  // rank-ordered reduction writes into the same span, no staging copies.
-  const std::size_t n = s.size() * 2;  // complex -> 2 doubles
-  double* raw = reinterpret_cast<double*>(s.data());
-  comm.allreduce(std::span<const double>(raw, n), std::span<double>(raw, n),
-                 par::ReduceOp::kSum);
-}
-
 void ParSpectralTransform::allreduce_fused(
     par::Comm& comm, std::vector<SpectralField>& fields) const {
   // A one-rank sum is the identity: skipping it keeps the bits and keeps
@@ -878,155 +740,17 @@ void ParSpectralTransform::allreduce_fused(
   }
 }
 
-SpectralField ParSpectralTransform::analyze(par::Comm& comm,
-                                            const Field2Dd& f) const {
-  SpectralField s(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    std::vector<SpectralField> out(1);
-    out[0] = std::move(s);
-    serial_.analyze_fields(pairing_, std::array{&f}, out, ws_);
-    allreduce_spectral(comm, out[0]);
-    return std::move(out[0]);
-  }
-  std::vector<cplx> fm;
-  for (const int j : my_lats_) {
-    serial_.fourier_row(f, j, fm);
-    const double wj = 0.5 * serial_.grid().gauss_weight(j);
-    for (int m = 0; m <= serial_.mmax(); ++m) {
-      const cplx wfm = wj * fm[m];
-      for (int k = 0; k < serial_.kmax(); ++k)
-        s.at(m, k) += wfm * serial_.table_.p(m, k, j);
-    }
-  }
-  allreduce_spectral(comm, s);
-  return s;
-}
-
-void ParSpectralTransform::synthesize(const SpectralField& s,
-                                      Field2Dd& f) const {
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.synthesize_fields(pairing_, std::array{&s}, std::array{&f},
-                              ws_);
-    return;
-  }
-  std::vector<cplx> fm(serial_.mmax() + 1);
-  for (const int j : my_lats_) {
-    for (int m = 0; m <= serial_.mmax(); ++m) {
-      cplx acc(0.0, 0.0);
-      for (int k = 0; k < serial_.kmax(); ++k)
-        acc += s.at(m, k) * serial_.table_.p(m, k, j);
-      fm[m] = acc;
-    }
-    serial_.inv_fourier_row(fm, f, j);
-  }
-}
-
-SpectralField ParSpectralTransform::analyze_div(par::Comm& comm,
-                                                const Field2Dd& A,
-                                                const Field2Dd& B) const {
-  SpectralField s(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    std::vector<SpectralField> out(1);
-    out[0] = std::move(s);
-    serial_.analyze_vec_fields(pairing_, /*curl=*/false, std::array{&A},
-                               std::array{&B}, out, ws_);
-    allreduce_spectral(comm, out[0]);
-    return std::move(out[0]);
-  }
-  std::vector<cplx> am, bm;
-  for (const int j : my_lats_) {
-    serial_.fourier_row(A, j, am);
-    serial_.fourier_row(B, j, bm);
-    const double mu = serial_.grid().mu(j);
-    const double wj = 0.5 * serial_.grid().gauss_weight(j) /
-                      (earth_radius * (1.0 - mu * mu));
-    for (int m = 0; m <= serial_.mmax(); ++m) {
-      const cplx ia = cplx(0.0, static_cast<double>(m)) * am[m] * wj;
-      const cplx b = bm[m] * wj;
-      for (int k = 0; k < serial_.kmax(); ++k)
-        s.at(m, k) +=
-            ia * serial_.table_.p(m, k, j) - b * serial_.table_.h(m, k, j);
-    }
-  }
-  allreduce_spectral(comm, s);
-  return s;
-}
-
-SpectralField ParSpectralTransform::analyze_curl(par::Comm& comm,
-                                                 const Field2Dd& A,
-                                                 const Field2Dd& B) const {
-  SpectralField s(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    std::vector<SpectralField> out(1);
-    out[0] = std::move(s);
-    serial_.analyze_vec_fields(pairing_, /*curl=*/true, std::array{&A},
-                               std::array{&B}, out, ws_);
-    allreduce_spectral(comm, out[0]);
-    return std::move(out[0]);
-  }
-  std::vector<cplx> am, bm;
-  for (const int j : my_lats_) {
-    serial_.fourier_row(A, j, am);
-    serial_.fourier_row(B, j, bm);
-    const double mu = serial_.grid().mu(j);
-    const double wj = 0.5 * serial_.grid().gauss_weight(j) /
-                      (earth_radius * (1.0 - mu * mu));
-    for (int m = 0; m <= serial_.mmax(); ++m) {
-      const cplx ib = cplx(0.0, static_cast<double>(m)) * bm[m] * wj;
-      const cplx a = am[m] * wj;
-      for (int k = 0; k < serial_.kmax(); ++k)
-        s.at(m, k) +=
-            ib * serial_.table_.p(m, k, j) + a * serial_.table_.h(m, k, j);
-    }
-  }
-  allreduce_spectral(comm, s);
-  return s;
-}
-
-void ParSpectralTransform::uv_from_psi_chi(const SpectralField& psi,
-                                           const SpectralField& chi,
-                                           Field2Dd& U, Field2Dd& V) const {
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.uv_fields(pairing_, std::array{&psi}, std::array{&chi},
-                      std::array{&U}, std::array{&V}, ws_);
-    return;
-  }
-  std::vector<cplx> um(serial_.mmax() + 1), vm(serial_.mmax() + 1);
-  const double inv_a = 1.0 / earth_radius;
-  for (const int j : my_lats_) {
-    for (int m = 0; m <= serial_.mmax(); ++m) {
-      const cplx im(0.0, static_cast<double>(m));
-      cplx u(0.0, 0.0), v(0.0, 0.0);
-      for (int k = 0; k < serial_.kmax(); ++k) {
-        const double p = serial_.table_.p(m, k, j);
-        const double h = serial_.table_.h(m, k, j);
-        u += im * chi.at(m, k) * p - psi.at(m, k) * h;
-        v += im * psi.at(m, k) * p + chi.at(m, k) * h;
-      }
-      um[m] = u * inv_a;
-      vm[m] = v * inv_a;
-    }
-    serial_.inv_fourier_row(um, U, j);
-    serial_.inv_fourier_row(vm, V, j);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Distributed batched entry points
 
 std::vector<SpectralField> ParSpectralTransform::analyze_batch(
     par::Comm& comm, const std::vector<const Field2Dd*>& fs) const {
   FOAM_TRACE_SCOPE("spectral.analyze_batch");
-  note_batch(serial_.mode() == SpectralMode::kEngine, fs.size(),
-             my_lats_.size());
+  note_batch(fs.size(), my_lats_.size());
   std::vector<SpectralField> out(fs.size());
   for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_analyze(pairing_, fs, out, ws_, team_);
-    allreduce_fused(comm, out);
-  } else {
-    for (std::size_t f = 0; f < fs.size(); ++f) out[f] = analyze(comm, *fs[f]);
-  }
+  serial_.engine_analyze(pairing_, fs, out, ws_, team_);
+  allreduce_fused(comm, out);
   return out;
 }
 
@@ -1035,13 +759,8 @@ void ParSpectralTransform::synthesize_batch(
     const std::vector<Field2Dd*>& outs) const {
   FOAM_REQUIRE(ss.size() == outs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.synthesize_batch");
-  note_batch(serial_.mode() == SpectralMode::kEngine, ss.size(),
-             my_lats_.size());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_synthesize(pairing_, ss, outs, ws_, team_);
-  } else {
-    for (std::size_t f = 0; f < ss.size(); ++f) synthesize(*ss[f], *outs[f]);
-  }
+  note_batch(ss.size(), my_lats_.size());
+  serial_.engine_synthesize(pairing_, ss, outs, ws_, team_);
 }
 
 std::vector<SpectralField> ParSpectralTransform::analyze_div_batch(
@@ -1049,18 +768,12 @@ std::vector<SpectralField> ParSpectralTransform::analyze_div_batch(
     const std::vector<const Field2Dd*>& Bs) const {
   FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.analyze_div_batch");
-  note_batch(serial_.mode() == SpectralMode::kEngine, As.size(),
-             my_lats_.size());
+  note_batch(As.size(), my_lats_.size());
   std::vector<SpectralField> out(As.size());
   for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws_,
-                               team_);
-    allreduce_fused(comm, out);
-  } else {
-    for (std::size_t f = 0; f < As.size(); ++f)
-      out[f] = analyze_div(comm, *As[f], *Bs[f]);
-  }
+  serial_.engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws_,
+                             team_);
+  allreduce_fused(comm, out);
   return out;
 }
 
@@ -1069,18 +782,12 @@ std::vector<SpectralField> ParSpectralTransform::analyze_curl_batch(
     const std::vector<const Field2Dd*>& Bs) const {
   FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.analyze_curl_batch");
-  note_batch(serial_.mode() == SpectralMode::kEngine, As.size(),
-             my_lats_.size());
+  note_batch(As.size(), my_lats_.size());
   std::vector<SpectralField> out(As.size());
   for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws_,
-                               team_);
-    allreduce_fused(comm, out);
-  } else {
-    for (std::size_t f = 0; f < As.size(); ++f)
-      out[f] = analyze_curl(comm, *As[f], *Bs[f]);
-  }
+  serial_.engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws_,
+                             team_);
+  allreduce_fused(comm, out);
   return out;
 }
 
@@ -1092,14 +799,8 @@ void ParSpectralTransform::uv_from_psi_chi_batch(
                    psis.size() == Vs.size(),
                "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.uv_batch");
-  note_batch(serial_.mode() == SpectralMode::kEngine, psis.size(),
-             my_lats_.size());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_uv(pairing_, psis, chis, Us, Vs, ws_, team_);
-  } else {
-    for (std::size_t f = 0; f < psis.size(); ++f)
-      uv_from_psi_chi(*psis[f], *chis[f], *Us[f], *Vs[f]);
-  }
+  note_batch(psis.size(), my_lats_.size());
+  serial_.engine_uv(pairing_, psis, chis, Us, Vs, ws_, team_);
 }
 
 }  // namespace foam::numerics

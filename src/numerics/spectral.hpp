@@ -14,28 +14,25 @@
 /// derivative is ever taken (the standard transform-method trick that also
 /// shapes the parallel data flow).
 ///
-/// Two implementations share this interface, selected by SpectralMode:
+/// One implementation, the plan-based engine: an allocation-free iterative
+/// real FFT (FftPlan) over every Fourier row of a call at once, in SIMD
+/// lanes (FftPlan::forward_real_rows); equatorial-symmetry folding of the
+/// Legendre sums (Pbar_n^m(-mu) = (-1)^{n+m} Pbar_n^m(mu), so north/south
+/// latitude pairs fold into even/odd-parity contributions and the Legendre
+/// flops halve); and contiguous panel kernels over the LegendreTable rows.
+/// The *_batch entry points transform many fields per pass, amortizing FFT
+/// plans and Legendre panel loads (and, in ParSpectralTransform, fusing the
+/// per-field allreduces into one collective).
 ///
-///  * kReference — the correctness-first scalar loops (per-row recursive
-///    FFT, full (m,k,j) Legendre triple loops). Kept as the A/B baseline.
-///  * kEngine (default) — the plan-based engine: allocation-free iterative
-///    real FFT (FftPlan) over every Fourier row of a call at once, in SIMD
-///    lanes (FftPlan::forward_real_rows), equatorial-symmetry folding of
-///    the Legendre sums
-///    (Pbar_n^m(-mu) = (-1)^{n+m} Pbar_n^m(mu), so north/south latitude
-///    pairs fold into even/odd-parity contributions and the Legendre flops
-///    halve), and contiguous panel kernels over the LegendreTable rows.
-///    The *_batch entry points transform many fields per pass, amortizing
-///    FFT plans and Legendre panel loads (and, in ParSpectralTransform,
-///    fusing the per-field allreduces into one collective).
+/// The correctness-first scalar loops this engine was written against (a
+/// recursive FFT per row, full (m, k, j) Legendre triple loops) live on as
+/// the test oracle in tests/oracle/spectral_oracle.hpp. The engine agrees
+/// with them to <= 1e-12 relative: the folding reassociates the latitude
+/// sums, and the FFT rows are bitwise equal to the oracle's.
 ///
-/// Engine results agree with the reference to <= 1e-12 relative (the
-/// folding reassociates the latitude sum; the complex FFT stages are
-/// bitwise identical).
-///
-/// Engine entry points are const and thread-safe as long as each thread
-/// uses its own SpectralWorkspace (the overloads without a workspace
-/// allocate a fresh one per call).
+/// Entry points are const and thread-safe as long as each thread uses its
+/// own SpectralWorkspace (the overloads without a workspace allocate a
+/// fresh one per call).
 ///
 /// Threads inside a rank: every batched entry point takes an optional
 /// par::Team and splits the batch *by field* over its members (static
@@ -56,7 +53,6 @@
 #include <vector>
 
 #include "base/field.hpp"
-#include "numerics/fft.hpp"
 #include "numerics/fft_plan.hpp"
 #include "numerics/grid.hpp"
 #include "numerics/legendre.hpp"
@@ -113,9 +109,6 @@ class SpectralField {
   std::vector<std::complex<double>> c_;
 };
 
-/// Implementation selector for the transform entry points (A/B toggle).
-enum class SpectralMode { kReference, kEngine };
-
 /// Reusable scratch for the plan-based engine: the batch's row pointers and
 /// Fourier rows, the FFT lane scratch and the parity-fold buffers. All
 /// storage grows on first use and is reused afterwards, making repeated
@@ -145,15 +138,11 @@ class SpectralWorkspace {
 class SpectralTransform {
  public:
   /// Rhomboidal truncation R(mmax): kmax = mmax + 1 degrees per m.
-  SpectralTransform(const GaussianGrid& grid, int mmax,
-                    SpectralMode mode = SpectralMode::kEngine);
+  SpectralTransform(const GaussianGrid& grid, int mmax);
 
   int mmax() const { return mmax_; }
   int kmax() const { return kmax_; }
   const GaussianGrid& grid() const { return grid_; }
-
-  SpectralMode mode() const { return mode_; }
-  void set_mode(SpectralMode mode) { mode_ = mode; }
 
   /// Scalar analysis: grid -> spectral.
   SpectralField analyze(const Field2Dd& f) const;
@@ -179,10 +168,8 @@ class SpectralTransform {
 
   /// --- Batched multi-field entry points -------------------------------
   /// Transform every field of a step in one pass: the Legendre panels are
-  /// loaded once per latitude pair and reused across the batch. Under
-  /// kReference these loop the single-field reference paths (A/B
-  /// comparability); under kEngine they run the folded panel kernels,
-  /// split by field over \p team when one is given.
+  /// loaded once per latitude pair and reused across the batch. The batch
+  /// is split by field over \p team when one is given.
 
   std::vector<SpectralField> analyze_batch(
       const std::vector<const Field2Dd*>& fs, SpectralWorkspace& ws,
@@ -234,14 +221,6 @@ class SpectralTransform {
   };
   static LatPairing make_pairing(const GaussianGrid& grid,
                                  std::span<const int> lats);
-
-  /// Fourier analysis of one latitude row (truncated to mmax+1 modes, with
-  /// the 1/nlon normalization folded in).
-  void fourier_row(const Field2Dd& f, int j,
-                   std::vector<std::complex<double>>& fm) const;
-  /// Inverse: place mmax+1 Fourier modes into grid row j.
-  void inv_fourier_row(const std::vector<std::complex<double>>& fm,
-                       Field2Dd& f, int j) const;
 
   /// Plan-based row transforms of a whole batch in one lane-batched FFT
   /// call (allocation-free given a warm workspace). fourier_rows analyzes
@@ -297,9 +276,7 @@ class SpectralTransform {
   const GaussianGrid& grid_;
   int mmax_;
   int kmax_;
-  SpectralMode mode_;
-  Fft fft_;        // reference recursive FFT
-  FftPlan plan_;   // engine iterative plan
+  FftPlan plan_;
   LegendreTable table_;
   LatPairing pairing_;  // full-grid mirror pairs
 };
@@ -325,18 +302,10 @@ class ParSpectralTransform {
   /// the calling thread alone). The team must outlive its use here.
   void set_team(par::Team* team) { team_ = team; }
 
-  SpectralField analyze(par::Comm& comm, const Field2Dd& f) const;
-  void synthesize(const SpectralField& s, Field2Dd& f) const;
-  SpectralField analyze_div(par::Comm& comm, const Field2Dd& A,
-                            const Field2Dd& B) const;
-  SpectralField analyze_curl(par::Comm& comm, const Field2Dd& A,
-                             const Field2Dd& B) const;
-  void uv_from_psi_chi(const SpectralField& psi, const SpectralField& chi,
-                       Field2Dd& U, Field2Dd& V) const;
-
-  /// Batched variants: one pass over the rank's latitudes for the whole
-  /// batch, and — for the analysis entry points — the per-field spectral
-  /// allreduces fused into a single collective over one packed buffer.
+  /// One pass over the rank's latitudes for the whole batch, and — for the
+  /// analysis entry points — the per-field spectral allreduces fused into
+  /// a single collective over one packed buffer. (A single field is a
+  /// batch of one.)
   std::vector<SpectralField> analyze_batch(
       par::Comm& comm, const std::vector<const Field2Dd*>& fs) const;
   void synthesize_batch(const std::vector<const SpectralField*>& ss,
@@ -353,7 +322,6 @@ class ParSpectralTransform {
                              const std::vector<Field2Dd*>& Vs) const;
 
  private:
-  void allreduce_spectral(par::Comm& comm, SpectralField& s) const;
   /// One collective for the whole batch: pack every field's partial sums
   /// into the workspace buffer, allreduce in place, unpack.
   void allreduce_fused(par::Comm& comm,

@@ -19,9 +19,8 @@ constexpr int kTagInverse = 291;
 
 TransposeSpectralTransform::TransposeSpectralTransform(
     const SpectralTransform& serial, std::vector<int> my_lats,
-    par::Comm& comm, bool overlap)
-    : serial_(serial), my_lats_(std::move(my_lats)), nranks_(comm.size()),
-      overlap_(overlap) {
+    par::Comm& comm)
+    : serial_(serial), my_lats_(std::move(my_lats)), nranks_(comm.size()) {
   const int nlat = serial_.grid().nlat();
   const int nm = serial_.mmax() + 1;
   FOAM_REQUIRE(nranks_ <= nm,
@@ -61,18 +60,7 @@ void TransposeSpectralTransform::exchange_blocks(
     const std::function<void(int, const double*)>& unpack) const {
   FOAM_TRACE_SCOPE("spectral.transpose");
   const int me = comm.rank();
-  if (!overlap_) {
-    // Blocking reference path: full pack, one alltoall, full unpack.
-    std::vector<double> send(block * nranks_, 0.0);
-    for (int dst = 0; dst < nranks_; ++dst)
-      pack(dst, send.data() + block * dst);
-    std::vector<double> recv(block * nranks_, 0.0);
-    comm.alltoall(send.data(), recv.data(), block);
-    for (int src = 0; src < nranks_; ++src)
-      unpack(src, recv.data() + block * src);
-    return;
-  }
-  // Overlap path: post every receive up front, hand each outgoing pencil to
+  // Post every receive up front, hand each outgoing pencil to
   // the runtime by ownership the moment it is packed (isend_move rendezvous:
   // the block crosses rank boundaries by pointer, zero memcpy, and lands in
   // rbufs via the matching irecv_vec move-out), handle the self block
@@ -136,76 +124,48 @@ std::vector<std::vector<cplx>> TransposeSpectralTransform::forward_transpose(
 
 SpectralField TransposeSpectralTransform::analyze(par::Comm& comm,
                                                   const Field2Dd& f) const {
-  const bool engine = serial_.mode() == SpectralMode::kEngine;
-  const int nm = serial_.mmax() + 1;
   // Latitude-local FFTs into ws_.fm, [row][m] over my_lats.
-  if (engine) {
-    ws_.src_rows.clear();
-    for (const int j : my_lats_) ws_.src_rows.push_back(&f(0, j));
-    serial_.fourier_rows(ws_);
-  } else {
-    ws_.fm.resize(my_lats_.size() * nm);
-    std::vector<cplx> fm;
-    for (std::size_t row = 0; row < my_lats_.size(); ++row) {
-      serial_.fourier_row(f, my_lats_[row], fm);
-      std::copy(fm.begin(), fm.end(), ws_.fm.begin() + row * nm);
-    }
-  }
+  ws_.src_rows.clear();
+  for (const int j : my_lats_) ws_.src_rows.push_back(&f(0, j));
+  serial_.fourier_rows(ws_);
 
   // Transpose to the m decomposition, then local full Legendre sums.
   const auto columns = forward_transpose(comm, ws_.fm);
-  const int nlat = serial_.grid().nlat();
   const int kmax = serial_.kmax();
   std::vector<double> mine(static_cast<std::size_t>(max_ms_per_rank_) *
                                kmax * 2,
                            0.0);
-  if (engine) {
-    // Parity-folded sums over the full-grid mirror pairs: even-k entries
-    // of the panel see the even fold, odd-k the odd fold.
-    std::vector<cplx> acc(kmax);
-    for (int m = m_lo_; m < m_hi_; ++m) {
-      const cplx* col = columns[m - m_lo_].data();
-      std::fill(acc.begin(), acc.end(), cplx(0.0, 0.0));
-      for (const auto& pr : serial_.pairing_.pairs) {
-        const int js = pr[0], jn = pr[1];
-        const double w = 0.5 * serial_.grid().gauss_weight(js);
-        const cplx fe = w * (col[js] + col[jn]);
-        const cplx fo = w * (col[js] - col[jn]);
-        const double* pm =
-            serial_.table_.p_row(js) + static_cast<std::size_t>(m) * kmax;
-        int k = 0;
-        for (; k + 1 < kmax; k += 2) {
-          acc[k] += fe * pm[k];
-          acc[k + 1] += fo * pm[k + 1];
-        }
-        if (k < kmax) acc[k] += fe * pm[k];
+  // Parity-folded sums over the full-grid mirror pairs: even-k entries
+  // of the panel see the even fold, odd-k the odd fold.
+  std::vector<cplx> acc(kmax);
+  for (int m = m_lo_; m < m_hi_; ++m) {
+    const cplx* col = columns[m - m_lo_].data();
+    std::fill(acc.begin(), acc.end(), cplx(0.0, 0.0));
+    for (const auto& pr : serial_.pairing_.pairs) {
+      const int js = pr[0], jn = pr[1];
+      const double w = 0.5 * serial_.grid().gauss_weight(js);
+      const cplx fe = w * (col[js] + col[jn]);
+      const cplx fo = w * (col[js] - col[jn]);
+      const double* pm =
+          serial_.table_.p_row(js) + static_cast<std::size_t>(m) * kmax;
+      int k = 0;
+      for (; k + 1 < kmax; k += 2) {
+        acc[k] += fe * pm[k];
+        acc[k + 1] += fo * pm[k + 1];
       }
-      for (const int j : serial_.pairing_.singles) {
-        const cplx wf = 0.5 * serial_.grid().gauss_weight(j) * col[j];
-        const double* pm =
-            serial_.table_.p_row(j) + static_cast<std::size_t>(m) * kmax;
-        for (int k = 0; k < kmax; ++k) acc[k] += wf * pm[k];
-      }
-      for (int k = 0; k < kmax; ++k) {
-        const std::size_t slot =
-            (static_cast<std::size_t>(m - m_lo_) * kmax + k) * 2;
-        mine[slot] = acc[k].real();
-        mine[slot + 1] = acc[k].imag();
-      }
+      if (k < kmax) acc[k] += fe * pm[k];
     }
-  } else {
-    for (int m = m_lo_; m < m_hi_; ++m) {
-      for (int k = 0; k < kmax; ++k) {
-        cplx acc(0.0, 0.0);
-        for (int j = 0; j < nlat; ++j) {
-          const double wj = 0.5 * serial_.grid().gauss_weight(j);
-          acc += wj * columns[m - m_lo_][j] * serial_.table_.p(m, k, j);
-        }
-        const std::size_t slot =
-            (static_cast<std::size_t>(m - m_lo_) * kmax + k) * 2;
-        mine[slot] = acc.real();
-        mine[slot + 1] = acc.imag();
-      }
+    for (const int j : serial_.pairing_.singles) {
+      const cplx wf = 0.5 * serial_.grid().gauss_weight(j) * col[j];
+      const double* pm =
+          serial_.table_.p_row(j) + static_cast<std::size_t>(m) * kmax;
+      for (int k = 0; k < kmax; ++k) acc[k] += wf * pm[k];
+    }
+    for (int k = 0; k < kmax; ++k) {
+      const std::size_t slot =
+          (static_cast<std::size_t>(m - m_lo_) * kmax + k) * 2;
+      mine[slot] = acc[k].real();
+      mine[slot + 1] = acc[k].imag();
     }
   }
   // Allgather the m-blocks so every rank holds the full spectral field.
@@ -230,46 +190,35 @@ void TransposeSpectralTransform::synthesize(par::Comm& comm,
   const int nlat = serial_.grid().nlat();
   const int nm = serial_.mmax() + 1;
   const int kmax = serial_.kmax();
-  const bool engine = serial_.mode() == SpectralMode::kEngine;
   // Inverse Legendre on owned m's: f_m(j) for all j.
   std::vector<std::vector<cplx>> columns(
       m_hi_ - m_lo_, std::vector<cplx>(nlat, cplx(0.0, 0.0)));
-  if (engine) {
-    // Folded inverse sums: one even/odd accumulation per mirror pair gives
-    // both rows (northern row flips the odd-parity part).
-    for (int m = m_lo_; m < m_hi_; ++m) {
-      cplx* col = columns[m - m_lo_].data();
-      const cplx* sm = s.data() + static_cast<std::size_t>(m) * kmax;
-      for (const auto& pr : serial_.pairing_.pairs) {
-        const int js = pr[0], jn = pr[1];
-        const double* pm =
-            serial_.table_.p_row(js) + static_cast<std::size_t>(m) * kmax;
-        cplx acc_e(0.0, 0.0), acc_o(0.0, 0.0);
-        int k = 0;
-        for (; k + 1 < kmax; k += 2) {
-          acc_e += sm[k] * pm[k];
-          acc_o += sm[k + 1] * pm[k + 1];
-        }
-        if (k < kmax) acc_e += sm[k] * pm[k];
-        col[js] = acc_e + acc_o;
-        col[jn] = acc_e - acc_o;
+  // Folded inverse sums: one even/odd accumulation per mirror pair gives
+  // both rows (northern row flips the odd-parity part).
+  for (int m = m_lo_; m < m_hi_; ++m) {
+    cplx* col = columns[m - m_lo_].data();
+    const cplx* sm = s.data() + static_cast<std::size_t>(m) * kmax;
+    for (const auto& pr : serial_.pairing_.pairs) {
+      const int js = pr[0], jn = pr[1];
+      const double* pm =
+          serial_.table_.p_row(js) + static_cast<std::size_t>(m) * kmax;
+      cplx acc_e(0.0, 0.0), acc_o(0.0, 0.0);
+      int k = 0;
+      for (; k + 1 < kmax; k += 2) {
+        acc_e += sm[k] * pm[k];
+        acc_o += sm[k + 1] * pm[k + 1];
       }
-      for (const int j : serial_.pairing_.singles) {
-        const double* pm =
-            serial_.table_.p_row(j) + static_cast<std::size_t>(m) * kmax;
-        cplx acc(0.0, 0.0);
-        for (int k = 0; k < kmax; ++k) acc += sm[k] * pm[k];
-        col[j] = acc;
-      }
+      if (k < kmax) acc_e += sm[k] * pm[k];
+      col[js] = acc_e + acc_o;
+      col[jn] = acc_e - acc_o;
     }
-  } else {
-    for (int m = m_lo_; m < m_hi_; ++m)
-      for (int j = 0; j < nlat; ++j) {
-        cplx acc(0.0, 0.0);
-        for (int k = 0; k < kmax; ++k)
-          acc += s.at(m, k) * serial_.table_.p(m, k, j);
-        columns[m - m_lo_][j] = acc;
-      }
+    for (const int j : serial_.pairing_.singles) {
+      const double* pm =
+          serial_.table_.p_row(j) + static_cast<std::size_t>(m) * kmax;
+      cplx acc(0.0, 0.0);
+      for (int k = 0; k < kmax; ++k) acc += sm[k] * pm[k];
+      col[j] = acc;
+    }
   }
   // Inverse transpose: send to each rank its latitudes of my m-columns;
   // each arriving block fills its m-slice of the full Fourier rows.
@@ -301,16 +250,9 @@ void TransposeSpectralTransform::synthesize(par::Comm& comm,
         }
       });
   // Latitude-local inverse FFTs into the rank's rows of f.
-  if (engine) {
-    ws_.dst_rows.clear();
-    for (const int j : my_lats_) ws_.dst_rows.push_back(&f(0, j));
-    serial_.inv_fourier_rows(ws_);
-  } else {
-    for (std::size_t row = 0; row < my_lats_.size(); ++row)
-      serial_.inv_fourier_row(
-          std::vector<cplx>(fm.begin() + row * nm, fm.begin() + (row + 1) * nm),
-          f, my_lats_[row]);
-  }
+  ws_.dst_rows.clear();
+  for (const int j : my_lats_) ws_.dst_rows.push_back(&f(0, j));
+  serial_.inv_fourier_rows(ws_);
 }
 
 }  // namespace foam::numerics

@@ -14,18 +14,20 @@
 /// all-gather (or the inverse transpose on synthesis) restores the
 /// latitude decomposition.
 ///
-/// The two variants produce identical results; they trade collective
+/// The two variants agree to rounding; they trade collective
 /// bandwidth (transpose) against reduction latency (distributed sum) — the
 /// choice that mattered on the paper's SP2.
 ///
-/// The transpose itself runs in one of two modes (toggleable per instance,
-/// identical results):
-///  * blocking — a plain Comm::alltoall: every block is packed before any
-///    is sent, and nothing unpacks until every block has arrived;
-///  * overlap (default) — all receives are pre-posted (Comm::irecv), each
-///    outgoing block is launched (Comm::isend) as soon as it is packed so
-///    packing overlaps transmission, and arrived blocks are unpacked in
-///    completion order (Comm::waitany) while the rest are still in flight.
+/// The transpose overlaps communication with packing: all receives are
+/// pre-posted (Comm::irecv_vec), each outgoing block is handed off
+/// (Comm::isend_move) as soon as it is packed, and arrived blocks are
+/// unpacked in completion order (Comm::waitany) while the rest are still in
+/// flight.
+///
+/// The atmosphere model runs ParSpectralTransform; this variant is kept
+/// because its Legendre sums run over every latitude on one rank, in the
+/// serial engine's order, so its results are bitwise independent of the
+/// rank count (TransposeRanks.MatchesSerialBitwise).
 
 #include <functional>
 #include <span>
@@ -40,19 +42,12 @@ class TransposeSpectralTransform {
   /// \p my_lats must be the rows owned by this rank under the same
   /// decomposition on every rank of \p comm (sizes may differ by one).
   /// Wavenumbers m in [0, mmax] are block-distributed over ranks.
-  /// \p overlap selects the nonblocking comm/compute-overlap exchange
-  /// (results are identical either way; see the file comment).
   TransposeSpectralTransform(const SpectralTransform& serial,
-                             std::vector<int> my_lats, par::Comm& comm,
-                             bool overlap = true);
+                             std::vector<int> my_lats, par::Comm& comm);
 
   /// Zonal wavenumbers owned by this rank, [m_lo, m_hi).
   int m_lo() const { return m_lo_; }
   int m_hi() const { return m_hi_; }
-
-  /// Toggle the overlap exchange (for A/B timing; results are identical).
-  void set_overlap(bool overlap) { overlap_ = overlap; }
-  bool overlap() const { return overlap_; }
 
   /// Grid -> spectral with the transpose data flow; every rank returns the
   /// full spectral field (the trailing allgather; a production dycore
@@ -64,9 +59,9 @@ class TransposeSpectralTransform {
   /// then latitude-local inverse FFTs into the rank's rows of \p f.
   void synthesize(par::Comm& comm, const SpectralField& s, Field2Dd& f) const;
 
-  /// The forward transpose alone (exposed for tests and the communication
-  /// bench): input Fourier rows for the rank's latitudes, output this
-  /// rank's m-columns over all latitudes.
+  /// The forward transpose alone (exposed for tests): input Fourier rows
+  /// for the rank's latitudes, output this rank's m-columns over all
+  /// latitudes.
   /// fm_rows holds mmax+1 modes per row, flat [row * (mmax+1) + m] over
   /// my_lats; the result is indexed [m - m_lo][j] over all nlat latitudes.
   std::vector<std::vector<std::complex<double>>> forward_transpose(
@@ -75,10 +70,8 @@ class TransposeSpectralTransform {
  private:
   /// Exchange equal-size padded blocks with every rank (self included):
   /// pack(dst, out) fills the zero-initialized outgoing block for \p dst,
-  /// unpack(src, in) consumes the block arrived from \p src. Runs the
-  /// pre-posted irecv / pack-and-isend / unpack-on-completion pipeline when
-  /// overlap_ is set, a plain alltoall otherwise — same data layout, same
-  /// results.
+  /// unpack(src, in) consumes the block arrived from \p src, in completion
+  /// order (the pipeline in the file comment).
   void exchange_blocks(
       par::Comm& comm, int tag, std::size_t block,
       const std::function<void(int, double*)>& pack,
@@ -89,7 +82,6 @@ class TransposeSpectralTransform {
   /// Per-instance engine scratch (instances are per-rank, never shared).
   mutable SpectralWorkspace ws_;
   int nranks_;
-  bool overlap_ = true;
   int m_lo_ = 0;
   int m_hi_ = 0;
   std::vector<int> lat_owner_;    // owning rank of each latitude row

@@ -1,4 +1,4 @@
-#include "numerics/fft.hpp"
+#include "oracle/fft.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 namespace foam::numerics {
 namespace {
 
+using oracle::Fft;
 using constants::two_pi;
 using cplx = std::complex<double>;
 

@@ -1,5 +1,6 @@
-// Tests for the plan-based FFT (FftPlan) and the engine/reference agreement
-// of the spectral transform's batched entry points.
+// Tests for the plan-based FFT (FftPlan) against the reference recursion,
+// and the agreement of the spectral transform's batched entry points with
+// the reference loops (tests/oracle).
 
 #include <bit>
 #include <cmath>
@@ -12,11 +13,13 @@
 
 #include "base/constants.hpp"
 #include "base/error.hpp"
-#include "numerics/fft.hpp"
 #include "numerics/fft_plan.hpp"
 #include "numerics/spectral.hpp"
+#include "oracle/fft.hpp"
+#include "oracle/spectral_oracle.hpp"
 
 namespace fn = foam::numerics;
+using foam::oracle::Fft;
 using cplx = std::complex<double>;
 using Field2Dd = foam::Field2Dd;
 
@@ -81,7 +84,7 @@ TEST(FftPlan, MatchesReferenceAcrossSizes) {
   constexpr int L = fn::FftPlan::kLanes;
   for (const int n : {1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 30, 35, 36, 45, 48, 96,
                       101, 105, 128}) {
-    const fn::Fft ref(n);
+    const Fft ref(n);
     const fn::FftPlan plan(n);
     std::vector<std::vector<cplx>> want(L);
     for (int l = 0; l < L; ++l)
@@ -141,7 +144,7 @@ TEST(FftPlan, RealRoundTripEvenAndOdd) {
 
 TEST(FftPlan, RealMatchesReference) {
   for (const int n : {2, 5, 12, 48, 96, 128}) {
-    const fn::Fft ref(n);
+    const Fft ref(n);
     const fn::FftPlan plan(n);
     const std::vector<double> x = random_real(n, 7u * n + 3u);
     const std::vector<cplx> sref = ref.forward_real(x);
@@ -197,12 +200,12 @@ ORACLE_NO_FUSED_ADDSUB std::vector<cplx> oracle_forward_real(
   const int n = static_cast<int>(x.size());
   std::vector<cplx> spec;
   if (n % 2 != 0) {
-    spec = fn::Fft(n).forward_real(x);
+    spec = Fft(n).forward_real(x);
   } else {
     const int n2 = n / 2;
     std::vector<cplx> z(n2);
     for (int j = 0; j < n2; ++j) z[j] = cplx(x[2 * j], x[2 * j + 1]);
-    fn::Fft(n2).forward(z);
+    Fft(n2).forward(z);
     spec.resize(n2 + 1);
     for (int k = 0; k <= n2; ++k) {
       const cplx zk = (k == n2) ? z[0] : z[k];
@@ -221,7 +224,7 @@ ORACLE_NO_FUSED_ADDSUB std::vector<double> oracle_inverse_real(
     const cplx* fm, int nkeep, int n, double scale) {
   std::vector<cplx> spec(n / 2 + 1, cplx(0.0, 0.0));
   for (int k = 0; k < nkeep; ++k) spec[k] = fm[k] * scale;
-  if (n % 2 != 0) return fn::Fft(n).inverse_real(spec);
+  if (n % 2 != 0) return Fft(n).inverse_real(spec);
   const int n2 = n / 2;
   std::vector<cplx> z(n2);
   for (int k = 0; k < n2; ++k) {
@@ -231,7 +234,7 @@ ORACLE_NO_FUSED_ADDSUB std::vector<double> oracle_inverse_real(
     const cplx fo = std::conj(real_twiddle(k, n)) * (0.5 * (xk - xc));
     z[k] = fe + cplx(0.0, 1.0) * fo;
   }
-  fn::Fft(n2).inverse(z);
+  Fft(n2).inverse(z);
   std::vector<double> x(n);
   for (int j = 0; j < n2; ++j) {
     x[2 * j] = z[j].real();
@@ -339,7 +342,7 @@ TEST(FftPlan, PrimeDirectFallback) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine vs reference over the batched spectral entry points.
+// Engine vs the reference loops over the batched spectral entry points.
 
 namespace {
 
@@ -379,75 +382,75 @@ void expect_grid_near(const Field2Dd& a, const Field2Dd& b, double tol) {
     EXPECT_NEAR(a.vec()[i], b.vec()[i], tol * scale) << "i=" << i;
 }
 
+template <typename T>
+std::vector<T*> ptrs(std::vector<T>& v) {
+  std::vector<T*> out;
+  out.reserve(v.size());
+  for (auto& x : v) out.push_back(&x);
+  return out;
+}
+
+template <typename T>
+std::vector<const T*> cptrs(const std::vector<T>& v) {
+  std::vector<const T*> out;
+  out.reserve(v.size());
+  for (const auto& x : v) out.push_back(&x);
+  return out;
+}
+
 }  // namespace
 
-// Even nlat (all rows mirror-paired) and odd nlat (unpaired equator row).
+// (nlon, nlat) at the highest alias-free rhomboidal truncation the
+// longitudes allow, mmax = (nlon - 1) / 3: R7 with even nlat (all rows
+// mirror-paired) and odd nlat (an unpaired equator row), and
+// bench_spectral_kernels' R15 (48x40) and R31 (96x80).
 INSTANTIATE_TEST_SUITE_P(Grids, EngineAgreement,
                          ::testing::Values(std::pair<int, int>{24, 20},
-                                           std::pair<int, int>{24, 11}));
+                                           std::pair<int, int>{24, 11},
+                                           std::pair<int, int>{48, 40},
+                                           std::pair<int, int>{96, 80}));
 
 TEST_P(EngineAgreement, AllBatchEntryPoints) {
   const auto [nlon, nlat] = GetParam();
-  const int mmax = 7;
+  const int mmax = (nlon - 1) / 3;
   const fn::GaussianGrid grid(nlon, nlat);
-  fn::SpectralTransform st(grid, mmax, fn::SpectralMode::kReference);
+  const fn::SpectralTransform st(grid, mmax);
+  const foam::oracle::SpectralOracle ref(grid, mmax);
+  const std::vector<int>& all = ref.all_lats();
   fn::SpectralWorkspace ws;
   const double tol = 1e-12;
 
   const int batch = 3;
   std::vector<Field2Dd> As, Bs;
-  std::vector<const Field2Dd*> a_ptrs, b_ptrs;
   for (int f = 0; f < batch; ++f) {
     As.push_back(wavy(grid, f));
     Bs.push_back(wavy(grid, f + batch));
   }
-  for (int f = 0; f < batch; ++f) {
-    a_ptrs.push_back(&As[f]);
-    b_ptrs.push_back(&Bs[f]);
-  }
 
-  // Reference results (batch under kReference loops the reference paths).
-  const auto s_ref = st.analyze_batch(a_ptrs, ws);
-  const auto d_ref = st.analyze_div_batch(a_ptrs, b_ptrs, ws);
-  const auto c_ref = st.analyze_curl_batch(a_ptrs, b_ptrs, ws);
-  std::vector<const fn::SpectralField*> s_ptrs;
-  for (const auto& s : s_ref) s_ptrs.push_back(&s);
-  std::vector<Field2Dd> g_ref(batch, Field2Dd(nlon, nlat));
-  std::vector<Field2Dd*> gr_ptrs;
-  for (auto& g : g_ref) gr_ptrs.push_back(&g);
-  st.synthesize_batch(s_ptrs, gr_ptrs, ws);
-  std::vector<Field2Dd> u_ref(batch, Field2Dd(nlon, nlat)),
+  // Oracle results, one field at a time. The analyzed fields feed the
+  // synthesis and the winds (the curl as chi exercises both wind terms).
+  std::vector<fn::SpectralField> s_ref, d_ref, c_ref;
+  std::vector<Field2Dd> g_ref, u_ref(batch, Field2Dd(nlon, nlat)),
       v_ref(batch, Field2Dd(nlon, nlat));
-  std::vector<Field2Dd*> ur_ptrs, vr_ptrs;
   for (int f = 0; f < batch; ++f) {
-    ur_ptrs.push_back(&u_ref[f]);
-    vr_ptrs.push_back(&v_ref[f]);
+    s_ref.push_back(ref.analyze(As[f]));
+    d_ref.push_back(ref.analyze_div(As[f], Bs[f], all));
+    c_ref.push_back(ref.analyze_curl(As[f], Bs[f], all));
+    g_ref.push_back(ref.synthesize(s_ref[f]));
+    ref.uv_from_psi_chi(s_ref[f], c_ref[f], u_ref[f], v_ref[f], all);
   }
-  // psi/chi from the analyzed fields (d_ref as chi exercise both terms).
-  std::vector<const fn::SpectralField*> psi_ptrs, chi_ptrs;
-  for (int f = 0; f < batch; ++f) {
-    psi_ptrs.push_back(&s_ref[f]);
-    chi_ptrs.push_back(&c_ref[f]);
-  }
-  st.uv_from_psi_chi_batch(psi_ptrs, chi_ptrs, ur_ptrs, vr_ptrs, ws);
 
-  // Engine results.
-  st.set_mode(fn::SpectralMode::kEngine);
+  // Engine results, one batch per entry point.
+  const auto a_ptrs = cptrs(As), b_ptrs = cptrs(Bs);
   const auto s_eng = st.analyze_batch(a_ptrs, ws);
   const auto d_eng = st.analyze_div_batch(a_ptrs, b_ptrs, ws);
   const auto c_eng = st.analyze_curl_batch(a_ptrs, b_ptrs, ws);
   std::vector<Field2Dd> g_eng(batch, Field2Dd(nlon, nlat));
-  std::vector<Field2Dd*> ge_ptrs;
-  for (auto& g : g_eng) ge_ptrs.push_back(&g);
-  st.synthesize_batch(s_ptrs, ge_ptrs, ws);
+  st.synthesize_batch(cptrs(s_ref), ptrs(g_eng), ws);
   std::vector<Field2Dd> u_eng(batch, Field2Dd(nlon, nlat)),
       v_eng(batch, Field2Dd(nlon, nlat));
-  std::vector<Field2Dd*> ue_ptrs, ve_ptrs;
-  for (int f = 0; f < batch; ++f) {
-    ue_ptrs.push_back(&u_eng[f]);
-    ve_ptrs.push_back(&v_eng[f]);
-  }
-  st.uv_from_psi_chi_batch(psi_ptrs, chi_ptrs, ue_ptrs, ve_ptrs, ws);
+  st.uv_from_psi_chi_batch(cptrs(s_ref), cptrs(c_ref), ptrs(u_eng),
+                           ptrs(v_eng), ws);
 
   for (int f = 0; f < batch; ++f) {
     expect_spec_near(s_ref[f], s_eng[f], tol);

@@ -7,11 +7,12 @@
 #include <random>
 
 #include "base/constants.hpp"
-#include "numerics/fft.hpp"
+#include "oracle/fft.hpp"
 
 namespace foam::numerics {
 namespace {
 
+using oracle::Fft;
 using constants::two_pi;
 using cplx = std::complex<double>;
 

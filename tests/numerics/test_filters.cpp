@@ -11,11 +11,12 @@
 #include <vector>
 
 #include "base/constants.hpp"
-#include "numerics/fft.hpp"
+#include "oracle/fft.hpp"
 
 namespace foam::numerics {
 namespace {
 
+using oracle::Fft;
 using constants::pi;
 
 Field2D<int> all_ocean(int nx, int ny) { return Field2D<int>(nx, ny, 1); }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <random>
 
 #include "base/constants.hpp"
+#include "oracle/spectral_oracle.hpp"
 #include "par/decomp.hpp"
 #include "par/team.hpp"
 
@@ -394,14 +396,14 @@ TEST_P(ParSpectralRanks, MatchesSerialTransform) {
     const auto owned = par::paired_latitudes(40, comm.size());
     ParSpectralTransform pst(r.st, owned[comm.rank()]);
     // Parallel analysis of the full grid field (each rank reads only its
-    // own latitude rows).
-    const SpectralField spec = pst.analyze(comm, g_ref);
+    // own latitude rows), as a batch of one.
+    const SpectralField spec = pst.analyze_batch(comm, {&g_ref})[0];
     for (int m = 0; m <= 15; ++m)
       for (int k = 0; k < 16; ++k)
         EXPECT_NEAR(std::abs(spec.at(m, k) - spec_ref.at(m, k)), 0.0, 1e-11);
     // Parallel synthesis fills only owned rows; assemble and compare.
     Field2Dd local(48, 40, 0.0);
-    pst.synthesize(spec, local);
+    pst.synthesize_batch({&spec}, {&local});
     for (const int j : owned[comm.rank()])
       for (int i = 0; i < 48; ++i)
         EXPECT_NEAR(local(i, j), g_ref(i, j), 1e-10);
@@ -422,7 +424,7 @@ TEST_P(ParSpectralRanks, ParallelCurlMatchesSerial) {
   par::run(nranks, [&](par::Comm& comm) {
     const auto owned = par::paired_latitudes(40, comm.size());
     ParSpectralTransform pst(r.st, owned[comm.rank()]);
-    const SpectralField curl = pst.analyze_curl(comm, U, V);
+    const SpectralField curl = pst.analyze_curl_batch(comm, {&U}, {&V})[0];
     for (int m = 0; m <= 15; ++m)
       for (int k = 0; k < 16; ++k)
         EXPECT_NEAR(std::abs(curl.at(m, k) - ref.at(m, k)), 0.0, 1e-11);
@@ -430,6 +432,7 @@ TEST_P(ParSpectralRanks, ParallelCurlMatchesSerial) {
 }
 
 TEST_P(ParSpectralRanks, BatchEqualsSingleCallsBitwise) {
+  // A batch of F fields against F batches of one.
   const int nranks = GetParam();
   R15 r;
   const int nf = 3;
@@ -446,15 +449,17 @@ TEST_P(ParSpectralRanks, BatchEqualsSingleCallsBitwise) {
     auto us = blank_grids(r.grid, nf), vs = blank_grids(r.grid, nf);
     pst.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(us), ptrs(vs));
     for (int f = 0; f < nf; ++f) {
-      expect_spec_bitwise(an[f], pst.analyze(comm, *in.A[f]), "analyze");
-      expect_spec_bitwise(dv[f], pst.analyze_div(comm, *in.A[f], *in.B[f]),
-                          "div");
-      expect_spec_bitwise(cu[f], pst.analyze_curl(comm, *in.A[f], *in.B[f]),
-                          "curl");
+      expect_spec_bitwise(an[f], pst.analyze_batch(comm, {in.A[f]})[0],
+                          "analyze");
+      expect_spec_bitwise(
+          dv[f], pst.analyze_div_batch(comm, {in.A[f]}, {in.B[f]})[0], "div");
+      expect_spec_bitwise(
+          cu[f], pst.analyze_curl_batch(comm, {in.A[f]}, {in.B[f]})[0],
+          "curl");
       Field2Dd g(48, 40, 0.0), u(48, 40, 0.0), v(48, 40, 0.0);
-      pst.synthesize(*in.psi[f], g);
+      pst.synthesize_batch({in.psi[f]}, {&g});
       expect_rows_bitwise(syn[f], g, mine, "synthesize");
-      pst.uv_from_psi_chi(*in.psi[f], *in.chi[f], u, v);
+      pst.uv_from_psi_chi_batch({in.psi[f]}, {in.chi[f]}, {&u}, {&v});
       expect_rows_bitwise(us[f], u, mine, "u");
       expect_rows_bitwise(vs[f], v, mine, "v");
     }
@@ -463,6 +468,64 @@ TEST_P(ParSpectralRanks, BatchEqualsSingleCallsBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParSpectralRanks,
                          ::testing::Values(1, 2, 4, 5));
+
+/// Largest |a - b| over the field, relative to the largest |a|.
+double rel_diff(const SpectralField& a, const SpectralField& b) {
+  double scale = 1e-300, worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    scale = std::max(scale, std::abs(a.data()[i]));
+  for (std::size_t i = 0; i < a.size(); ++i)
+    worst = std::max(worst, std::abs(a.data()[i] - b.data()[i]));
+  return worst / scale;
+}
+
+double rel_diff(const Field2Dd& a, const Field2Dd& b) {
+  double scale = 1e-300, worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    scale = std::max(scale, std::abs(a.vec()[i]));
+  for (std::size_t i = 0; i < a.size(); ++i)
+    worst = std::max(worst, std::abs(a.vec()[i] - b.vec()[i]));
+  return worst / scale;
+}
+
+TEST(ParSpectral, ThreeRankSplitMatchesOracle) {
+  // Every distributed batch entry point on a 3-rank paired-latitude split
+  // against the reference loops. The analyses are complete after the
+  // fused allreduce; a rank's syntheses are compared over the whole grid
+  // with the oracle run on the rank's rows only, so a write to a row the
+  // rank does not own fails too.
+  R15 r;
+  const oracle::SpectralOracle ref(r.grid, 15);
+  const std::vector<int>& all = ref.all_lats();
+  const int nf = 3;
+  const BatchInputs in(r.grid, nf, 1100u);
+  const double tol = 1e-12;
+  par::run(3, [&](par::Comm& comm) {
+    const auto owned = par::paired_latitudes(40, comm.size());
+    const std::vector<int>& mine = owned[comm.rank()];
+    ParSpectralTransform pst(r.st, mine);
+    const auto an = pst.analyze_batch(comm, in.A);
+    const auto dv = pst.analyze_div_batch(comm, in.A, in.B);
+    const auto cu = pst.analyze_curl_batch(comm, in.A, in.B);
+    auto syn = blank_grids(r.grid, nf);
+    pst.synthesize_batch(in.psi, ptrs(syn));
+    auto us = blank_grids(r.grid, nf), vs = blank_grids(r.grid, nf);
+    pst.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(us), ptrs(vs));
+    for (int f = 0; f < nf; ++f) {
+      EXPECT_LE(rel_diff(ref.analyze(*in.A[f], all), an[f]), tol);
+      EXPECT_LE(rel_diff(ref.analyze_div(*in.A[f], *in.B[f], all), dv[f]),
+                tol);
+      EXPECT_LE(rel_diff(ref.analyze_curl(*in.A[f], *in.B[f], all), cu[f]),
+                tol);
+      Field2Dd g(48, 40, 0.0), u(48, 40, 0.0), v(48, 40, 0.0);
+      ref.synthesize(*in.psi[f], g, mine);
+      ref.uv_from_psi_chi(*in.psi[f], *in.chi[f], u, v, mine);
+      EXPECT_LE(rel_diff(g, syn[f]), tol);
+      EXPECT_LE(rel_diff(u, us[f]), tol);
+      EXPECT_LE(rel_diff(v, vs[f]), tol);
+    }
+  });
+}
 
 }  // namespace
 }  // namespace foam::numerics

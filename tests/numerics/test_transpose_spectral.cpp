@@ -83,7 +83,7 @@ TEST_P(TransposeRanks, AgreesWithDistributedSumVariant) {
     TransposeSpectralTransform tst(st, rows, comm);
     ParSpectralTransform pst(st, rows);
     const SpectralField a = tst.analyze(comm, g);
-    const SpectralField b = pst.analyze(comm, g);
+    const SpectralField b = pst.analyze_batch(comm, {&g})[0];
     for (int m = 0; m <= 15; ++m)
       for (int k = 0; k < 16; ++k)
         EXPECT_NEAR(std::abs(a.at(m, k) - b.at(m, k)), 0.0, 1e-12);
@@ -140,62 +140,6 @@ TEST(Transpose, RoundTripThroughTransposePair) {
       for (int j = 0; j < 20; ++j) {
         EXPECT_DOUBLE_EQ(cols[m - tst.m_lo()][j].real(), j);
         EXPECT_DOUBLE_EQ(cols[m - tst.m_lo()][j].imag(), m / 100.0);
-      }
-  });
-}
-
-class TransposeExchangeModes : public ::testing::TestWithParam<int> {};
-
-TEST_P(TransposeExchangeModes, OverlapMatchesBlockingBitwise) {
-  // The overlap exchange is a pure data-movement reorganization: both modes
-  // must produce bit-identical transforms.
-  const int nranks = GetParam();
-  GaussianGrid grid(48, 40);
-  SpectralTransform st(grid, 15);
-  const SpectralField s_in = random_spec(15, 16, 23);
-  const Field2Dd g = st.synthesize(s_in);
-
-  par::run(nranks, [&](par::Comm& comm) {
-    const auto rows = block_rows(40, nranks, comm.rank());
-    TransposeSpectralTransform blocking(st, rows, comm, /*overlap=*/false);
-    TransposeSpectralTransform overlap(st, rows, comm, /*overlap=*/true);
-    EXPECT_FALSE(blocking.overlap());
-    EXPECT_TRUE(overlap.overlap());
-
-    const SpectralField a = blocking.analyze(comm, g);
-    const SpectralField b = overlap.analyze(comm, g);
-    for (int m = 0; m <= 15; ++m)
-      for (int k = 0; k < 16; ++k)
-        EXPECT_EQ(a.at(m, k), b.at(m, k)) << "m=" << m << " k=" << k;
-
-    Field2Dd fa(48, 40, 0.0), fb(48, 40, 0.0);
-    blocking.synthesize(comm, s_in, fa);
-    overlap.synthesize(comm, s_in, fb);
-    for (const int j : rows)
-      for (int i = 0; i < 48; ++i) EXPECT_EQ(fa(i, j), fb(i, j));
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, TransposeExchangeModes,
-                         ::testing::Values(1, 2, 4, 8));
-
-TEST(Transpose, OverlapToggleSwitchesPath) {
-  GaussianGrid grid(24, 20);
-  SpectralTransform st(grid, 7);
-  const SpectralField s = random_spec(7, 8, 5);
-  const Field2Dd ref = st.synthesize(s);
-  par::run(4, [&](par::Comm& comm) {
-    const auto rows = block_rows(20, 4, comm.rank());
-    TransposeSpectralTransform tst(st, rows, comm);
-    Field2Dd out(24, 20, 0.0);
-    tst.synthesize(comm, s, out);
-    tst.set_overlap(false);
-    Field2Dd out2(24, 20, 0.0);
-    tst.synthesize(comm, s, out2);
-    for (const int j : rows)
-      for (int i = 0; i < 24; ++i) {
-        EXPECT_NEAR(out(i, j), ref(i, j), 1e-12);
-        EXPECT_EQ(out(i, j), out2(i, j));
       }
   });
 }

@@ -1,11 +1,11 @@
-#include "numerics/fft.hpp"
+#include "oracle/fft.hpp"
 
 #include <cmath>
 
 #include "base/constants.hpp"
 #include "base/error.hpp"
 
-namespace foam::numerics {
+namespace foam::oracle {
 
 using cplx = std::complex<double>;
 
@@ -113,4 +113,4 @@ std::vector<double> Fft::inverse_real(const std::vector<cplx>& spec) const {
   return x;
 }
 
-}  // namespace foam::numerics
+}  // namespace foam::oracle

@@ -1,15 +1,17 @@
 #pragma once
 
 /// \file fft.hpp
-/// Mixed-radix fast Fourier transform — the reference recursion.
+/// Mixed-radix fast Fourier transform — the reference recursion, kept as
+/// a test oracle.
 ///
 /// The spectral atmosphere needs length-48 transforms (R15 Gaussian grid)
 /// and the ocean polar filter length-128 ones, so the implementation
 /// handles any length whose prime factors are small (2, 3, 5, 7); other
 /// factors fall back to an O(p^2) direct step, which keeps the code correct
-/// for every size used in tests. Production paths run FftPlan
-/// (fft_plan.hpp); this class is the spectral reference path and the
-/// oracle FftPlan and the polar filter are tested against.
+/// for every size used in tests. The model runs FftPlan
+/// (numerics/fft_plan.hpp), whose butterflies replicate this recursion:
+/// the FftPlan and polar-filter tests compare against this class bit for
+/// bit, and the spectral oracle (spectral_oracle.hpp) runs its rows.
 ///
 /// Conventions: forward() computes X_k = sum_j x_j exp(-2*pi*i*j*k/N)
 /// (unnormalized); inverse() includes the 1/N factor so
@@ -18,7 +20,7 @@
 #include <complex>
 #include <vector>
 
-namespace foam::numerics {
+namespace foam::oracle {
 
 /// Planned FFT of a fixed length. Plans are cheap; the constructor only
 /// factorizes N and tabulates twiddles.
@@ -50,4 +52,4 @@ class Fft {
   std::vector<std::complex<double>> twiddle_fwd_;  // exp(-2 pi i j / n)
 };
 
-}  // namespace foam::numerics
+}  // namespace foam::oracle
