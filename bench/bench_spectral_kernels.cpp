@@ -13,6 +13,13 @@
 // An FFT-only row times the lane-batched real FFT on its own, in ns per
 // 48-point latitude row, at batch 1 and batch 600.
 //
+// Every timing is the median of kRepeats samples, each sample a loop of
+// calls calibrated to run for at least 50 ms, and is reported with its
+// interquartile range (the *_iqr rows) beside it. The samples of all shapes
+// of a resolution are interleaved, repeat by repeat, so slow drift on the
+// host hits every shape alike; batched_speedup is the median of the
+// per-repeat ratios, batched_ratio_iqr their interquartile range.
+//
 // The engine must agree with the reference to <= 1e-12 relative on every
 // entry point; the bench verifies this before timing and reports the worst
 // relative difference.
@@ -23,6 +30,8 @@
 #include <complex>
 #include <cstdio>
 #include <functional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -38,20 +47,52 @@ using foam::oracle::SpectralOracle;
 
 namespace {
 
-template <class F>
-double ns_per_call(F&& fn) {
-  using clock = std::chrono::steady_clock;
-  fn();
-  fn();  // warm caches and workspace growth
+constexpr int kRepeats = 7;
+
+/// Median and interquartile range (linear interpolation between order
+/// statistics) of \p v.
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+Spread spread(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto quantile = [&](double q) {
+    const double at = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(at);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (at - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
+/// One timed call: calibrate() picks a loop count that runs for at least
+/// 50 ms, and each sample() records that loop's ns per call.
+struct Timer {
+  explicit Timer(std::function<void()> f) : fn(std::move(f)) {}
+  std::function<void()> fn;
   int reps = 1;
-  for (;;) {
+  std::vector<double> ns;
+
+  double loop_seconds() const {
+    using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
     for (int r = 0; r < reps; ++r) fn();
-    const double sec =
-        std::chrono::duration<double>(clock::now() - t0).count();
-    if (sec > 0.2 || reps >= (1 << 22)) return sec * 1e9 / reps;
-    reps *= 4;
+    return std::chrono::duration<double>(clock::now() - t0).count();
   }
+  void calibrate() {
+    fn();
+    fn();  // warm caches and workspace growth
+    while (loop_seconds() < 0.05 && reps < (1 << 22)) reps *= 2;
+  }
+  void sample() { ns.push_back(loop_seconds() * 1e9 / reps); }
+};
+
+/// Calibrate every timer, then take kRepeats samples of each, interleaved.
+void sample_all(std::vector<Timer>& timers) {
+  for (Timer& t : timers) t.calibrate();
+  for (int rep = 0; rep < kRepeats; ++rep)
+    for (Timer& t : timers) t.sample();
 }
 
 /// Smooth deterministic test field: a handful of resolvable harmonics with
@@ -194,20 +235,32 @@ void run_case(const Case& c, foam::bench::BenchJson& out,
        },
        [&] { st.synthesize_batch(s_ptrs, g_ptrs, ws); }},
   };
-  double ns_batched[2] = {0.0, 0.0};
+  // timers[4 * impl + n]: single analyze, single synthesize, batched
+  // analyze, batched synthesize (the batched ones per whole stack).
+  std::vector<Timer> timers;
+  for (const Shape& sh : shapes)
+    for (const auto* fn : {&sh.analyze, &sh.synthesize, &sh.analyze_batch,
+                           &sh.synthesize_batch})
+      timers.emplace_back(*fn);
+  sample_all(timers);
+  const auto per_transform = [&](int t, int divisor) {
+    std::vector<double> v = timers[t].ns;
+    for (double& x : v) x /= divisor;
+    return spread(std::move(v));
+  };
   for (int si = 0; si < 2; ++si) {
     const Shape& sh = shapes[si];
-    const double ns_an = ns_per_call(sh.analyze);
-    const double ns_sy = ns_per_call(sh.synthesize);
-    const double ns_ban = ns_per_call(sh.analyze_batch) / batch;
-    const double ns_bsy = ns_per_call(sh.synthesize_batch) / batch;
-    ns_batched[si] = ns_ban + ns_bsy;
+    const Spread an = per_transform(4 * si, 1);
+    const Spread sy = per_transform(4 * si + 1, 1);
+    const Spread ban = per_transform(4 * si + 2, batch);
+    const Spread bsy = per_transform(4 * si + 3, batch);
     std::printf(
         "%s %-9s analyze %9.0f ns (%5.2f GFLOP/s)  synthesize %9.0f ns "
         "(%5.2f GFLOP/s)  batched[%d] analyze %9.0f ns  synthesize %9.0f "
-        "ns\n",
-        c.name, sh.mode, ns_an, flops / ns_an, ns_sy, flops / ns_sy, batch,
-        ns_ban, ns_bsy);
+        "ns  (median of %d; IQR %.0f %.0f %.0f %.0f ns)\n",
+        c.name, sh.mode, an.median, flops / an.median, sy.median,
+        flops / sy.median, batch, ban.median, bsy.median, kRepeats, an.iqr,
+        sy.iqr, ban.iqr, bsy.iqr);
     const foam::bench::BenchParams base = {
         {"resolution", c.name}, {"impl", sh.mode}};
     auto with_shape = [&](const char* shape) {
@@ -215,28 +268,35 @@ void run_case(const Case& c, foam::bench::BenchJson& out,
       cfg.emplace_back("shape", shape);
       return cfg;
     };
-    out.add("analyze_ns_per_transform", ns_an, "ns", with_shape("single"));
-    out.add("synthesize_ns_per_transform", ns_sy, "ns",
-            with_shape("single"));
-    out.add("analyze_gflops", flops / ns_an, "GFLOP/s",
-            with_shape("single"));
-    out.add("synthesize_gflops", flops / ns_sy, "GFLOP/s",
-            with_shape("single"));
-    out.add("analyze_ns_per_transform", ns_ban, "ns", with_shape("batched"));
-    out.add("synthesize_ns_per_transform", ns_bsy, "ns",
-            with_shape("batched"));
-    out.add("analyze_gflops", flops / ns_ban, "GFLOP/s",
-            with_shape("batched"));
-    out.add("synthesize_gflops", flops / ns_bsy, "GFLOP/s",
-            with_shape("batched"));
+    for (const auto& [shape, a, y] :
+         {std::tuple{"single", an, sy}, std::tuple{"batched", ban, bsy}}) {
+      out.add("analyze_ns_per_transform", a.median, "ns", with_shape(shape));
+      out.add("analyze_ns_per_transform_iqr", a.iqr, "ns",
+              with_shape(shape));
+      out.add("synthesize_ns_per_transform", y.median, "ns",
+              with_shape(shape));
+      out.add("synthesize_ns_per_transform_iqr", y.iqr, "ns",
+              with_shape(shape));
+      out.add("analyze_gflops", flops / a.median, "GFLOP/s",
+              with_shape(shape));
+      out.add("synthesize_gflops", flops / y.median, "GFLOP/s",
+              with_shape(shape));
+    }
   }
-  const double speedup = ns_batched[0] / ns_batched[1];
+  // The batched analyze+synthesize ratio of each repeat.
+  std::vector<double> ratios;
+  for (int rep = 0; rep < kRepeats; ++rep)
+    ratios.push_back((timers[2].ns[rep] + timers[3].ns[rep]) /
+                     (timers[6].ns[rep] + timers[7].ns[rep]));
+  const Spread speedup = spread(ratios);
   std::printf("%s batched analyze+synthesize speedup: %.2fx engine over "
-              "reference\n\n",
-              c.name, speedup);
-  out.add("batched_speedup", speedup, "x", {{"resolution", c.name}});
+              "reference (median of %d, IQR %.2fx)\n\n",
+              c.name, speedup.median, kRepeats, speedup.iqr);
+  out.add("batched_speedup", speedup.median, "x", {{"resolution", c.name}});
+  out.add("batched_ratio_iqr", speedup.iqr, "ratio",
+          {{"resolution", c.name}});
   if (std::string(c.name) == "R15" && r15_batched_speedup != nullptr)
-    *r15_batched_speedup = speedup;
+    *r15_batched_speedup = speedup.median;
 }
 
 /// FFT-only rows: ns per real nlon-point row through FftPlan's rows API
@@ -259,28 +319,34 @@ void run_fft_rows(const Case& c, foam::bench::BenchJson& out) {
     }
     std::vector<std::complex<double>> fm(static_cast<std::size_t>(batch) *
                                          nkeep);
-    const double ns_fwd = ns_per_call([&] {
-                            plan.forward_real_rows(in.data(), batch, nkeep,
-                                                   1.0 / c.nlon, fm.data(),
-                                                   scratch.data());
-                          }) /
-                          batch;
-    const double ns_inv = ns_per_call([&] {
-                            plan.inverse_real_rows(
-                                fm.data(), batch, nkeep,
-                                static_cast<double>(c.nlon), back.data(),
-                                scratch.data());
-                          }) /
-                          batch;
+    std::vector<Timer> timers = {
+        Timer([&] {
+          plan.forward_real_rows(in.data(), batch, nkeep, 1.0 / c.nlon,
+                                 fm.data(), scratch.data());
+        }),
+        Timer([&] {
+          plan.inverse_real_rows(fm.data(), batch, nkeep,
+                                 static_cast<double>(c.nlon), back.data(),
+                                 scratch.data());
+        })};
+    sample_all(timers);
+    std::vector<Spread> rows;
+    for (Timer& t : timers) {
+      for (double& x : t.ns) x /= batch;
+      rows.push_back(spread(t.ns));
+    }
     std::printf("%s fft rows batch %3d: forward %6.1f ns/row  inverse %6.1f "
-                "ns/row (%d-point, %d modes kept)\n",
-                c.name, batch, ns_fwd, ns_inv, c.nlon, nkeep);
-    out.add("fft_ns_per_row", ns_fwd, "ns",
-            {{"resolution", c.name}, {"direction", "forward"},
-             {"batch", batch}});
-    out.add("fft_ns_per_row", ns_inv, "ns",
-            {{"resolution", c.name}, {"direction", "inverse"},
-             {"batch", batch}});
+                "ns/row (%d-point, %d modes kept; IQR %.1f %.1f)\n",
+                c.name, batch, rows[0].median, rows[1].median, c.nlon, nkeep,
+                rows[0].iqr, rows[1].iqr);
+    for (int d = 0; d < 2; ++d) {
+      const foam::bench::BenchParams cfg = {
+          {"resolution", c.name},
+          {"direction", d == 0 ? "forward" : "inverse"},
+          {"batch", batch}};
+      out.add("fft_ns_per_row", rows[d].median, "ns", cfg);
+      out.add("fft_ns_per_row_iqr", rows[d].iqr, "ns", cfg);
+    }
   }
 }
 

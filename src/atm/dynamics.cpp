@@ -36,20 +36,18 @@ double lcg_noise(unsigned& state) {
 }  // namespace
 
 SpectralDynamics::SpectralDynamics(const AtmConfig& cfg,
-                                   const numerics::SpectralTransform& st,
-                                   std::vector<int> my_lats)
+                                   const numerics::ParSpectralTransform& pst)
     : cfg_(cfg),
-      st_(st),
-      pst_(st, my_lats),
-      my_lats_(std::move(my_lats)),
-      planetary_(st.mmax(), st.kmax()) {
+      pst_(pst),
+      st_(pst.serial()),
+      planetary_(st_.mmax(), st_.kmax()) {
   const int nd = cfg_.ndyn;
   FOAM_REQUIRE(nd >= 1, "ndyn=" << nd);
-  zeta_.assign(nd, SpectralField(st.mmax(), st.kmax()));
-  zeta_prev_.assign(nd, SpectralField(st.mmax(), st.kmax()));
-  jet_.assign(nd, SpectralField(st.mmax(), st.kmax()));
-  u_.assign(nd, Field2Dd(st.grid().nlon(), st.grid().nlat(), 0.0));
-  v_.assign(nd, Field2Dd(st.grid().nlon(), st.grid().nlat(), 0.0));
+  zeta_.assign(nd, SpectralField(st_.mmax(), st_.kmax()));
+  zeta_prev_.assign(nd, SpectralField(st_.mmax(), st_.kmax()));
+  jet_.assign(nd, SpectralField(st_.mmax(), st_.kmax()));
+  u_.assign(nd, Field2Dd(st_.grid().nlon(), st_.grid().nlat(), 0.0));
+  v_.assign(nd, Field2Dd(st_.grid().nlon(), st_.grid().nlat(), 0.0));
   // Planetary vorticity f = 2 Omega mu: spectral (m=0, n=1) coefficient.
   // f = 2*Omega*mu = 2*Omega/sqrt(3) * Pbar_1^0(mu).
   planetary_.at(0, 1) = 2.0 * c::earth_omega / std::sqrt(3.0);
@@ -118,8 +116,9 @@ void SpectralDynamics::synthesize_winds() {
   }
   pst_.uv_from_psi_chi_batch(psi_ptrs, chi_ptrs, u_ptrs, v_ptrs);
   // Divide out the cos(lat) image on owned rows.
+  const par::Range lats = pst_.lats();
   for (int l = 0; l < nd; ++l) {
-    for (const int j : my_lats_) {
+    for (int j = lats.lo; j < lats.hi; ++j) {
       const double inv_cos = 1.0 / std::cos(grid.lat(j));
       for (int i = 0; i < grid.nlon(); ++i) {
         u_[l](i, j) *= inv_cos;
@@ -129,7 +128,7 @@ void SpectralDynamics::synthesize_winds() {
   }
 }
 
-void SpectralDynamics::step(par::Comm* comm) {
+void SpectralDynamics::step() {
   const double dt = cfg_.dt;
   const double dt2 = have_prev_ ? 2.0 * dt : dt;
   const auto& grid = st_.grid();
@@ -140,7 +139,7 @@ void SpectralDynamics::step(par::Comm* comm) {
 
   const int nd = cfg_.ndyn;
   // Batched synthesis of all levels' absolute vorticity, then batched flux
-  // divergence analysis (with one fused allreduce in the parallel case).
+  // divergence analysis.
   std::vector<SpectralField> abs_zeta(nd, SpectralField(zeta_[0]));
   std::vector<Field2Dd> zg(nd, Field2Dd(nlon, grid.nlat(), 0.0));
   std::vector<const SpectralField*> az_ptrs(nd);
@@ -157,8 +156,9 @@ void SpectralDynamics::step(par::Comm* comm) {
   std::vector<Field2Dd> A(nd, Field2Dd(nlon, grid.nlat(), 0.0));
   std::vector<Field2Dd> B(nd, Field2Dd(nlon, grid.nlat(), 0.0));
   std::vector<const Field2Dd*> a_ptrs(nd), b_ptrs(nd);
+  const par::Range lats = pst_.lats();
   for (int l = 0; l < nd; ++l) {
-    for (const int j : my_lats_) {
+    for (int j = lats.lo; j < lats.hi; ++j) {
       const double cl = std::cos(grid.lat(j));
       for (int i = 0; i < nlon; ++i) {
         A[l](i, j) = u_[l](i, j) * cl * zg[l](i, j);
@@ -168,9 +168,7 @@ void SpectralDynamics::step(par::Comm* comm) {
     a_ptrs[l] = &A[l];
     b_ptrs[l] = &B[l];
   }
-  std::vector<SpectralField> advs =
-      (comm != nullptr) ? pst_.analyze_div_batch(*comm, a_ptrs, b_ptrs)
-                        : st_.analyze_div_batch(a_ptrs, b_ptrs, ws_, team_);
+  std::vector<SpectralField> advs = pst_.analyze_div_batch(a_ptrs, b_ptrs);
 
   for (int l = 0; l < nd; ++l) {
     const SpectralField& adv = advs[l];

@@ -20,7 +20,6 @@
 /// See DESIGN.md for the substitution note relative to the full
 /// primitive-equation CCM2 core.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,32 +27,22 @@
 #include "base/field.hpp"
 #include "base/history.hpp"
 #include "numerics/spectral.hpp"
-#include "par/comm.hpp"
 
 namespace foam::atm {
 
 class SpectralDynamics {
  public:
-  /// \p my_lats are the latitude rows this rank owns (all rows when
-  /// serial). The grid/transform are owned by the caller and must outlive
-  /// the dynamics.
+  /// Runs on \p pst's latitude rows (every row when serial) and its team.
+  /// The transform is owned by the caller and must outlive the dynamics.
   SpectralDynamics(const AtmConfig& cfg,
-                   const numerics::SpectralTransform& st,
-                   std::vector<int> my_lats);
+                   const numerics::ParSpectralTransform& pst);
 
   /// Initialize each level's vorticity to its climatological jet plus a
   /// small deterministic perturbation seeding the eddies.
   void init(unsigned seed = 7u);
 
-  /// One leapfrog step; collective when \p comm is non-null.
-  void step(par::Comm* comm);
-
-  /// Split the batched transforms by level over \p team (null: the calling
-  /// thread alone). The team must outlive its use here.
-  void set_team(par::Team* team) {
-    team_ = team;
-    pst_.set_team(team);
-  }
+  /// One leapfrog step; collective over the transform's communicator.
+  void step();
 
   /// Winds of dynamical level l on the Gaussian grid (filled rows: owned
   /// latitudes only). U and V are true winds [m/s] (the cos(lat) image is
@@ -87,12 +76,8 @@ class SpectralDynamics {
   void synthesize_winds();
 
   const AtmConfig& cfg_;
+  const numerics::ParSpectralTransform& pst_;
   const numerics::SpectralTransform& st_;
-  numerics::ParSpectralTransform pst_;
-  std::vector<int> my_lats_;
-  /// Scratch for the serial batched transforms (one instance per rank).
-  mutable numerics::SpectralWorkspace ws_;
-  par::Team* team_ = nullptr;
 
   std::vector<numerics::SpectralField> zeta_;
   std::vector<numerics::SpectralField> zeta_prev_;

@@ -6,7 +6,6 @@
 
 #include "base/constants.hpp"
 #include "data/earth.hpp"
-#include "par/decomp.hpp"
 #include "par/team.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -17,13 +16,6 @@ namespace c = foam::constants;
 namespace {
 constexpr int kTagSouth = 210;
 constexpr int kTagNorth = 211;
-
-std::vector<int> contiguous_rows(int lo, int hi) {
-  std::vector<int> rows;
-  rows.reserve(hi - lo);
-  for (int j = lo; j < hi; ++j) rows.push_back(j);
-  return rows;
-}
 }  // namespace
 
 AtmosphereModel::AtmosphereModel(const AtmConfig& cfg, par::Comm* comm)
@@ -31,17 +23,10 @@ AtmosphereModel::AtmosphereModel(const AtmConfig& cfg, par::Comm* comm)
       comm_(comm),
       grid_(cfg.nlon, cfg.nlat),
       st_(grid_, cfg.mmax),
-      my_lats_((comm != nullptr)
-                   ? contiguous_rows(
-                         par::block_range(cfg.nlat, comm->size(),
-                                          comm->rank())
-                             .lo,
-                         par::block_range(cfg.nlat, comm->size(),
-                                          comm->rank())
-                             .hi)
-                   : contiguous_rows(0, cfg.nlat)),
-      pst_(st_, my_lats_),
-      dyn_(cfg_, st_, my_lats_),
+      pst_(st_, comm),
+      j0_(pst_.lats().lo),
+      j1_(pst_.lats().hi),
+      dyn_(cfg_, pst_),
       levels_(cfg.nlev),
       t3_(cfg.nlon, cfg.nlat, cfg.nlev, 260.0),
       q3_(cfg.nlon, cfg.nlat, cfg.nlev, 1e-3),
@@ -49,10 +34,7 @@ AtmosphereModel::AtmosphereModel(const AtmConfig& cfg, par::Comm* comm)
       sfc_(cfg.nlon, cfg.nlat),
       flux_accum_(cfg.nlon, cfg.nlat),
       flux_last_(cfg.nlon, cfg.nlat) {
-  j0_ = my_lats_.front();
-  j1_ = my_lats_.back() + 1;
-  FOAM_REQUIRE(static_cast<int>(my_lats_.size()) == j1_ - j0_,
-               "rows not contiguous");
+  FOAM_REQUIRE(j1_ > j0_, "an atmosphere rank without latitude rows");
   set_team(nullptr);
 }
 
@@ -97,7 +79,6 @@ void AtmosphereModel::set_surface(const SurfaceFields& sfc) { sfc_ = sfc; }
 void AtmosphereModel::set_team(par::Team* team) {
   team_ = team;
   pst_.set_team(team);
-  dyn_.set_team(team);
   // Member 0's chunk is the largest (block_range gives remainders to the
   // lowest members), so every member's advected rows fit its size.
   const int members = team != nullptr ? team->size() : 1;
@@ -353,15 +334,14 @@ void AtmosphereModel::step(const ModelTime& now) {
   }
   {
     FOAM_TRACE_SCOPE("atm.dynamics");
-    dyn_.step(comm_);
+    dyn_.step();
   }
   if (cfg_.emulate_full_core_cost) {
     FOAM_TRACE_SCOPE("atm.emulate_core");
     // One synthesis + analysis per physics level beyond the reduced core:
     // the transform work the full 18-level PCCM2 core would perform. The
     // levels are independent, so each rep moves the whole level stack
-    // through one batched analysis (a single fused allreduce when
-    // parallel) and one batched synthesis.
+    // through one batched analysis and one batched synthesis.
     const int nem = cfg_.nlev - cfg_.ndyn;
     std::vector<Field2Dd> scratch(nem, Field2Dd(cfg_.nlon, cfg_.nlat, 0.0));
     std::vector<const Field2Dd*> in_ptrs(nem);
@@ -374,9 +354,7 @@ void AtmosphereModel::step(const ModelTime& now) {
       out_ptrs[k - cfg_.ndyn] = &sc;
     }
     for (int rep = 0; rep < cfg_.emulate_transforms_per_level; ++rep) {
-      std::vector<numerics::SpectralField> sps =
-          (comm_ != nullptr) ? pst_.analyze_batch(*comm_, in_ptrs)
-                             : st_.analyze_batch(in_ptrs, ws_, team_);
+      std::vector<numerics::SpectralField> sps = pst_.analyze_batch(in_ptrs);
       std::vector<const numerics::SpectralField*> sp_ptrs(nem);
       for (int n = 0; n < nem; ++n) sp_ptrs[n] = &sps[n];
       pst_.synthesize_batch(sp_ptrs, out_ptrs);

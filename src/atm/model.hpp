@@ -10,9 +10,10 @@
 /// column physics supplies radiation, convection, precipitation, PBL mixing
 /// and the surface fluxes exchanged with the coupler.
 ///
-/// Parallelization: latitude rows in balanced blocks (physics and grid
-/// advection local + one halo row; spectral transforms complete partial
-/// sums with an allreduce). With comm == nullptr the model is serial.
+/// Parallelization: latitude rows in the distributed spectral transform's
+/// balanced blocks (physics and grid advection local + one halo row; the
+/// transforms transpose to wavenumber blocks and back, with the serial
+/// transform's bits). With comm == nullptr the model is serial.
 
 #include <cstdint>
 #include <memory>
@@ -121,8 +122,8 @@ class AtmosphereModel {
   double mean_t_sfc_level() const;
   double mean_precip() const;
 
-  /// Owned latitude rows.
-  const std::vector<int>& my_lats() const { return my_lats_; }
+  /// Owned latitude rows, the distributed transform's block.
+  par::Range lats() const { return pst_.lats(); }
 
   /// Abstract cost counter (grid-point updates + spectral work).
   double work_points() const { return work_points_; }
@@ -158,11 +159,9 @@ class AtmosphereModel {
   par::Comm* comm_;
   numerics::GaussianGrid grid_;
   numerics::SpectralTransform st_;
-  std::vector<int> my_lats_;
-  /// Persistent distributed transform for the emulated full-core transform
-  /// work (constructed once, not per step).
+  /// The one distributed transform of the dynamics and the emulated
+  /// full-core transform work; it owns the latitude decomposition.
   numerics::ParSpectralTransform pst_;
-  numerics::SpectralWorkspace ws_;
   par::Team* team_ = nullptr;
   int j0_ = 0, j1_ = 0;  // contiguous owned range
   SpectralDynamics dyn_;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/constants.hpp"
+#include "par/decomp.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace foam::numerics {
@@ -43,6 +44,13 @@ cplx times_im(double m, cplx z) {
   asm("" : "+x"(re0), "+x"(re1), "+x"(im0), "+x"(im1));
 #endif
   return {re0 - re1, im0 + im1};
+}
+
+/// The fields [lo, lo + n) of a per-field span; an empty span (no second
+/// grid per field) stays empty.
+template <typename T>
+std::span<T> part(std::span<T> s, std::size_t lo, std::size_t n) {
+  return s.empty() ? s : s.subspan(lo, n);
 }
 
 }  // namespace
@@ -91,116 +99,107 @@ SpectralTransform::SpectralTransform(const GaussianGrid& grid, int mmax)
                "nlon=" << grid.nlon() << " too small for R" << mmax);
   FOAM_REQUIRE(grid.nlat() >= (3 * mmax + 1) / 2,
                "nlat=" << grid.nlat() << " too small for R" << mmax);
-  std::vector<int> all(grid.nlat());
-  for (int j = 0; j < grid.nlat(); ++j) all[j] = j;
-  pairing_ = make_pairing(grid, all);
-}
-
-SpectralTransform::LatPairing SpectralTransform::make_pairing(
-    const GaussianGrid& grid, std::span<const int> lats) {
-  LatPairing lp;
-  const int nlat = grid.nlat();
-  std::vector<char> in_set(nlat, 0), used(nlat, 0);
-  for (const int j : lats) {
-    FOAM_REQUIRE(j >= 0 && j < nlat, "latitude " << j);
-    in_set[j] = 1;
+  // The parity fold pairs row j with its mirror nlat-1-j and needs them
+  // exact: gauss.cpp stores mu[i] = -x, mu[n-1-i] = x and equal weights.
+  for (int j = 0; j < grid.nlat() / 2; ++j) {
+    const int jm = grid.nlat() - 1 - j;
+    FOAM_REQUIRE(grid.mu(j) == -grid.mu(jm) &&
+                     grid.gauss_weight(j) == grid.gauss_weight(jm),
+                 "latitudes " << j << " and " << jm << " are not mirrors");
   }
-  for (const int j : lats) {
-    if (used[j]) continue;
-    const int jm = nlat - 1 - j;
-    // Gaussian nodes are stored exactly mirror-symmetric (gauss.cpp writes
-    // mu[i] = -x, mu[n-1-i] = x), so the parity fold is exact; guard it
-    // anyway in case a non-Gaussian latitude set ever reaches here.
-    const bool mirrored =
-        jm != j && in_set[jm] &&
-        std::abs(grid.mu(j) + grid.mu(jm)) <=
-            1e-14 * (1.0 + std::abs(grid.mu(j))) &&
-        std::abs(grid.gauss_weight(j) - grid.gauss_weight(jm)) <=
-            1e-14 * grid.gauss_weight(j);
-    if (mirrored) {
-      used[j] = used[jm] = 1;
-      lp.pairs.push_back({std::min(j, jm), std::max(j, jm)});
-    } else {
-      used[j] = 1;
-      lp.singles.push_back(j);
-    }
-  }
-  return lp;
 }
 
 // ---------------------------------------------------------------------------
-// Plan-based row transforms
+// FFT stage: lane-batched real FFTs of whole rows, with the 1/nlon
+// normalization folded into the forward direction.
 
-void SpectralTransform::fourier_rows(SpectralWorkspace& ws) const {
-  const int nm = mmax_ + 1;
-  const int nrows = static_cast<int>(ws.src_rows.size());
-  ws.fm.resize(static_cast<std::size_t>(nrows) * nm);
+namespace {
+/// The rows \p lats of every grid, grid-major (field f's As grid, then its
+/// Bs grid when Bs is not empty), into \p rows.
+template <typename Row, typename Grid>
+void collect_rows(std::span<Grid* const> As, std::span<Grid* const> Bs,
+                  par::Range lats, std::vector<Row*>& rows) {
+  rows.clear();
+  const auto add = [&](Grid* g) {
+    for (int j = lats.lo; j < lats.hi; ++j) rows.push_back(&(*g)(0, j));
+  };
+  for (std::size_t f = 0; f < As.size(); ++f) {
+    add(As[f]);
+    if (!Bs.empty()) add(Bs[f]);
+  }
+}
+}  // namespace
+
+void SpectralTransform::analyze_rows(Grids As, Grids Bs, par::Range lats,
+                                     cplx* fm, SpectralWorkspace& ws) const {
+  collect_rows(As, Bs, lats, ws.src_rows);
   ws.lanes.resize(plan_.rows_scratch_size());
-  plan_.forward_real_rows(ws.src_rows.data(), nrows, nm,
-                          1.0 / grid_.nlon(), ws.fm.data(), ws.lanes.data());
+  plan_.forward_real_rows(ws.src_rows.data(),
+                          static_cast<int>(ws.src_rows.size()), mmax_ + 1,
+                          1.0 / grid_.nlon(), fm, ws.lanes.data());
 }
 
-void SpectralTransform::inv_fourier_rows(SpectralWorkspace& ws) const {
-  const int nm = mmax_ + 1;
-  const int nrows = static_cast<int>(ws.dst_rows.size());
-  FOAM_ASSERT(ws.fm.size() >= static_cast<std::size_t>(nrows) * nm,
-              "Fourier rows for " << nrows << " grid rows");
+void SpectralTransform::synthesize_rows(const cplx* fm, par::Range lats,
+                                        OutGrids As, OutGrids Bs,
+                                        SpectralWorkspace& ws) const {
+  collect_rows(As, Bs, lats, ws.dst_rows);
   ws.lanes.resize(plan_.rows_scratch_size());
-  plan_.inverse_real_rows(ws.fm.data(), nrows, nm,
-                          static_cast<double>(grid_.nlon()),
+  plan_.inverse_real_rows(fm, static_cast<int>(ws.dst_rows.size()),
+                          mmax_ + 1, static_cast<double>(grid_.nlon()),
                           ws.dst_rows.data(), ws.lanes.data());
 }
 
 // ---------------------------------------------------------------------------
-// Engine kernels: parity-folded, panel-blocked Legendre sums.
+// Legendre stage: parity-folded, panel-blocked sums.
 //
 // Pbar parity about the equator: P(m, k, jn) = (-1)^k P(m, k, js) and
 // H(m, k, jn) = (-1)^{k+1} H(m, k, js) for a mirror pair (js, jn). Folding
 // the pair's Fourier rows into even/odd combinations therefore halves the
 // Legendre work: even-k coefficients see only the even fold, odd-k only the
 // odd fold. The inner loops stream the LegendreTable's contiguous (m, k)
-// panels for the southern row of each pair.
-//
-// Every kernel moves all Fourier rows of its batch through one FFT rows
-// call, in the order its Legendre loops consume them: per mirror pair, each
-// field's rows; then per single row, each field's rows.
+// panels for the southern row of each pair (js, nlat-1-js); an odd-nlat
+// grid's equator row is summed alone, after the pairs. Every coefficient
+// of wavenumber m an analysis produces depends on mode m of the Fourier
+// rows alone, so a wavenumber range computes exactly the serial sums'
+// entries for those m. A synthesis computes each touched pair's folded
+// sums whole, so a row range gets exactly the serial values of its rows.
 
-void SpectralTransform::analyze_fields(const LatPairing& lp, Grids fs,
+namespace {
+/// Row (q, j) of a buffer of Fourier rows over the latitudes \p lats, or
+/// null when j is not one of them.
+template <typename T>
+T* row(T* fm, std::size_t q, int j, par::Range lats, int nm) {
+  if (!lats.contains(j)) return nullptr;
+  return fm + (q * lats.count() + (j - lats.lo)) * nm;
+}
+}  // namespace
+
+void SpectralTransform::analyze_fields(const cplx* fm, par::Range ms,
                                        std::span<SpectralField> out,
                                        SpectralWorkspace& ws) const {
-  const int nm = mmax_ + 1;
-  const int nf = static_cast<int>(fs.size());
-  ws.src_rows.clear();
-  for (const auto& pr : lp.pairs)
-    for (int f = 0; f < nf; ++f) {
-      ws.src_rows.push_back(&(*fs[f])(0, pr[0]));
-      ws.src_rows.push_back(&(*fs[f])(0, pr[1]));
-    }
-  for (const int j : lp.singles)
-    for (int f = 0; f < nf; ++f) ws.src_rows.push_back(&(*fs[f])(0, j));
-  fourier_rows(ws);
-  const cplx* fm = ws.fm.data();
-  ws.fold_pe.resize(static_cast<std::size_t>(nf) * nm);
-  ws.fold_po.resize(static_cast<std::size_t>(nf) * nm);
-  for (const auto& pr : lp.pairs) {
-    const int js = pr[0];
+  const int nm = mmax_ + 1, nlat = grid_.nlat();
+  const par::Range all = all_lats();
+  const std::size_t nf = out.size();
+  ws.fold_pe.resize(nf * nm);
+  ws.fold_po.resize(nf * nm);
+  for (int js = 0; js < nlat / 2; ++js) {
     const double w = 0.5 * grid_.gauss_weight(js);
-    for (int f = 0; f < nf; ++f, fm += 2 * nm) {
-      const cplx* fm_s = fm;
-      const cplx* fm_n = fm + nm;
-      cplx* fe = ws.fold_pe.data() + static_cast<std::size_t>(f) * nm;
-      cplx* fo = ws.fold_po.data() + static_cast<std::size_t>(f) * nm;
-      for (int m = 0; m < nm; ++m) {
+    for (std::size_t f = 0; f < nf; ++f) {
+      const cplx* fm_s = row(fm, f, js, all, nm);
+      const cplx* fm_n = row(fm, f, nlat - 1 - js, all, nm);
+      cplx* fe = ws.fold_pe.data() + f * nm;
+      cplx* fo = ws.fold_po.data() + f * nm;
+      for (int m = ms.lo; m < ms.hi; ++m) {
         fe[m] = w * (fm_s[m] + fm_n[m]);
         fo[m] = w * (fm_s[m] - fm_n[m]);
       }
     }
     const double* P = table_.p_row(js);
-    for (int f = 0; f < nf; ++f) {
+    for (std::size_t f = 0; f < nf; ++f) {
       cplx* s = out[f].data();
-      const cplx* fe = ws.fold_pe.data() + static_cast<std::size_t>(f) * nm;
-      const cplx* fo = ws.fold_po.data() + static_cast<std::size_t>(f) * nm;
-      for (int m = 0; m < nm; ++m) {
+      const cplx* fe = ws.fold_pe.data() + f * nm;
+      const cplx* fo = ws.fold_po.data() + f * nm;
+      for (int m = ms.lo; m < ms.hi; ++m) {
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         cplx* sm = s + static_cast<std::size_t>(m) * kmax_;
         const cplx Fe = fe[m], Fo = fo[m];
@@ -213,35 +212,34 @@ void SpectralTransform::analyze_fields(const LatPairing& lp, Grids fs,
       }
     }
   }
-  for (const int j : lp.singles) {
+  if (nlat % 2 != 0) {  // the unpaired equator row
+    const int j = nlat / 2;
     const double w = 0.5 * grid_.gauss_weight(j);
     const double* P = table_.p_row(j);
-    for (int f = 0; f < nf; ++f, fm += nm) {
+    for (std::size_t f = 0; f < nf; ++f) {
+      const cplx* fr = row(fm, f, j, all, nm);
       cplx* s = out[f].data();
-      for (int m = 0; m < nm; ++m) {
+      for (int m = ms.lo; m < ms.hi; ++m) {
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         cplx* sm = s + static_cast<std::size_t>(m) * kmax_;
-        const cplx wf = w * fm[m];
+        const cplx wf = w * fr[m];
         for (int k = 0; k < kmax_; ++k) sm[k] += wf * pm[k];
       }
     }
   }
 }
 
-void SpectralTransform::synthesize_fields(const LatPairing& lp, Spectra ss,
-                                          OutGrids outs,
-                                          SpectralWorkspace& ws) const {
-  const int nm = mmax_ + 1;
-  const int nf = static_cast<int>(ss.size());
-  ws.fm.resize(static_cast<std::size_t>(nf) *
-               (2 * lp.pairs.size() + lp.singles.size()) * nm);
-  ws.dst_rows.clear();
-  cplx* fm = ws.fm.data();
-  for (const auto& pr : lp.pairs) {
-    const int js = pr[0], jn = pr[1];
+void SpectralTransform::synthesize_fields(Spectra ss, par::Range lats,
+                                          cplx* fm) const {
+  const int nm = mmax_ + 1, nlat = grid_.nlat();
+  for (int js = 0; js < nlat / 2; ++js) {
+    const int jn = nlat - 1 - js;
+    if (!lats.contains(js) && !lats.contains(jn)) continue;
     const double* P = table_.p_row(js);
-    for (int f = 0; f < nf; ++f, fm += 2 * nm) {
+    for (std::size_t f = 0; f < ss.size(); ++f) {
       const cplx* s = ss[f]->data();
+      cplx* fm_s = row(fm, f, js, lats, nm);
+      cplx* fm_n = row(fm, f, jn, lats, nm);
       for (int m = 0; m < nm; ++m) {
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         const cplx* sm = s + static_cast<std::size_t>(m) * kmax_;
@@ -252,70 +250,56 @@ void SpectralTransform::synthesize_fields(const LatPairing& lp, Spectra ss,
           acc_o += sm[k + 1] * pm[k + 1];
         }
         if (k < kmax_) acc_e += sm[k] * pm[k];
-        fm[m] = acc_e + acc_o;       // southern row: P as tabulated
-        fm[nm + m] = acc_e - acc_o;  // northern mirror: (-1)^k parity
+        // Southern row: P as tabulated; northern mirror: (-1)^k parity.
+        if (fm_s != nullptr) fm_s[m] = acc_e + acc_o;
+        if (fm_n != nullptr) fm_n[m] = acc_e - acc_o;
       }
-      ws.dst_rows.push_back(&(*outs[f])(0, js));
-      ws.dst_rows.push_back(&(*outs[f])(0, jn));
     }
   }
-  for (const int j : lp.singles) {
+  if (nlat % 2 != 0 && lats.contains(nlat / 2)) {  // the equator row
+    const int j = nlat / 2;
     const double* P = table_.p_row(j);
-    for (int f = 0; f < nf; ++f, fm += nm) {
+    for (std::size_t f = 0; f < ss.size(); ++f) {
       const cplx* s = ss[f]->data();
+      cplx* fr = row(fm, f, j, lats, nm);
       for (int m = 0; m < nm; ++m) {
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         const cplx* sm = s + static_cast<std::size_t>(m) * kmax_;
         cplx acc(0.0, 0.0);
         for (int k = 0; k < kmax_; ++k) acc += sm[k] * pm[k];
-        fm[m] = acc;
+        fr[m] = acc;
       }
-      ws.dst_rows.push_back(&(*outs[f])(0, j));
     }
   }
-  inv_fourier_rows(ws);
 }
 
-void SpectralTransform::analyze_vec_fields(const LatPairing& lp, bool curl,
-                                           Grids As, Grids Bs,
+void SpectralTransform::analyze_vec_fields(const cplx* fm, bool curl,
+                                           par::Range ms,
                                            std::span<SpectralField> out,
                                            SpectralWorkspace& ws) const {
-  const int nm = mmax_ + 1;
-  const int nf = static_cast<int>(As.size());
-  ws.src_rows.clear();
-  for (const auto& pr : lp.pairs)
-    for (int f = 0; f < nf; ++f)
-      for (const Field2Dd* g : {As[f], Bs[f]}) {
-        ws.src_rows.push_back(&(*g)(0, pr[0]));
-        ws.src_rows.push_back(&(*g)(0, pr[1]));
-      }
-  for (const int j : lp.singles)
-    for (int f = 0; f < nf; ++f) {
-      ws.src_rows.push_back(&(*As[f])(0, j));
-      ws.src_rows.push_back(&(*Bs[f])(0, j));
-    }
-  fourier_rows(ws);
-  const cplx* fm = ws.fm.data();
-  ws.fold_pe.resize(static_cast<std::size_t>(nf) * nm);
-  ws.fold_po.resize(static_cast<std::size_t>(nf) * nm);
-  ws.fold_he.resize(static_cast<std::size_t>(nf) * nm);
-  ws.fold_ho.resize(static_cast<std::size_t>(nf) * nm);
-  for (const auto& pr : lp.pairs) {
-    const int js = pr[0];
+  const int nm = mmax_ + 1, nlat = grid_.nlat();
+  const par::Range all = all_lats();
+  const std::size_t nf = out.size();
+  ws.fold_pe.resize(nf * nm);
+  ws.fold_po.resize(nf * nm);
+  ws.fold_he.resize(nf * nm);
+  ws.fold_ho.resize(nf * nm);
+  for (int js = 0; js < nlat / 2; ++js) {
+    const int jn = nlat - 1 - js;
     const double mu = grid_.mu(js);
     const double wj = 0.5 * grid_.gauss_weight(js) /
                       (earth_radius * (1.0 - mu * mu));
-    for (int f = 0; f < nf; ++f, fm += 4 * nm) {
+    for (std::size_t f = 0; f < nf; ++f) {
       // A southern, A northern, B southern, B northern.
-      const cplx* fm_a = fm;
-      const cplx* fm_b = fm + nm;
-      const cplx* fm_c = fm + 2 * nm;
-      const cplx* fm_d = fm + 3 * nm;
-      cplx* pe = ws.fold_pe.data() + static_cast<std::size_t>(f) * nm;
-      cplx* po = ws.fold_po.data() + static_cast<std::size_t>(f) * nm;
-      cplx* he = ws.fold_he.data() + static_cast<std::size_t>(f) * nm;
-      cplx* ho = ws.fold_ho.data() + static_cast<std::size_t>(f) * nm;
-      for (int m = 0; m < nm; ++m) {
+      const cplx* fm_a = row(fm, 2 * f, js, all, nm);
+      const cplx* fm_b = row(fm, 2 * f, jn, all, nm);
+      const cplx* fm_c = row(fm, 2 * f + 1, js, all, nm);
+      const cplx* fm_d = row(fm, 2 * f + 1, jn, all, nm);
+      cplx* pe = ws.fold_pe.data() + f * nm;
+      cplx* po = ws.fold_po.data() + f * nm;
+      cplx* he = ws.fold_he.data() + f * nm;
+      cplx* ho = ws.fold_ho.data() + f * nm;
+      for (int m = ms.lo; m < ms.hi; ++m) {
         if (!curl) {
           // div: s += (i m A_m) wj P - (B_m wj) H. With H's (-1)^{k+1}
           // parity the even-k H term sees the *odd* fold and vice versa.
@@ -340,13 +324,13 @@ void SpectralTransform::analyze_vec_fields(const LatPairing& lp, bool curl,
     }
     const double* P = table_.p_row(js);
     const double* H = table_.h_row(js);
-    for (int f = 0; f < nf; ++f) {
+    for (std::size_t f = 0; f < nf; ++f) {
       cplx* s = out[f].data();
-      const cplx* pe = ws.fold_pe.data() + static_cast<std::size_t>(f) * nm;
-      const cplx* po = ws.fold_po.data() + static_cast<std::size_t>(f) * nm;
-      const cplx* he = ws.fold_he.data() + static_cast<std::size_t>(f) * nm;
-      const cplx* ho = ws.fold_ho.data() + static_cast<std::size_t>(f) * nm;
-      for (int m = 0; m < nm; ++m) {
+      const cplx* pe = ws.fold_pe.data() + f * nm;
+      const cplx* po = ws.fold_po.data() + f * nm;
+      const cplx* he = ws.fold_he.data() + f * nm;
+      const cplx* ho = ws.fold_ho.data() + f * nm;
+      for (int m = ms.lo; m < ms.hi; ++m) {
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         const double* hm = H + static_cast<std::size_t>(m) * kmax_;
         cplx* sm = s + static_cast<std::size_t>(m) * kmax_;
@@ -360,17 +344,18 @@ void SpectralTransform::analyze_vec_fields(const LatPairing& lp, bool curl,
       }
     }
   }
-  for (const int j : lp.singles) {
+  if (nlat % 2 != 0) {  // the unpaired equator row
+    const int j = nlat / 2;
     const double mu = grid_.mu(j);
     const double wj =
         0.5 * grid_.gauss_weight(j) / (earth_radius * (1.0 - mu * mu));
     const double* P = table_.p_row(j);
     const double* H = table_.h_row(j);
-    for (int f = 0; f < nf; ++f, fm += 2 * nm) {
-      const cplx* fm_a = fm;       // A
-      const cplx* fm_c = fm + nm;  // B
+    for (std::size_t f = 0; f < nf; ++f) {
+      const cplx* fm_a = row(fm, 2 * f, j, all, nm);      // A
+      const cplx* fm_c = row(fm, 2 * f + 1, j, all, nm);  // B
       cplx* s = out[f].data();
-      for (int m = 0; m < nm; ++m) {
+      for (int m = ms.lo; m < ms.hi; ++m) {
         cplx cp, ch;
         if (!curl) {
           cp = times_im(m, fm_a[m]) * wj;
@@ -388,28 +373,23 @@ void SpectralTransform::analyze_vec_fields(const LatPairing& lp, bool curl,
   }
 }
 
-void SpectralTransform::uv_fields(const LatPairing& lp, Spectra psis,
-                                  Spectra chis, OutGrids Us, OutGrids Vs,
-                                  SpectralWorkspace& ws) const {
-  const int nm = mmax_ + 1;
-  const int nf = static_cast<int>(psis.size());
+void SpectralTransform::uv_fields(Spectra psis, Spectra chis,
+                                  par::Range lats, cplx* fm) const {
+  const int nm = mmax_ + 1, nlat = grid_.nlat();
   const double inv_a = 1.0 / earth_radius;
-  ws.fm.resize(static_cast<std::size_t>(nf) *
-               (4 * lp.pairs.size() + 2 * lp.singles.size()) * nm);
-  ws.dst_rows.clear();
-  cplx* fm = ws.fm.data();
-  for (const auto& pr : lp.pairs) {
-    const int js = pr[0], jn = pr[1];
+  for (int js = 0; js < nlat / 2; ++js) {
+    const int jn = nlat - 1 - js;
+    if (!lats.contains(js) && !lats.contains(jn)) continue;
     const double* P = table_.p_row(js);
     const double* H = table_.h_row(js);
-    for (int f = 0; f < nf; ++f, fm += 4 * nm) {
+    for (std::size_t f = 0; f < psis.size(); ++f) {
       const cplx* psi = psis[f]->data();
       const cplx* chi = chis[f]->data();
       // U southern, U northern, V southern, V northern.
-      cplx* fm_a = fm;
-      cplx* fm_b = fm + nm;
-      cplx* fm_c = fm + 2 * nm;
-      cplx* fm_d = fm + 3 * nm;
+      cplx* fm_a = row(fm, 2 * f, js, lats, nm);
+      cplx* fm_b = row(fm, 2 * f, jn, lats, nm);
+      cplx* fm_c = row(fm, 2 * f + 1, js, lats, nm);
+      cplx* fm_d = row(fm, 2 * f + 1, jn, lats, nm);
       for (int m = 0; m < nm; ++m) {
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         const double* hm = H + static_cast<std::size_t>(m) * kmax_;
@@ -444,23 +424,26 @@ void SpectralTransform::uv_fields(const LatPairing& lp, Spectra psis,
         Ao = times_im(m, Ao);
         Ce = times_im(m, Ce);
         Co = times_im(m, Co);
-        fm_a[m] = inv_a * (Ae + Ao - Be - Bo);
-        fm_b[m] = inv_a * (Ae - Ao + Be - Bo);
-        fm_c[m] = inv_a * (Ce + Co + De + Do);
-        fm_d[m] = inv_a * (Ce - Co - De + Do);
+        if (fm_a != nullptr) {
+          fm_a[m] = inv_a * (Ae + Ao - Be - Bo);
+          fm_c[m] = inv_a * (Ce + Co + De + Do);
+        }
+        if (fm_b != nullptr) {
+          fm_b[m] = inv_a * (Ae - Ao + Be - Bo);
+          fm_d[m] = inv_a * (Ce - Co - De + Do);
+        }
       }
-      ws.dst_rows.push_back(&(*Us[f])(0, js));
-      ws.dst_rows.push_back(&(*Us[f])(0, jn));
-      ws.dst_rows.push_back(&(*Vs[f])(0, js));
-      ws.dst_rows.push_back(&(*Vs[f])(0, jn));
     }
   }
-  for (const int j : lp.singles) {
+  if (nlat % 2 != 0 && lats.contains(nlat / 2)) {  // the equator row
+    const int j = nlat / 2;
     const double* P = table_.p_row(j);
     const double* H = table_.h_row(j);
-    for (int f = 0; f < nf; ++f, fm += 2 * nm) {
+    for (std::size_t f = 0; f < psis.size(); ++f) {
       const cplx* psi = psis[f]->data();
       const cplx* chi = chis[f]->data();
+      cplx* fu = row(fm, 2 * f, j, lats, nm);
+      cplx* fv = row(fm, 2 * f + 1, j, lats, nm);
       for (int m = 0; m < nm; ++m) {
         const double* pm = P + static_cast<std::size_t>(m) * kmax_;
         const double* hm = H + static_cast<std::size_t>(m) * kmax_;
@@ -471,18 +454,15 @@ void SpectralTransform::uv_fields(const LatPairing& lp, Spectra psis,
           u += times_im(m, csm[k]) * pm[k] - psm[k] * hm[k];
           v += times_im(m, psm[k]) * pm[k] + csm[k] * hm[k];
         }
-        fm[m] = u * inv_a;
-        fm[nm + m] = v * inv_a;
+        fu[m] = u * inv_a;
+        fv[m] = v * inv_a;
       }
-      ws.dst_rows.push_back(&(*Us[f])(0, j));
-      ws.dst_rows.push_back(&(*Vs[f])(0, j));
     }
   }
-  inv_fourier_rows(ws);
 }
 
 // ---------------------------------------------------------------------------
-// Batches split by field over a team
+// The serial pass: batches split by field over a team
 
 template <typename Body>
 void SpectralTransform::split_fields(par::Team* team, std::size_t nf,
@@ -496,46 +476,43 @@ void SpectralTransform::split_fields(par::Team* team, std::size_t nf,
   });
 }
 
-void SpectralTransform::engine_analyze(const LatPairing& lp, Grids fs,
+void SpectralTransform::engine_analyze(Grids As, Grids Bs, bool curl,
                                        std::span<SpectralField> out,
                                        SpectralWorkspace& ws,
                                        par::Team* team) const {
-  split_fields(team, fs.size(), ws,
-               [&](std::size_t lo, std::size_t n, SpectralWorkspace& w) {
-                 analyze_fields(lp, fs.subspan(lo, n), out.subspan(lo, n), w);
-               });
-}
-
-void SpectralTransform::engine_synthesize(const LatPairing& lp, Spectra ss,
-                                          OutGrids outs, SpectralWorkspace& ws,
-                                          par::Team* team) const {
-  split_fields(team, ss.size(), ws,
-               [&](std::size_t lo, std::size_t n, SpectralWorkspace& w) {
-                 synthesize_fields(lp, ss.subspan(lo, n), outs.subspan(lo, n),
-                                   w);
-               });
-}
-
-void SpectralTransform::engine_analyze_vec(const LatPairing& lp, bool curl,
-                                           Grids As, Grids Bs,
-                                           std::span<SpectralField> out,
-                                           SpectralWorkspace& ws,
-                                           par::Team* team) const {
+  const std::size_t per_field =
+      (Bs.empty() ? 1u : 2u) * grid_.nlat() * (mmax_ + 1u);
   split_fields(team, As.size(), ws,
                [&](std::size_t lo, std::size_t n, SpectralWorkspace& w) {
-                 analyze_vec_fields(lp, curl, As.subspan(lo, n),
-                                    Bs.subspan(lo, n), out.subspan(lo, n), w);
+                 w.fm.resize(n * per_field);
+                 analyze_rows(As.subspan(lo, n), part(Bs, lo, n), all_lats(),
+                              w.fm.data(), w);
+                 if (Bs.empty())
+                   analyze_fields(w.fm.data(), all_modes(),
+                                  out.subspan(lo, n), w);
+                 else
+                   analyze_vec_fields(w.fm.data(), curl, all_modes(),
+                                      out.subspan(lo, n), w);
                });
 }
 
-void SpectralTransform::engine_uv(const LatPairing& lp, Spectra psis,
-                                  Spectra chis, OutGrids Us, OutGrids Vs,
-                                  SpectralWorkspace& ws,
-                                  par::Team* team) const {
-  split_fields(team, psis.size(), ws,
+void SpectralTransform::engine_synthesize(Spectra ss, Spectra chis,
+                                          OutGrids As, OutGrids Bs,
+                                          par::Range lats,
+                                          SpectralWorkspace& ws,
+                                          par::Team* team) const {
+  const std::size_t per_field =
+      (chis.empty() ? 1u : 2u) * lats.count() * (mmax_ + 1u);
+  split_fields(team, ss.size(), ws,
                [&](std::size_t lo, std::size_t n, SpectralWorkspace& w) {
-                 uv_fields(lp, psis.subspan(lo, n), chis.subspan(lo, n),
-                           Us.subspan(lo, n), Vs.subspan(lo, n), w);
+                 w.fm.resize(n * per_field);
+                 if (chis.empty())
+                   synthesize_fields(ss.subspan(lo, n), lats, w.fm.data());
+                 else
+                   uv_fields(ss.subspan(lo, n), chis.subspan(lo, n), lats,
+                             w.fm.data());
+                 synthesize_rows(w.fm.data(), lats, As.subspan(lo, n),
+                                 part(Bs, lo, n), w);
                });
 }
 
@@ -552,7 +529,7 @@ SpectralField SpectralTransform::analyze(const Field2Dd& f,
   FOAM_REQUIRE(f.nx() == grid_.nlon() && f.ny() == grid_.nlat(),
                "field shape " << f.nx() << "x" << f.ny());
   std::vector<SpectralField> out(1, SpectralField(mmax_, kmax_));
-  analyze_fields(pairing_, std::array{&f}, out, ws);
+  engine_analyze(std::array{&f}, {}, false, out, ws);
   return std::move(out[0]);
 }
 
@@ -565,7 +542,7 @@ Field2Dd SpectralTransform::synthesize(const SpectralField& s,
                                        SpectralWorkspace& ws) const {
   FOAM_REQUIRE(s.mmax() == mmax_ && s.kmax() == kmax_, "truncation mismatch");
   Field2Dd f(grid_.nlon(), grid_.nlat());
-  synthesize_fields(pairing_, std::array{&s}, std::array{&f}, ws);
+  engine_synthesize(std::array{&s}, {}, std::array{&f}, {}, all_lats(), ws);
   return f;
 }
 
@@ -573,8 +550,7 @@ SpectralField SpectralTransform::analyze_div(const Field2Dd& A,
                                              const Field2Dd& B) const {
   SpectralWorkspace ws;
   std::vector<SpectralField> out(1, SpectralField(mmax_, kmax_));
-  analyze_vec_fields(pairing_, /*curl=*/false, std::array{&A},
-                     std::array{&B}, out, ws);
+  engine_analyze(std::array{&A}, std::array{&B}, /*curl=*/false, out, ws);
   return std::move(out[0]);
 }
 
@@ -582,8 +558,7 @@ SpectralField SpectralTransform::analyze_curl(const Field2Dd& A,
                                               const Field2Dd& B) const {
   SpectralWorkspace ws;
   std::vector<SpectralField> out(1, SpectralField(mmax_, kmax_));
-  analyze_vec_fields(pairing_, /*curl=*/true, std::array{&A},
-                     std::array{&B}, out, ws);
+  engine_analyze(std::array{&A}, std::array{&B}, /*curl=*/true, out, ws);
   return std::move(out[0]);
 }
 
@@ -597,8 +572,8 @@ void SpectralTransform::uv_from_psi_chi(const SpectralField& psi,
   if (V.nx() != grid_.nlon() || V.ny() != grid_.nlat())
     V = Field2Dd(grid_.nlon(), grid_.nlat());
   SpectralWorkspace ws;
-  uv_fields(pairing_, std::array{&psi}, std::array{&chi}, std::array{&U},
-            std::array{&V}, ws);
+  engine_synthesize(std::array{&psi}, std::array{&chi}, std::array{&U},
+                    std::array{&V}, all_lats(), ws);
 }
 
 // ---------------------------------------------------------------------------
@@ -609,9 +584,8 @@ std::vector<SpectralField> SpectralTransform::analyze_batch(
     par::Team* team) const {
   FOAM_TRACE_SCOPE("spectral.analyze_batch");
   note_batch(fs.size(), static_cast<std::size_t>(grid_.nlat()));
-  std::vector<SpectralField> out(fs.size());
-  for (auto& s : out) s = SpectralField(mmax_, kmax_);
-  engine_analyze(pairing_, fs, out, ws, team);
+  std::vector<SpectralField> out(fs.size(), SpectralField(mmax_, kmax_));
+  engine_analyze(fs, {}, false, out, ws, team);
   return out;
 }
 
@@ -626,32 +600,18 @@ void SpectralTransform::synthesize_batch(
     if (g->nx() != grid_.nlon() || g->ny() != grid_.nlat())
       *g = Field2Dd(grid_.nlon(), grid_.nlat());
   }
-  engine_synthesize(pairing_, ss, outs, ws, team);
+  engine_synthesize(ss, {}, outs, {}, all_lats(), ws, team);
 }
 
-std::vector<SpectralField> SpectralTransform::analyze_div_batch(
-    const std::vector<const Field2Dd*>& As,
-    const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws,
+std::vector<SpectralField> SpectralTransform::analyze_vec_batch(
+    Grids As, Grids Bs, bool curl, SpectralWorkspace& ws,
     par::Team* team) const {
   FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
-  FOAM_TRACE_SCOPE("spectral.analyze_div_batch");
+  FOAM_TRACE_SCOPE(curl ? "spectral.analyze_curl_batch"
+                        : "spectral.analyze_div_batch");
   note_batch(As.size(), static_cast<std::size_t>(grid_.nlat()));
-  std::vector<SpectralField> out(As.size());
-  for (auto& s : out) s = SpectralField(mmax_, kmax_);
-  engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws, team);
-  return out;
-}
-
-std::vector<SpectralField> SpectralTransform::analyze_curl_batch(
-    const std::vector<const Field2Dd*>& As,
-    const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws,
-    par::Team* team) const {
-  FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
-  FOAM_TRACE_SCOPE("spectral.analyze_curl_batch");
-  note_batch(As.size(), static_cast<std::size_t>(grid_.nlat()));
-  std::vector<SpectralField> out(As.size());
-  for (auto& s : out) s = SpectralField(mmax_, kmax_);
-  engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws, team);
+  std::vector<SpectralField> out(As.size(), SpectralField(mmax_, kmax_));
+  engine_analyze(As, Bs, curl, out, ws, team);
   return out;
 }
 
@@ -671,7 +631,7 @@ void SpectralTransform::uv_from_psi_chi_batch(
     if (Vs[f]->nx() != grid_.nlon() || Vs[f]->ny() != grid_.nlat())
       *Vs[f] = Field2Dd(grid_.nlon(), grid_.nlat());
   }
-  engine_uv(pairing_, psis, chis, Us, Vs, ws, team);
+  engine_synthesize(psis, chis, Us, Vs, all_lats(), ws, team);
 }
 
 double SpectralTransform::laplacian_eigenvalue(int n) const {
@@ -706,101 +666,167 @@ SpectralField SpectralTransform::d_dlon(const SpectralField& s) const {
 }
 
 // ---------------------------------------------------------------------------
-// Distributed (latitude-band) transform
+// Distributed transform: latitude blocks; analyses transpose to wavenumber
+// blocks, syntheses need no communication.
 
 ParSpectralTransform::ParSpectralTransform(const SpectralTransform& serial,
-                                           std::vector<int> my_lats)
-    : serial_(serial), my_lats_(std::move(my_lats)) {
-  for (const int j : my_lats_)
-    FOAM_REQUIRE(j >= 0 && j < serial_.grid().nlat(), "latitude " << j);
-  pairing_ = SpectralTransform::make_pairing(serial_.grid(), my_lats_);
+                                           par::Comm* comm)
+    : serial_(serial), comm_(comm) {
+  const int me = comm_ != nullptr ? comm_->rank() : 0;
+  lats_ = lats_of(me);
+  modes_ = modes_of(me);
 }
 
-void ParSpectralTransform::allreduce_fused(
-    par::Comm& comm, std::vector<SpectralField>& fields) const {
-  // A one-rank sum is the identity: skipping it keeps the bits and keeps
-  // the rank thread's gap between a team's analysis and synthesis batches
-  // short enough for the helpers to catch the next one without parking.
-  if (fields.empty() || comm.size() == 1) return;
-  FOAM_TRACE_SCOPE("spectral.allreduce");
-  const std::size_t per = fields[0].size() * 2;
-  ws_.reduce.resize(per * fields.size());
-  for (std::size_t f = 0; f < fields.size(); ++f) {
-    const double* raw = reinterpret_cast<const double*>(fields[f].data());
-    std::copy(raw, raw + per, ws_.reduce.begin() + f * per);
+par::Range ParSpectralTransform::lats_of(int r) const {
+  return par::block_range(serial_.grid().nlat(),
+                          comm_ != nullptr ? comm_->size() : 1, r);
+}
+
+par::Range ParSpectralTransform::modes_of(int r) const {
+  return par::block_range(serial_.mmax() + 1,
+                          comm_ != nullptr ? comm_->size() : 1, r);
+}
+
+void ParSpectralTransform::transpose(std::size_t ngrids) const {
+  FOAM_TRACE_SCOPE("spectral.transpose");
+  const int nranks = comm_->size();
+  const int nm = serial_.mmax() + 1, nlat = serial_.grid().nlat();
+  // Equal blocks, sized for the most rows and wavenumbers a rank owns
+  // (rank 0's: block_range gives remainders to the lowest ranks). The
+  // block rank s sends rank t holds s's rows in t's wavenumbers.
+  const std::size_t max_rows = lats_of(0).count();
+  const std::size_t max_modes = modes_of(0).count();
+  const std::size_t block = ngrids * max_rows * max_modes;
+  const auto slot = [&](std::size_t q, int j, int m, par::Range rows,
+                        par::Range ms) {
+    return (q * max_rows + (j - rows.lo)) * max_modes + (m - ms.lo);
+  };
+  ws_.send.assign(block * nranks, cplx(0.0, 0.0));
+  ws_.recv.resize(block * nranks);
+  for (int t = 0; t < nranks; ++t) {
+    const par::Range ms = modes_of(t);
+    cplx* out = ws_.send.data() + t * block;
+    for (std::size_t q = 0; q < ngrids; ++q)
+      for (int j = lats_.lo; j < lats_.hi; ++j)
+        for (int m = ms.lo; m < ms.hi; ++m)
+          out[slot(q, j, m, lats_, ms)] =
+              ws_.local[(q * lats_.count() + (j - lats_.lo)) * nm + m];
   }
-  comm.allreduce(
-      std::span<const double>(ws_.reduce.data(), ws_.reduce.size()),
-      std::span<double>(ws_.reduce.data(), ws_.reduce.size()),
-      par::ReduceOp::kSum);
-  for (std::size_t f = 0; f < fields.size(); ++f) {
-    double* raw = reinterpret_cast<double*>(fields[f].data());
-    std::copy(ws_.reduce.begin() + f * per,
-              ws_.reduce.begin() + (f + 1) * per, raw);
+  comm_->alltoall(reinterpret_cast<const double*>(ws_.send.data()),
+                  reinterpret_cast<double*>(ws_.recv.data()), 2 * block);
+  for (int s = 0; s < nranks; ++s) {
+    const par::Range rows = lats_of(s);
+    const cplx* in = ws_.recv.data() + s * block;
+    for (std::size_t q = 0; q < ngrids; ++q)
+      for (int j = rows.lo; j < rows.hi; ++j)
+        for (int m = modes_.lo; m < modes_.hi; ++m)
+          ws_.fm[(q * nlat + j) * nm + m] = in[slot(q, j, m, rows, modes_)];
   }
+}
+
+void ParSpectralTransform::gather_modes(std::span<SpectralField> out) const {
+  FOAM_TRACE_SCOPE("spectral.transpose");
+  const int nranks = comm_->size(), kmax = serial_.kmax();
+  const std::size_t max_modes = modes_of(0).count();
+  const std::size_t block = out.size() * max_modes * kmax;
+  const auto slot = [&](std::size_t f, int m, par::Range ms) {
+    return (f * max_modes + (m - ms.lo)) * kmax;
+  };
+  ws_.send.assign(block, cplx(0.0, 0.0));
+  ws_.recv.resize(block * nranks);
+  for (std::size_t f = 0; f < out.size(); ++f)
+    for (int m = modes_.lo; m < modes_.hi; ++m)
+      std::copy_n(&out[f].at(m, 0), kmax,
+                  ws_.send.data() + slot(f, m, modes_));
+  comm_->allgather(reinterpret_cast<const double*>(ws_.send.data()),
+                   2 * block, reinterpret_cast<double*>(ws_.recv.data()));
+  for (int r = 0; r < nranks; ++r) {
+    const par::Range ms = modes_of(r);
+    const cplx* in = ws_.recv.data() + r * block;
+    for (std::size_t f = 0; f < out.size(); ++f)
+      for (int m = ms.lo; m < ms.hi; ++m)
+        std::copy_n(in + slot(f, m, ms), kmax, &out[f].at(m, 0));
+  }
+}
+
+std::vector<SpectralField> ParSpectralTransform::analyze_transposed(
+    SpectralTransform::Grids As, SpectralTransform::Grids Bs,
+    bool curl) const {
+  const std::size_t nf = As.size(), grids = Bs.empty() ? 1 : 2;
+  note_batch(nf, lats_.count());
+  // One field's Fourier rows: the rank's own, and every latitude's.
+  const std::size_t per_lat = grids * (serial_.mmax() + 1u);
+  const std::size_t local = per_lat * lats_.count();
+  const std::size_t full = per_lat * serial_.grid().nlat();
+  ws_.local.resize(nf * local);
+  ws_.fm.resize(nf * full);
+  SpectralTransform::split_fields(
+      team_, nf, ws_,
+      [&](std::size_t lo, std::size_t n, SpectralWorkspace& w) {
+        serial_.analyze_rows(As.subspan(lo, n), part(Bs, lo, n), lats_,
+                             ws_.local.data() + lo * local, w);
+      });
+  transpose(nf * grids);
+  std::vector<SpectralField> out(
+      nf, SpectralField(serial_.mmax(), serial_.kmax()));
+  const std::span<SpectralField> outs(out);
+  SpectralTransform::split_fields(
+      team_, nf, ws_,
+      [&](std::size_t lo, std::size_t n, SpectralWorkspace& w) {
+        const cplx* fm = ws_.fm.data() + lo * full;
+        if (Bs.empty())
+          serial_.analyze_fields(fm, modes_, outs.subspan(lo, n), w);
+        else
+          serial_.analyze_vec_fields(fm, curl, modes_, outs.subspan(lo, n),
+                                     w);
+      });
+  gather_modes(out);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
-// Distributed batched entry points
+// Distributed batched entry points: one rank runs the serial ones.
 
 std::vector<SpectralField> ParSpectralTransform::analyze_batch(
-    par::Comm& comm, const std::vector<const Field2Dd*>& fs) const {
+    const std::vector<const Field2Dd*>& fs) const {
+  if (!distributed()) return serial_.analyze_batch(fs, ws_, team_);
   FOAM_TRACE_SCOPE("spectral.analyze_batch");
-  note_batch(fs.size(), my_lats_.size());
-  std::vector<SpectralField> out(fs.size());
-  for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
-  serial_.engine_analyze(pairing_, fs, out, ws_, team_);
-  allreduce_fused(comm, out);
-  return out;
+  return analyze_transposed(fs, {}, false);
 }
 
 void ParSpectralTransform::synthesize_batch(
     const std::vector<const SpectralField*>& ss,
     const std::vector<Field2Dd*>& outs) const {
+  if (!distributed()) return serial_.synthesize_batch(ss, outs, ws_, team_);
   FOAM_REQUIRE(ss.size() == outs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.synthesize_batch");
-  note_batch(ss.size(), my_lats_.size());
-  serial_.engine_synthesize(pairing_, ss, outs, ws_, team_);
+  note_batch(ss.size(), lats_.count());
+  serial_.engine_synthesize(ss, {}, outs, {}, lats_, ws_, team_);
 }
 
-std::vector<SpectralField> ParSpectralTransform::analyze_div_batch(
-    par::Comm& comm, const std::vector<const Field2Dd*>& As,
-    const std::vector<const Field2Dd*>& Bs) const {
+std::vector<SpectralField> ParSpectralTransform::analyze_vec_batch(
+    const std::vector<const Field2Dd*>& As,
+    const std::vector<const Field2Dd*>& Bs, bool curl) const {
+  if (!distributed())
+    return serial_.analyze_vec_batch(As, Bs, curl, ws_, team_);
   FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
-  FOAM_TRACE_SCOPE("spectral.analyze_div_batch");
-  note_batch(As.size(), my_lats_.size());
-  std::vector<SpectralField> out(As.size());
-  for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
-  serial_.engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws_,
-                             team_);
-  allreduce_fused(comm, out);
-  return out;
-}
-
-std::vector<SpectralField> ParSpectralTransform::analyze_curl_batch(
-    par::Comm& comm, const std::vector<const Field2Dd*>& As,
-    const std::vector<const Field2Dd*>& Bs) const {
-  FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
-  FOAM_TRACE_SCOPE("spectral.analyze_curl_batch");
-  note_batch(As.size(), my_lats_.size());
-  std::vector<SpectralField> out(As.size());
-  for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
-  serial_.engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws_,
-                             team_);
-  allreduce_fused(comm, out);
-  return out;
+  FOAM_TRACE_SCOPE(curl ? "spectral.analyze_curl_batch"
+                        : "spectral.analyze_div_batch");
+  return analyze_transposed(As, Bs, curl);
 }
 
 void ParSpectralTransform::uv_from_psi_chi_batch(
     const std::vector<const SpectralField*>& psis,
     const std::vector<const SpectralField*>& chis,
     const std::vector<Field2Dd*>& Us, const std::vector<Field2Dd*>& Vs) const {
+  if (!distributed())
+    return serial_.uv_from_psi_chi_batch(psis, chis, Us, Vs, ws_, team_);
   FOAM_REQUIRE(psis.size() == chis.size() && psis.size() == Us.size() &&
                    psis.size() == Vs.size(),
                "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.uv_batch");
-  note_batch(psis.size(), my_lats_.size());
-  serial_.engine_uv(pairing_, psis, chis, Us, Vs, ws_, team_);
+  note_batch(psis.size(), lats_.count());
+  serial_.engine_synthesize(psis, chis, Us, Vs, lats_, ws_, team_);
 }
 
 }  // namespace foam::numerics

@@ -21,8 +21,7 @@
 /// latitude pairs fold into even/odd-parity contributions and the Legendre
 /// flops halve); and contiguous panel kernels over the LegendreTable rows.
 /// The *_batch entry points transform many fields per pass, amortizing FFT
-/// plans and Legendre panel loads (and, in ParSpectralTransform, fusing the
-/// per-field allreduces into one collective).
+/// plans and Legendre panel loads.
 ///
 /// The correctness-first scalar loops this engine was written against (a
 /// recursive FFT per row, full (m, k, j) Legendre triple loops) live on as
@@ -39,15 +38,14 @@
 /// contiguous chunks). Each member runs the engine kernels on its own
 /// fields with its own workspace, so a field's FFT rows and Legendre sums
 /// keep their serial order and the results are bitwise independent of the
-/// team size. Telemetry and the fused allreduce stay on the calling (rank)
+/// team size. Telemetry and every collective stay on the calling (rank)
 /// thread.
 ///
-/// ParSpectralTransform layers the same operations over a latitude-band
-/// decomposition on foam::par — FFTs are local to a rank's latitudes and the
-/// Legendre stage completes partial sums with an allreduce, the
-/// "distributed Legendre transform" variant studied for PCCM2.
+/// ParSpectralTransform runs the same kernels over a communicator; its
+/// analyses use the transpose algorithm of the Foster-Worley parallel
+/// spectral transforms that PCCM2 used. Its results are bitwise
+/// independent of the rank count.
 
-#include <array>
 #include <complex>
 #include <span>
 #include <vector>
@@ -57,6 +55,7 @@
 #include "numerics/grid.hpp"
 #include "numerics/legendre.hpp"
 #include "par/comm.hpp"
+#include "par/decomp.hpp"
 #include "par/team.hpp"
 
 namespace foam::numerics {
@@ -123,14 +122,15 @@ class SpectralWorkspace {
  private:
   friend class SpectralTransform;
   friend class ParSpectralTransform;
-  friend class TransposeSpectralTransform;
   std::vector<const double*> src_rows;      // grid rows of a forward batch
   std::vector<double*> dst_rows;            // grid rows of an inverse batch
-  std::vector<std::complex<double>> fm;     // Fourier rows [row][m]
+  std::vector<std::complex<double>> fm;     // Fourier rows, every latitude
   std::vector<double> lanes;                // FftPlan lane scratch
   std::vector<std::complex<double>> fold_pe, fold_po;  // P-term folds [f][m]
   std::vector<std::complex<double>> fold_he, fold_ho;  // H-term folds [f][m]
-  std::vector<double> reduce;               // fused-allreduce packing
+  // Distributed transform only: the rank's own Fourier rows and the
+  // collectives' outgoing and incoming blocks.
+  std::vector<std::complex<double>> local, send, recv;
   std::vector<SpectralWorkspace> members;   // team helpers' scratch
 };
 
@@ -183,12 +183,16 @@ class SpectralTransform {
   std::vector<SpectralField> analyze_div_batch(
       const std::vector<const Field2Dd*>& As,
       const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws,
-      par::Team* team = nullptr) const;
+      par::Team* team = nullptr) const {
+    return analyze_vec_batch(As, Bs, /*curl=*/false, ws, team);
+  }
 
   std::vector<SpectralField> analyze_curl_batch(
       const std::vector<const Field2Dd*>& As,
       const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws,
-      par::Team* team = nullptr) const;
+      par::Team* team = nullptr) const {
+    return analyze_vec_batch(As, Bs, /*curl=*/true, ws, team);
+  }
 
   /// Batched winds; U/V outputs are resized to the grid shape if needed.
   void uv_from_psi_chi_batch(const std::vector<const SpectralField*>& psis,
@@ -210,61 +214,62 @@ class SpectralTransform {
 
  private:
   friend class ParSpectralTransform;
-  friend class TransposeSpectralTransform;
-
-  /// Latitude rows grouped for equatorial-symmetry folding: mirror pairs
-  /// (js, jn) with mu[jn] == -mu[js], plus unpaired rows (the equator row
-  /// of an odd-nlat grid, or rows whose mirror another rank owns).
-  struct LatPairing {
-    std::vector<std::array<int, 2>> pairs;
-    std::vector<int> singles;
-  };
-  static LatPairing make_pairing(const GaussianGrid& grid,
-                                 std::span<const int> lats);
-
-  /// Plan-based row transforms of a whole batch in one lane-batched FFT
-  /// call (allocation-free given a warm workspace). fourier_rows analyzes
-  /// ws.src_rows into ws.fm, mmax+1 modes per row with the 1/nlon
-  /// normalization folded in; inv_fourier_rows places each ws.fm row into
-  /// the matching ws.dst_rows grid row.
-  void fourier_rows(SpectralWorkspace& ws) const;
-  void inv_fourier_rows(SpectralWorkspace& ws) const;
 
   using Grids = std::span<const Field2Dd* const>;
   using OutGrids = std::span<Field2Dd* const>;
   using Spectra = std::span<const SpectralField* const>;
+  using cplx = std::complex<double>;
 
-  /// Engine kernels over an arbitrary row grouping (serial uses the full
-  /// grid's pairing; the parallel variants pass their owned rows).
-  /// Analysis kernels accumulate into zero-initialized outputs; synthesis
-  /// kernels write only the rows named by the pairing. With a \p team the
-  /// batch is split by field (split_fields); every field still runs the
-  /// *_fields kernel below, unchanged.
-  void engine_analyze(const LatPairing& lp, Grids fs,
-                      std::span<SpectralField> out, SpectralWorkspace& ws,
-                      par::Team* team = nullptr) const;
-  void engine_synthesize(const LatPairing& lp, Spectra ss, OutGrids outs,
-                         SpectralWorkspace& ws,
-                         par::Team* team = nullptr) const;
-  void engine_analyze_vec(const LatPairing& lp, bool curl, Grids As,
-                          Grids Bs, std::span<SpectralField> out,
-                          SpectralWorkspace& ws,
-                          par::Team* team = nullptr) const;
-  void engine_uv(const LatPairing& lp, Spectra psis, Spectra chis,
-                 OutGrids Us, OutGrids Vs, SpectralWorkspace& ws,
-                 par::Team* team = nullptr) const;
+  /// analyze_div_batch (\p curl false) and analyze_curl_batch.
+  std::vector<SpectralField> analyze_vec_batch(Grids As, Grids Bs, bool curl,
+                                               SpectralWorkspace& ws,
+                                               par::Team* team) const;
 
-  /// The kernels themselves, over one member's contiguous run of fields.
-  void analyze_fields(const LatPairing& lp, Grids fs,
+  /// Every kernel comes in two stages that meet in a buffer of Fourier
+  /// rows, mmax+1 modes each. A batch of F fields has G = 1 grid per field
+  /// (scalar transforms) or G = 2 (the (A, B) flux pair of a vector
+  /// analysis, the (U, V) winds); grid q = f*G + g. The buffer holds the
+  /// rows of latitudes [lo, hi), grid-major: row (q, j) starts at
+  /// ((q * (hi - lo)) + j - lo) * (mmax+1).
+  ///
+  /// FFT stage: the lane-batched real FFTs of the rows \p lats of every
+  /// grid of As (and Bs, the second grid of each field, when not empty),
+  /// into / out of \p fm. A row's bits do not depend on which rows share
+  /// its FFT call.
+  void analyze_rows(Grids As, Grids Bs, par::Range lats, cplx* fm,
+                    SpectralWorkspace& ws) const;
+  void synthesize_rows(const cplx* fm, par::Range lats, OutGrids As,
+                       OutGrids Bs, SpectralWorkspace& ws) const;
+
+  /// Legendre stage, parity-folded over the mirror pairs (j, nlat-1-j)
+  /// and the equator row of an odd nlat. An analysis sums over every
+  /// latitude (\p fm spans the whole grid) into zero-initialized outputs,
+  /// for the zonal wavenumbers \p ms only; each (m, k) accumulates in one
+  /// fixed order whatever \p ms is. A synthesis writes every wavenumber of
+  /// the rows \p lats (the rows \p fm spans), from the pairs that touch
+  /// them; a row's values do not depend on which other rows are written.
+  void analyze_fields(const cplx* fm, par::Range ms,
                       std::span<SpectralField> out,
                       SpectralWorkspace& ws) const;
-  void synthesize_fields(const LatPairing& lp, Spectra ss, OutGrids outs,
-                         SpectralWorkspace& ws) const;
-  void analyze_vec_fields(const LatPairing& lp, bool curl, Grids As,
-                          Grids Bs, std::span<SpectralField> out,
+  void analyze_vec_fields(const cplx* fm, bool curl, par::Range ms,
+                          std::span<SpectralField> out,
                           SpectralWorkspace& ws) const;
-  void uv_fields(const LatPairing& lp, Spectra psis, Spectra chis,
-                 OutGrids Us, OutGrids Vs, SpectralWorkspace& ws) const;
+  void synthesize_fields(Spectra ss, par::Range lats, cplx* fm) const;
+  void uv_fields(Spectra psis, Spectra chis, par::Range lats,
+                 cplx* fm) const;
+
+  /// One pass of both stages: each member of \p team (or the caller
+  /// alone) runs them for its own fields, an analysis over every latitude
+  /// and wavenumber, a synthesis over the rows \p lats. An analysis is
+  /// scalar when Bs is empty and a vector one (div or \p curl) otherwise;
+  /// a synthesis is scalar when chis is empty and the winds (As = U,
+  /// Bs = V) otherwise.
+  void engine_analyze(Grids As, Grids Bs, bool curl,
+                      std::span<SpectralField> out, SpectralWorkspace& ws,
+                      par::Team* team = nullptr) const;
+  void engine_synthesize(Spectra ss, Spectra chis, OutGrids As, OutGrids Bs,
+                         par::Range lats, SpectralWorkspace& ws,
+                         par::Team* team = nullptr) const;
 
   /// Run body(lo, count, workspace) over fields [0, nf) split over \p team
   /// (or inline, whole, when it is null): member 0 uses \p ws, member m
@@ -273,62 +278,96 @@ class SpectralTransform {
   static void split_fields(par::Team* team, std::size_t nf,
                            SpectralWorkspace& ws, Body&& body);
 
+  par::Range all_lats() const { return {0, grid_.nlat()}; }
+  par::Range all_modes() const { return {0, mmax_ + 1}; }
+
   const GaussianGrid& grid_;
   int mmax_;
   int kmax_;
   FftPlan plan_;
   LegendreTable table_;
-  LatPairing pairing_;  // full-grid mirror pairs
 };
 
-/// Latitude-distributed spectral transform. Each rank owns a set of latitude
-/// rows (as produced by par::paired_latitudes or any partition); analysis
-/// ends with an allreduce so every rank holds the full spectral state, and
-/// synthesis fills only the rank's own rows of the output field (other rows
-/// are left untouched).
+/// The spectral transform over the latitude blocks of a communicator: rank
+/// r owns the rows par::block_range(nlat, size, r) and the zonal
+/// wavenumbers par::block_range(mmax + 1, size, r), which may be none.
+/// Analyses return the full spectral state on every rank; syntheses fill
+/// only the rank's own rows of their outputs. Every result is bitwise the
+/// serial transform's, at any rank count and team size.
 ///
-/// The instance carries its own SpectralWorkspace, so it is cheap to call
-/// repeatedly but must not be shared across ranks/threads (each rank
-/// constructs its own, which is the existing usage pattern). The underlying
-/// serial transform may be shared freely.
+/// Analysis: FFTs of the rank's rows, one Comm::alltoall (the transpose),
+/// the Legendre sums of the rank's wavenumbers over every latitude, then
+/// an allgather of every rank's coefficients. Synthesis and the winds need
+/// no communication, since every rank holds the whole spectral state: the
+/// Legendre sums of the mirror pairs that touch the rank's rows, then the
+/// FFTs of those rows. A team splits each stage by field; the collectives
+/// stay on the rank thread. Without a communicator, or on one rank, every
+/// call is the serial transform's batched entry point: no collective, one
+/// team fork-join.
+///
+/// The instance carries its own SpectralWorkspace, so it must not be shared
+/// across ranks or threads; the serial transform may be shared freely.
 class ParSpectralTransform {
  public:
-  ParSpectralTransform(const SpectralTransform& serial,
-                       std::vector<int> my_lats);
+  explicit ParSpectralTransform(const SpectralTransform& serial,
+                                par::Comm* comm = nullptr);
 
-  const std::vector<int>& my_lats() const { return my_lats_; }
+  const SpectralTransform& serial() const { return serial_; }
+  /// This rank's latitude rows and zonal wavenumbers.
+  par::Range lats() const { return lats_; }
+  par::Range modes() const { return modes_; }
 
   /// Split every later batched call by field over \p team (null: run on
   /// the calling thread alone). The team must outlive its use here.
   void set_team(par::Team* team) { team_ = team; }
 
-  /// One pass over the rank's latitudes for the whole batch, and — for the
-  /// analysis entry points — the per-field spectral allreduces fused into
-  /// a single collective over one packed buffer. (A single field is a
-  /// batch of one.)
+  /// The serial transform's batched entry points, collective over the
+  /// communicator (a single field is a batch of one).
   std::vector<SpectralField> analyze_batch(
-      par::Comm& comm, const std::vector<const Field2Dd*>& fs) const;
+      const std::vector<const Field2Dd*>& fs) const;
   void synthesize_batch(const std::vector<const SpectralField*>& ss,
                         const std::vector<Field2Dd*>& outs) const;
   std::vector<SpectralField> analyze_div_batch(
-      par::Comm& comm, const std::vector<const Field2Dd*>& As,
-      const std::vector<const Field2Dd*>& Bs) const;
+      const std::vector<const Field2Dd*>& As,
+      const std::vector<const Field2Dd*>& Bs) const {
+    return analyze_vec_batch(As, Bs, /*curl=*/false);
+  }
   std::vector<SpectralField> analyze_curl_batch(
-      par::Comm& comm, const std::vector<const Field2Dd*>& As,
-      const std::vector<const Field2Dd*>& Bs) const;
+      const std::vector<const Field2Dd*>& As,
+      const std::vector<const Field2Dd*>& Bs) const {
+    return analyze_vec_batch(As, Bs, /*curl=*/true);
+  }
   void uv_from_psi_chi_batch(const std::vector<const SpectralField*>& psis,
                              const std::vector<const SpectralField*>& chis,
                              const std::vector<Field2Dd*>& Us,
                              const std::vector<Field2Dd*>& Vs) const;
 
  private:
-  /// One collective for the whole batch: pack every field's partial sums
-  /// into the workspace buffer, allreduce in place, unpack.
-  void allreduce_fused(par::Comm& comm,
-                       std::vector<SpectralField>& fields) const;
+  using cplx = std::complex<double>;
+  bool distributed() const { return comm_ != nullptr && comm_->size() > 1; }
+  std::vector<SpectralField> analyze_vec_batch(
+      const std::vector<const Field2Dd*>& As,
+      const std::vector<const Field2Dd*>& Bs, bool curl) const;
+
+  /// The transposed analysis of a multi-rank batch (see the class
+  /// comment); the arguments are as in SpectralTransform::engine_analyze.
+  std::vector<SpectralField> analyze_transposed(
+      SpectralTransform::Grids As, SpectralTransform::Grids Bs,
+      bool curl) const;
+
+  /// Rank r's latitude rows and wavenumbers.
+  par::Range lats_of(int r) const;
+  par::Range modes_of(int r) const;
+  /// The transpose of \p ngrids grids' Fourier rows: the rank's rows
+  /// (ws_.local) to its wavenumbers of every latitude (ws_.fm).
+  void transpose(std::size_t ngrids) const;
+  /// Every rank's wavenumbers of \p out, to every rank.
+  void gather_modes(std::span<SpectralField> out) const;
+
   const SpectralTransform& serial_;
-  std::vector<int> my_lats_;
-  SpectralTransform::LatPairing pairing_;  // folding groups within my_lats
+  par::Comm* comm_;
+  par::Range lats_;
+  par::Range modes_;
   mutable SpectralWorkspace ws_;
   par::Team* team_ = nullptr;
 };

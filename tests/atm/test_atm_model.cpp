@@ -29,13 +29,12 @@ TEST(SpectralDynamics, JetsAndBoundedEnstrophy) {
   AtmConfig cfg = AtmConfig::testing();
   numerics::GaussianGrid grid(cfg.nlon, cfg.nlat);
   numerics::SpectralTransform st(grid, cfg.mmax);
-  std::vector<int> all;
-  for (int j = 0; j < cfg.nlat; ++j) all.push_back(j);
-  SpectralDynamics dyn(cfg, st, all);
+  const numerics::ParSpectralTransform pst(st);
+  SpectralDynamics dyn(cfg, pst);
   dyn.init();
   const double e0 = dyn.total_enstrophy();
   EXPECT_GT(e0, 0.0);
-  for (int s = 0; s < 48 * 5; ++s) dyn.step(nullptr);
+  for (int s = 0; s < 48 * 5; ++s) dyn.step();
   const double e1 = dyn.total_enstrophy();
   EXPECT_GT(e1, 0.0);
   EXPECT_LT(e1, 100.0 * e0);  // bounded by relaxation + del^4
@@ -54,11 +53,10 @@ TEST(SpectralDynamics, EddiesDevelop) {
   AtmConfig cfg = AtmConfig::testing();
   numerics::GaussianGrid grid(cfg.nlon, cfg.nlat);
   numerics::SpectralTransform st(grid, cfg.mmax);
-  std::vector<int> all;
-  for (int j = 0; j < cfg.nlat; ++j) all.push_back(j);
-  SpectralDynamics dyn(cfg, st, all);
+  const numerics::ParSpectralTransform pst(st);
+  SpectralDynamics dyn(cfg, pst);
   dyn.init();
-  for (int s = 0; s < 48 * 10; ++s) dyn.step(nullptr);
+  for (int s = 0; s < 48 * 10; ++s) dyn.step();
   double eddy = 0.0;
   for (int j = cfg.nlat / 4; j < 3 * cfg.nlat / 4; ++j) {
     double zbar = 0.0;
@@ -74,13 +72,12 @@ TEST(SpectralDynamics, ThermalJetRespondsToGradient) {
   AtmConfig cfg = AtmConfig::testing();
   numerics::GaussianGrid grid(cfg.nlon, cfg.nlat);
   numerics::SpectralTransform st(grid, cfg.mmax);
-  std::vector<int> all;
-  for (int j = 0; j < cfg.nlat; ++j) all.push_back(j);
-  SpectralDynamics dyn(cfg, st, all);
+  const numerics::ParSpectralTransform pst(st);
+  SpectralDynamics dyn(cfg, pst);
   dyn.init();
   std::vector<double> target(cfg.nlat, 12.0);
   dyn.set_thermal_jet(target);
-  for (int s = 0; s < 48 * 20; ++s) dyn.step(nullptr);
+  for (int s = 0; s < 48 * 20; ++s) dyn.step();
   // The lowest level relaxes toward the prescribed westerly target.
   double ubar = 0.0;
   int n = 0;

@@ -597,11 +597,11 @@ TEST(RankLayout, DriverRejectsAllAtmWorldWithPointedDiagnostic) {
 }
 
 TEST(ParallelCoupled, MultiRankOceanDayMatchesSingleOceanBitwise) {
-  // The decomposition-independence contract of the 2-D ocean: a coupled
-  // day on any ocean rank grid gathers to the same SST, bit for bit, as
-  // the single-ocean-rank run — in both exchange modes, with the
+  // The decomposition-independence contract: a coupled day on any ocean
+  // rank grid and any atmosphere rank count gathers to the same SST, bit
+  // for bit, as the 2+1 run — in both exchange modes, with the
   // MPI-semantics auditor reporting zero findings throughout. No team
-  // helpers anywhere, so only the ocean decomposition moves between runs
+  // helpers anywhere, so only the decompositions move between runs
   // (HelpersDoNotChangeBits covers the helper counts).
   FoamConfig cfg = FoamConfig::testing();
   for (const bool overlap : {false, true}) {
@@ -623,7 +623,8 @@ TEST(ParallelCoupled, MultiRankOceanDayMatchesSingleOceanBitwise) {
     });
     ASSERT_GT(ref.size(), 0u);
     for (const RankLayout layout :
-         {RankLayout::grid(2, 2, 2), RankLayout::rows(2, 3)}) {
+         {RankLayout::rows(1, 1), RankLayout::grid(2, 2, 2),
+          RankLayout::rows(2, 3), RankLayout::grid(4, 2, 2)}) {
       Field2Dd got;
       par::run(layout.world_size(), [&](par::Comm& world) {
         ParallelRunOptions opts;

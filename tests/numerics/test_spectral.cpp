@@ -208,9 +208,11 @@ void expect_rows_bitwise(const Field2Dd& a, const Field2Dd& b,
                                               << " j=" << j;
 }
 
-/// F smooth-plus-noise grid fields and F spectral fields for one grid.
+/// F smooth-plus-noise grid fields and F spectral fields of truncation
+/// R(mmax) for one grid.
 struct BatchInputs {
-  BatchInputs(const GaussianGrid& grid, int nf, unsigned seed) {
+  BatchInputs(const GaussianGrid& grid, int nf, unsigned seed,
+              int mmax = 15) {
     std::mt19937 rng(seed);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
     for (int f = 0; f < 2 * nf; ++f) {
@@ -219,7 +221,7 @@ struct BatchInputs {
         for (int i = 0; i < grid.nlon(); ++i)
           g(i, j) = std::sin(0.3 * (f + 1) * i) * grid.mu(j) + dist(rng);
       grids.push_back(std::move(g));
-      specs.push_back(random_spectral(15, 16, seed + 31u * f));
+      specs.push_back(random_spectral(mmax, mmax + 1, seed + 31u * f));
     }
     for (int f = 0; f < nf; ++f) {
       A.push_back(&grids[f]);
@@ -298,10 +300,9 @@ void expect_outputs_bitwise(const BatchOutputs& a, const BatchOutputs& b,
 }
 
 TEST(Spectral, TeamBatchEqualsSerialBitwise) {
-  // Each batched entry point, serial and distributed, split by field over
-  // a team of 1-4 members, must reproduce the team-less batch bit for bit.
-  // 5 fields split unevenly; odd nlat and a partial latitude set give
-  // unpaired rows.
+  // Each batched entry point split by field over a team of 1-4 members
+  // must reproduce the team-less batch bit for bit. 5 fields split
+  // unevenly; odd nlat gives an unpaired equator row.
   for (const int nlat : {40, 41}) {
     const GaussianGrid grid(48, nlat);
     const SpectralTransform st(grid, 15);
@@ -323,33 +324,11 @@ TEST(Spectral, TeamBatchEqualsSerialBitwise) {
                                team);
       return o;
     };
-    // The distributed transform over the southern two thirds of the rows:
-    // some mirror pairs, some singles.
-    std::vector<int> part;
-    for (int j = 0; j < 2 * nlat / 3; ++j) part.push_back(j);
-    const auto distributed = [&](par::Comm& comm, par::Team* team) {
-      ParSpectralTransform pst(st, part);
-      pst.set_team(team);
-      BatchOutputs o;
-      o.an = pst.analyze_batch(comm, in.A);
-      o.dv = pst.analyze_div_batch(comm, in.A, in.B);
-      o.cu = pst.analyze_curl_batch(comm, in.A, in.B);
-      o.syn = blank_grids(grid, nf);
-      pst.synthesize_batch(in.psi, ptrs(o.syn));
-      o.us = blank_grids(grid, nf);
-      o.vs = blank_grids(grid, nf);
-      pst.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(o.us), ptrs(o.vs));
-      return o;
-    };
     const BatchOutputs ref = serial(nullptr);
-    par::run(1, [&](par::Comm& comm) {
-      const BatchOutputs dref = distributed(comm, nullptr);
-      for (int members = 1; members <= par::kMaxTeamMembers; ++members) {
-        par::Team team(members);
-        expect_outputs_bitwise(ref, serial(&team), all, members);
-        expect_outputs_bitwise(dref, distributed(comm, &team), part, members);
-      }
-    });
+    for (int members = 1; members <= par::kMaxTeamMembers; ++members) {
+      par::Team team(members);
+      expect_outputs_bitwise(ref, serial(&team), all, members);
+    }
   }
 }
 
@@ -383,91 +362,130 @@ TEST(Spectral, NonFiniteGridPointGivesNonFiniteCoefficients) {
   }
 }
 
-class ParSpectralRanks : public ::testing::TestWithParam<int> {};
+// ---------------------------------------------------------------------------
+// The distributed transform against the serial one, bit for bit: every
+// (m, k) coefficient is summed over all latitudes on one rank in the serial
+// order, whatever the rank count, and a synthesis writes its rank's rows
+// only.
 
-TEST_P(ParSpectralRanks, MatchesSerialTransform) {
-  const int nranks = GetParam();
-  R15 r;
-  const SpectralField s_in = random_spectral(15, 16, 61);
-  const Field2Dd g_ref = r.st.synthesize(s_in);
-  const SpectralField spec_ref = r.st.analyze(g_ref);
+/// Every batched entry point of \p pst on \p in.
+BatchOutputs run_all(const ParSpectralTransform& pst, const BatchInputs& in) {
+  const GaussianGrid& grid = pst.serial().grid();
+  const int nf = static_cast<int>(in.A.size());
+  BatchOutputs o;
+  o.an = pst.analyze_batch(in.A);
+  o.dv = pst.analyze_div_batch(in.A, in.B);
+  o.cu = pst.analyze_curl_batch(in.A, in.B);
+  o.syn = blank_grids(grid, nf);
+  pst.synthesize_batch(in.psi, ptrs(o.syn));
+  o.us = blank_grids(grid, nf);
+  o.vs = blank_grids(grid, nf);
+  pst.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(o.us), ptrs(o.vs));
+  return o;
+}
 
+std::vector<int> rows_of(const ParSpectralTransform& pst) {
+  std::vector<int> rows;
+  for (int j = pst.lats().lo; j < pst.lats().hi; ++j) rows.push_back(j);
+  return rows;
+}
+
+/// Every synthesized row outside the rank's own is still the blank 0.0.
+void expect_other_rows_blank(const BatchOutputs& o,
+                             const ParSpectralTransform& pst) {
+  for (const auto* gs : {&o.syn, &o.us, &o.vs})
+    for (const Field2Dd& g : *gs)
+      for (int j = 0; j < g.ny(); ++j) {
+        if (pst.lats().contains(j)) continue;
+        for (int i = 0; i < g.nx(); ++i)
+          ASSERT_EQ(bits(g(i, j)), bits(0.0)) << "row " << j << " written";
+      }
+}
+
+/// Every entry point of the distributed transform on \p nranks ranks,
+/// without a team and with one of \p members, equals the serial
+/// transform's batch bit for bit and writes no row the rank does not own.
+void expect_ranks_match_serial(const SpectralTransform& st, int nranks,
+                               const BatchInputs& in, int members) {
+  const BatchOutputs ref = run_all(ParSpectralTransform(st), in);
   par::run(nranks, [&](par::Comm& comm) {
-    const auto owned = par::paired_latitudes(40, comm.size());
-    ParSpectralTransform pst(r.st, owned[comm.rank()]);
-    // Parallel analysis of the full grid field (each rank reads only its
-    // own latitude rows), as a batch of one.
-    const SpectralField spec = pst.analyze_batch(comm, {&g_ref})[0];
-    for (int m = 0; m <= 15; ++m)
-      for (int k = 0; k < 16; ++k)
-        EXPECT_NEAR(std::abs(spec.at(m, k) - spec_ref.at(m, k)), 0.0, 1e-11);
-    // Parallel synthesis fills only owned rows; assemble and compare.
-    Field2Dd local(48, 40, 0.0);
-    pst.synthesize_batch({&spec}, {&local});
-    for (const int j : owned[comm.rank()])
-      for (int i = 0; i < 48; ++i)
-        EXPECT_NEAR(local(i, j), g_ref(i, j), 1e-10);
+    ParSpectralTransform pst(st, &comm);
+    par::Team team(members);
+    for (par::Team* t : {static_cast<par::Team*>(nullptr), &team}) {
+      pst.set_team(t);
+      const BatchOutputs got = run_all(pst, in);
+      expect_outputs_bitwise(ref, got, rows_of(pst), t ? t->size() : 1);
+      expect_other_rows_blank(got, pst);
+    }
   });
 }
 
+class ParSpectralRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParSpectralRanks, MatchesSerialTransform) {
+  // The atmosphere's decomposition (the transform's own latitude blocks)
+  // on a 3-field batch of every entry point.
+  R15 r;
+  expect_ranks_match_serial(r.st, GetParam(), BatchInputs(r.grid, 3, 61u),
+                            2);
+}
+
 TEST_P(ParSpectralRanks, ParallelCurlMatchesSerial) {
+  // The dynamics' own chain on smooth winds: winds from psi, then their
+  // curl and divergence, each distributed step bitwise the serial one.
   const int nranks = GetParam();
   R15 r;
   SpectralField psi = random_spectral(15, 16, 67);
   psi *= 1.0e7;
   for (int m = 0; m <= 15; ++m) psi.at(m, 15) = cplx(0.0, 0.0);
-  SpectralField chi(15, 16);
+  const SpectralField chi(15, 16);
   Field2Dd U, V;
   r.st.uv_from_psi_chi(psi, chi, U, V);
-  const SpectralField ref = r.st.analyze_curl(U, V);
-
+  const SpectralField curl = r.st.analyze_curl(U, V);
+  const SpectralField div = r.st.analyze_div(U, V);
   par::run(nranks, [&](par::Comm& comm) {
-    const auto owned = par::paired_latitudes(40, comm.size());
-    ParSpectralTransform pst(r.st, owned[comm.rank()]);
-    const SpectralField curl = pst.analyze_curl_batch(comm, {&U}, {&V})[0];
-    for (int m = 0; m <= 15; ++m)
-      for (int k = 0; k < 16; ++k)
-        EXPECT_NEAR(std::abs(curl.at(m, k) - ref.at(m, k)), 0.0, 1e-11);
+    const ParSpectralTransform pst(r.st, &comm);
+    Field2Dd u(48, 40, 0.0), v(48, 40, 0.0);
+    pst.uv_from_psi_chi_batch({&psi}, {&chi}, {&u}, {&v});
+    expect_rows_bitwise(u, U, rows_of(pst), "u");
+    expect_rows_bitwise(v, V, rows_of(pst), "v");
+    expect_spec_bitwise(pst.analyze_curl_batch({&U}, {&V})[0], curl, "curl");
+    expect_spec_bitwise(pst.analyze_div_batch({&U}, {&V})[0], div, "div");
   });
 }
 
 TEST_P(ParSpectralRanks, BatchEqualsSingleCallsBitwise) {
-  // A batch of F fields against F batches of one.
+  // A batch of F fields against F batches of one, on a 2-member team.
   const int nranks = GetParam();
   R15 r;
   const int nf = 3;
   const BatchInputs in(r.grid, nf, 700u);
   par::run(nranks, [&](par::Comm& comm) {
-    const auto owned = par::paired_latitudes(40, comm.size());
-    const std::vector<int>& mine = owned[comm.rank()];
-    ParSpectralTransform pst(r.st, mine);
-    const auto an = pst.analyze_batch(comm, in.A);
-    const auto dv = pst.analyze_div_batch(comm, in.A, in.B);
-    const auto cu = pst.analyze_curl_batch(comm, in.A, in.B);
-    auto syn = blank_grids(r.grid, nf);
-    pst.synthesize_batch(in.psi, ptrs(syn));
-    auto us = blank_grids(r.grid, nf), vs = blank_grids(r.grid, nf);
-    pst.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(us), ptrs(vs));
+    ParSpectralTransform pst(r.st, &comm);
+    par::Team team(2);
+    pst.set_team(&team);
+    const std::vector<int> mine = rows_of(pst);
+    const BatchOutputs b = run_all(pst, in);
     for (int f = 0; f < nf; ++f) {
-      expect_spec_bitwise(an[f], pst.analyze_batch(comm, {in.A[f]})[0],
+      expect_spec_bitwise(b.an[f], pst.analyze_batch({in.A[f]})[0],
                           "analyze");
       expect_spec_bitwise(
-          dv[f], pst.analyze_div_batch(comm, {in.A[f]}, {in.B[f]})[0], "div");
+          b.dv[f], pst.analyze_div_batch({in.A[f]}, {in.B[f]})[0], "div");
       expect_spec_bitwise(
-          cu[f], pst.analyze_curl_batch(comm, {in.A[f]}, {in.B[f]})[0],
-          "curl");
+          b.cu[f], pst.analyze_curl_batch({in.A[f]}, {in.B[f]})[0], "curl");
       Field2Dd g(48, 40, 0.0), u(48, 40, 0.0), v(48, 40, 0.0);
       pst.synthesize_batch({in.psi[f]}, {&g});
-      expect_rows_bitwise(syn[f], g, mine, "synthesize");
+      expect_rows_bitwise(b.syn[f], g, mine, "synthesize");
       pst.uv_from_psi_chi_batch({in.psi[f]}, {in.chi[f]}, {&u}, {&v});
-      expect_rows_bitwise(us[f], u, mine, "u");
-      expect_rows_bitwise(vs[f], v, mine, "v");
+      expect_rows_bitwise(b.us[f], u, mine, "u");
+      expect_rows_bitwise(b.vs[f], v, mine, "v");
     }
   });
 }
 
+// 17 ranks: one more than R15 has wavenumbers, so the last rank owns none.
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParSpectralRanks,
-                         ::testing::Values(1, 2, 4, 5));
+                         ::testing::Values(1, 2, 4, 5, 17));
 
 /// Largest |a - b| over the field, relative to the largest |a|.
 double rel_diff(const SpectralField& a, const SpectralField& b) {
@@ -489,11 +507,11 @@ double rel_diff(const Field2Dd& a, const Field2Dd& b) {
 }
 
 TEST(ParSpectral, ThreeRankSplitMatchesOracle) {
-  // Every distributed batch entry point on a 3-rank paired-latitude split
-  // against the reference loops. The analyses are complete after the
-  // fused allreduce; a rank's syntheses are compared over the whole grid
-  // with the oracle run on the rank's rows only, so a write to a row the
-  // rank does not own fails too.
+  // Every distributed batch entry point on 3 latitude blocks against the
+  // reference loops. The analyses are complete after the allgather; a
+  // rank's syntheses are compared over the whole grid with the oracle run
+  // on the rank's rows only, so a write to a row the rank does not own
+  // fails too.
   R15 r;
   const oracle::SpectralOracle ref(r.grid, 15);
   const std::vector<int>& all = ref.all_lats();
@@ -501,29 +519,147 @@ TEST(ParSpectral, ThreeRankSplitMatchesOracle) {
   const BatchInputs in(r.grid, nf, 1100u);
   const double tol = 1e-12;
   par::run(3, [&](par::Comm& comm) {
-    const auto owned = par::paired_latitudes(40, comm.size());
-    const std::vector<int>& mine = owned[comm.rank()];
-    ParSpectralTransform pst(r.st, mine);
-    const auto an = pst.analyze_batch(comm, in.A);
-    const auto dv = pst.analyze_div_batch(comm, in.A, in.B);
-    const auto cu = pst.analyze_curl_batch(comm, in.A, in.B);
-    auto syn = blank_grids(r.grid, nf);
-    pst.synthesize_batch(in.psi, ptrs(syn));
-    auto us = blank_grids(r.grid, nf), vs = blank_grids(r.grid, nf);
-    pst.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(us), ptrs(vs));
+    const ParSpectralTransform pst(r.st, &comm);
+    const std::vector<int> mine = rows_of(pst);
+    const BatchOutputs o = run_all(pst, in);
     for (int f = 0; f < nf; ++f) {
-      EXPECT_LE(rel_diff(ref.analyze(*in.A[f], all), an[f]), tol);
-      EXPECT_LE(rel_diff(ref.analyze_div(*in.A[f], *in.B[f], all), dv[f]),
+      EXPECT_LE(rel_diff(ref.analyze(*in.A[f], all), o.an[f]), tol);
+      EXPECT_LE(rel_diff(ref.analyze_div(*in.A[f], *in.B[f], all), o.dv[f]),
                 tol);
-      EXPECT_LE(rel_diff(ref.analyze_curl(*in.A[f], *in.B[f], all), cu[f]),
+      EXPECT_LE(rel_diff(ref.analyze_curl(*in.A[f], *in.B[f], all), o.cu[f]),
                 tol);
       Field2Dd g(48, 40, 0.0), u(48, 40, 0.0), v(48, 40, 0.0);
       ref.synthesize(*in.psi[f], g, mine);
       ref.uv_from_psi_chi(*in.psi[f], *in.chi[f], u, v, mine);
-      EXPECT_LE(rel_diff(g, syn[f]), tol);
-      EXPECT_LE(rel_diff(u, us[f]), tol);
-      EXPECT_LE(rel_diff(v, vs[f]), tol);
+      EXPECT_LE(rel_diff(g, o.syn[f]), tol);
+      EXPECT_LE(rel_diff(u, o.us[f]), tol);
+      EXPECT_LE(rel_diff(v, o.vs[f]), tol);
     }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// The transpose on other shapes: an odd-nlat grid (an unpaired equator
+// row, owned by one rank) at rank counts that split its rows and
+// wavenumbers unevenly.
+
+/// R15 on 41 latitudes.
+struct OddR15 {
+  OddR15() : grid(48, 41), st(grid, 15) {}
+  GaussianGrid grid;
+  SpectralTransform st;
+};
+
+class TransposeRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(TransposeRanks, AnalyzeMatchesSerial) {
+  OddR15 r;
+  const BatchInputs in(r.grid, 2, 3u);
+  SpectralWorkspace ws;
+  const auto an = r.st.analyze_batch(in.A, ws);
+  const auto dv = r.st.analyze_div_batch(in.A, in.B, ws);
+  const auto cu = r.st.analyze_curl_batch(in.A, in.B, ws);
+  par::run(GetParam(), [&](par::Comm& comm) {
+    const ParSpectralTransform pst(r.st, &comm);
+    const auto pan = pst.analyze_batch(in.A);
+    const auto pdv = pst.analyze_div_batch(in.A, in.B);
+    const auto pcu = pst.analyze_curl_batch(in.A, in.B);
+    for (int f = 0; f < 2; ++f) {
+      expect_spec_bitwise(pan[f], an[f], "analyze");
+      expect_spec_bitwise(pdv[f], dv[f], "div");
+      expect_spec_bitwise(pcu[f], cu[f], "curl");
+    }
+  });
+}
+
+TEST_P(TransposeRanks, SynthesizeMatchesSerial) {
+  OddR15 r;
+  const BatchInputs in(r.grid, 2, 11u);
+  SpectralWorkspace ws;
+  auto syn = blank_grids(r.grid, 2), us = blank_grids(r.grid, 2),
+       vs = blank_grids(r.grid, 2);
+  r.st.synthesize_batch(in.psi, ptrs(syn), ws);
+  r.st.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(us), ptrs(vs), ws);
+  par::run(GetParam(), [&](par::Comm& comm) {
+    const ParSpectralTransform pst(r.st, &comm);
+    const std::vector<int> mine = rows_of(pst);
+    auto psyn = blank_grids(r.grid, 2), pus = blank_grids(r.grid, 2),
+         pvs = blank_grids(r.grid, 2);
+    pst.synthesize_batch(in.psi, ptrs(psyn));
+    pst.uv_from_psi_chi_batch(in.psi, in.chi, ptrs(pus), ptrs(pvs));
+    for (int f = 0; f < 2; ++f) {
+      expect_rows_bitwise(psyn[f], syn[f], mine, "synthesize");
+      expect_rows_bitwise(pus[f], us[f], mine, "u");
+      expect_rows_bitwise(pvs[f], vs[f], mine, "v");
+    }
+  });
+}
+
+TEST_P(TransposeRanks, MatchesSerialBitwise) {
+  // 5 fields split unevenly over a 3-member team inside every stage.
+  OddR15 r;
+  expect_ranks_match_serial(r.st, GetParam(), BatchInputs(r.grid, 5, 23u),
+                            3);
+}
+
+TEST_P(TransposeRanks, AgreesWithDistributedSumVariant) {
+  // Foster and Worley's other parallel strategy, the distributed Legendre
+  // transform: each rank sums its own latitude rows (the oracle over the
+  // rank's block) and the partial sums are added up. It reassociates the
+  // latitude sums, so the two strategies agree to rounding only.
+  const int nranks = GetParam();
+  OddR15 r;
+  const oracle::SpectralOracle ref(r.grid, 15);
+  const BatchInputs in(r.grid, 1, 17u);
+  SpectralField summed(15, 16);
+  for (int rank = 0; rank < nranks; ++rank) {
+    const par::Range b = par::block_range(r.grid.nlat(), nranks, rank);
+    std::vector<int> rows;
+    for (int j = b.lo; j < b.hi; ++j) rows.push_back(j);
+    summed += ref.analyze(*in.A[0], rows);
+  }
+  par::run(nranks, [&](par::Comm& comm) {
+    const ParSpectralTransform pst(r.st, &comm);
+    EXPECT_LE(rel_diff(summed, pst.analyze_batch(in.A)[0]), 1e-12);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, TransposeRanks,
+                         ::testing::Values(1, 2, 3, 4, 8));
+
+TEST(Transpose, RoundTripThroughTransposePair) {
+  // R7 on 20 latitudes at 4 ranks: synthesis through the inverse transpose
+  // fills each rank's rows, and analysis of those rows through the forward
+  // transpose recovers the coefficients; both match the serial transform
+  // bit for bit, so every (m, latitude) travelled to the right rank.
+  const GaussianGrid grid(24, 20);
+  const SpectralTransform st(grid, 7);
+  const SpectralField s = random_spectral(7, 8, 5);
+  const Field2Dd g = st.synthesize(s);
+  const SpectralField back = st.analyze(g);
+  par::run(4, [&](par::Comm& comm) {
+    const ParSpectralTransform pst(st, &comm);
+    Field2Dd mine(24, 20, 0.0);
+    pst.synthesize_batch({&s}, {&mine});
+    expect_rows_bitwise(mine, g, rows_of(pst), "synthesize");
+    const SpectralField got = pst.analyze_batch({&mine})[0];
+    expect_spec_bitwise(got, back, "analyze");
+    EXPECT_LE(rel_diff(s, got), 1e-12);
+  });
+}
+
+TEST(Transpose, RanksBeyondWavenumbersOwnNone) {
+  // R7 has 8 wavenumbers; on 10 ranks the last two own none but still own
+  // latitude rows, and every result is still the serial one.
+  const GaussianGrid grid(24, 20);
+  const SpectralTransform st(grid, 7);
+  const BatchInputs in(grid, 2, 29u, 7);
+  const BatchOutputs ref = run_all(ParSpectralTransform(st), in);
+  par::run(10, [&](par::Comm& comm) {
+    const ParSpectralTransform pst(st, &comm);
+    EXPECT_EQ(pst.modes().count(), comm.rank() < 8 ? 1 : 0);
+    EXPECT_EQ(pst.lats().count(), 2);
+    expect_outputs_bitwise(ref, run_all(pst, in), rows_of(pst), 1);
   });
 }
 

@@ -8,9 +8,10 @@
 /// One recursive FFT (Fft) per latitude row and the full (m, k, j) Legendre
 /// triple loops, with no equatorial folding and no batching. Every entry
 /// point runs over an explicit latitude list: the full grid reproduces the
-/// serial transform, a rank's rows reproduce a ParSpectralTransform rank's
-/// partial analysis sums (before its allreduce) and the rows its synthesis
-/// writes. The engine agrees with these loops to <= 1e-12 relative: its
+/// serial transform, a rank's rows reproduce the rows a ParSpectralTransform
+/// rank's synthesis writes, and summing the per-rank analyses gives the
+/// distributed Legendre transform (partial latitude sums added across
+/// ranks). The engine agrees with these loops to <= 1e-12 relative: its
 /// folding reassociates the latitude sums, and FftPlan's rows are bitwise
 /// equal to this Fft's.
 
